@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, LeadLagError, NumericError, UsageError
-from .estimator import LagGrid, estimate_levels, max_feasible_level
+from .estimator import LagGrid, check_levels_fit, estimate_levels
 from .filters import FAMILIES, base_filter, cascade, empirical_gain, level_gain
 from .ingest import align_to_grid, read_csv
 from .model import cross_spectral_density, load_model
@@ -235,14 +235,10 @@ def _cmd_estimate(args) -> int:
         raise UsageError(f"--maxlag must be >= 0, got {args.maxlag}")
     if args.n is not None:
         # feasibility is checkable before touching any data
-        length = base_filter(args.family).length
-        needed = (2**args.levels - 1) * (length - 1) + 1 + args.maxlag
-        if needed > args.n:
-            raise UsageError(
-                f"--levels {args.levels} with --maxlag {args.maxlag} needs "
-                f"{needed} grid steps but --n is {args.n}; max feasible level "
-                f"is {max_feasible_level(args.family, args.n - args.maxlag)}"
-            )
+        try:
+            check_levels_fit(args.family, args.levels, args.maxlag, args.n)
+        except DataError as exc:
+            raise UsageError(f"--levels/--maxlag too large for --n: {exc}") from None
     check_writable(args.out)
     ticks1 = read_csv(args.in1, scale=args.scale)
     ticks2 = read_csv(args.in2, scale=args.scale)

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import fftconvolve
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .filters import LevelFilter, base_filter, cascade, cascade_length
 from .ingest import AlignedReturns
 
@@ -127,6 +128,22 @@ def _check_pair(w1: WaveletCoeffs, w2: WaveletCoeffs) -> None:
         raise DataError("coefficient series have different shapes")
 
 
+def _lagged_sums(x1: np.ndarray, x2: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """sum_k x1[k] * x2[k + l] over the overlapping positions, for each lag l.
+
+    One zero-padded FFT cross-correlation serves the whole grid: with the
+    padded size at least m + max|l|, circular wrap-around only ever meets
+    the zero padding.
+    """
+    m = len(x1)
+    widest = int(lags[np.argmax(np.abs(lags))])
+    if abs(widest) >= m:
+        raise DataError(f"empty summation range at lag {widest}: only {m} values")
+    size = next_fast_len(m + abs(widest), real=True)
+    spectrum = np.conj(rfft(x1, size)) * rfft(x2, size)
+    return irfft(spectrum, size)[lags % size]
+
+
 def cross_cov(w1: WaveletCoeffs, w2: WaveletCoeffs, lag: int, tau: float) -> float:
     """Lagged cross-covariance of two coefficient series at one level.
 
@@ -136,17 +153,8 @@ def cross_cov(w1: WaveletCoeffs, w2: WaveletCoeffs, lag: int, tau: float) -> flo
     """
     _check_pair(w1, w2)
     lag = int(lag)
-    v1, v2 = w1.values, w2.values
-    count = len(v1) - abs(lag)
-    if count < 1:
-        raise DataError(
-            f"empty summation range at lag {lag}: only {len(v1)} coefficients"
-        )
-    if lag >= 0:
-        s = float(np.dot(v1[:count], v2[lag : lag + count]))
-    else:
-        s = float(np.dot(v1[-lag : -lag + count], v2[:count]))
-    return s / (tau * count)
+    s = float(_lagged_sums(w1.values, w2.values, np.array([lag]))[0])
+    return s / (tau * (len(w1.values) - abs(lag)))
 
 
 def cross_cov_curve(
@@ -156,11 +164,12 @@ def cross_cov_curve(
 
     The normalizer is the lag-independent geometric mean of the two series'
     second moments, (1/(tau * (n - L_j + 1))) * sqrt(sum W1^2 * sum W2^2),
-    so identical inputs give exactly 1 at lag 0.
+    so identical inputs give 1 to rounding at lag 0.
     """
     _check_pair(w1, w2)
-    rho = np.array([cross_cov(w1, w2, l, tau) for l in grid.lags])
     count = len(w1.values)
+    sums = _lagged_sums(w1.values, w2.values, grid.lags)
+    rho = sums / (tau * (count - np.abs(grid.lags)))
     divisor = (
         np.sqrt(float(np.dot(w1.values, w1.values)) * float(np.dot(w2.values, w2.values)))
         / (tau * count)
@@ -179,30 +188,34 @@ def cross_cov_curve(
     )
 
 
-def _argmax_with_tiebreak(lags: np.ndarray, values: np.ndarray):
-    peak = float(values.max())
-    candidates = lags[values == peak]
-    chosen = min(candidates, key=lambda l: (abs(int(l)), int(l)))
-    if len(values) > 1:
-        rest = values[lags != chosen]
-        gap = peak - float(rest.max())
+def _lag_estimate(
+    level: int, lags: np.ndarray, values: np.ndarray, tau: float
+) -> LagEstimate:
+    """Argmax of |values| with the tie-break and flags of ``LagEstimate``."""
+    magnitude = np.abs(values)
+    peak = float(magnitude.max())  # NaN or inf anywhere in the curve reaches the peak
+    if not np.isfinite(peak):
+        raise NumericError(f"lag curve at level {level} holds a non-finite value")
+    candidates = lags[magnitude == peak]
+    lag = int(min(candidates, key=lambda l: (abs(int(l)), int(l))))
+    if len(magnitude) > 1:
+        gap = peak - float(magnitude[lags != lag].max())
     else:
         gap = peak
-    return int(chosen), peak, gap, len(candidates) > 1
+    return LagEstimate(
+        level=level,
+        lag=lag,
+        theta_seconds=lag * tau,
+        peak_value=peak,
+        runner_up_gap=gap,
+        tied=len(candidates) > 1,
+        degenerate=peak == 0.0,
+    )
 
 
 def estimate_lag(curve: CrossCovCurve) -> LagEstimate:
     """Lag with the largest |cross-covariance| on the grid."""
-    lag, peak, gap, tied = _argmax_with_tiebreak(curve.lags, np.abs(curve.rho))
-    return LagEstimate(
-        level=curve.level,
-        lag=lag,
-        theta_seconds=lag * curve.tau,
-        peak_value=peak,
-        runner_up_gap=gap,
-        tied=tied,
-        degenerate=peak == 0.0,
-    )
+    return _lag_estimate(curve.level, curve.lags, curve.rho, curve.tau)
 
 
 def hry_lag(
@@ -218,26 +231,7 @@ def hry_lag(
         raise DataError(f"return series differ in length: {len(r1)} vs {len(r2)}")
     if tau is None:
         tau = ret1.tau
-    n = len(r1)
-    contrast = np.empty(len(grid.lags))
-    for i, lag in enumerate(grid.lags):
-        count = n - abs(int(lag))
-        if count < 1:
-            raise DataError(f"empty summation range at lag {lag}: n={n}")
-        if lag >= 0:
-            contrast[i] = np.dot(r1[:count], r2[lag : lag + count])
-        else:
-            contrast[i] = np.dot(r1[-lag : -lag + count], r2[:count])
-    lag, peak, gap, tied = _argmax_with_tiebreak(grid.lags, np.abs(contrast))
-    return LagEstimate(
-        level=0,
-        lag=lag,
-        theta_seconds=lag * tau,
-        peak_value=peak,
-        runner_up_gap=gap,
-        tied=tied,
-        degenerate=peak == 0.0,
-    )
+    return _lag_estimate(0, grid.lags, _lagged_sums(r1, r2, grid.lags), tau)
 
 
 def max_feasible_level(family: str, n: int) -> int:
@@ -247,6 +241,19 @@ def max_feasible_level(family: str, n: int) -> int:
     while cascade_length(base.length, level + 1) <= n:
         level += 1
     return level
+
+
+def check_levels_fit(family: str, j_max: int, half_width: int, n: int) -> None:
+    """Raise DataError unless the level-j_max cascade plus the grid
+    half-width fits in n samples; the message names the largest level that
+    does."""
+    needed = cascade_length(base_filter(family).length, j_max) + half_width
+    if needed > n:
+        raise DataError(
+            f"{family} level {j_max} with grid half-width {half_width} needs "
+            f"{needed} samples but n={n}; max feasible level is "
+            f"{max_feasible_level(family, n - half_width)}"
+        )
 
 
 def estimate_levels(
@@ -263,22 +270,14 @@ def estimate_levels(
         raise DataError(f"grid spacings differ: {ret1.tau} vs {ret2.tau}")
     if j_max < 1:
         raise DataError(f"need at least one level, got j_max={j_max}")
+    check_levels_fit(family, j_max, grid.half_width, ret1.n)
     base = base_filter(family)
-    n, tau = ret1.n, ret1.tau
-    top_length = cascade_length(base.length, j_max)
-    if top_length + grid.half_width > n:
-        feasible = max_feasible_level(family, n - grid.half_width)
-        raise DataError(
-            f"level {j_max} with grid half-width {grid.half_width} needs "
-            f"{top_length + grid.half_width} samples but n={n}; "
-            f"max feasible level is {feasible}"
-        )
     out = []
     for level in range(1, j_max + 1):
         filt = cascade(base, level)
         w1 = modwt(ret1, filt)
         w2 = modwt(ret2, filt)
-        curve = cross_cov_curve(w1, w2, grid, tau)
+        curve = cross_cov_curve(w1, w2, grid, ret1.tau)
         out.append((curve, estimate_lag(curve)))
     return out
 

@@ -38,6 +38,10 @@ class TickSeries:
             )
         if len(ts) == 0:
             raise DataError("no ticks")
+        for name, values in (("timestamp", ts), ("price", px)):
+            if not np.all(np.isfinite(values)):
+                row = int(np.argmin(np.isfinite(values))) + 1
+                raise DataError(f"non-finite {name} at row {row}")
         if np.any(np.diff(ts) < 0):
             row = int(np.argmax(np.diff(ts) < 0)) + 2
             raise DataError(f"timestamps decrease at row {row}")

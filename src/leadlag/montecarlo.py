@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
-from .estimator import LagGrid, estimate_levels, hry_lag
-from .filters import base_filter, cascade_length
+from .errors import DataError, LeadLagError
+from .estimator import LagGrid, check_levels_fit, estimate_levels, hry_lag
+# base_filter is unused here, but perfbench/tracing.py hooks it as a module attribute
+from .filters import FAMILIES, base_filter  # noqa: F401
 from .ingest import returns_from_sample
 from .model import ObservationScheme, SpectralModel, load_model
 from .simulate import CirculantEmbedding, build_embedding, circulant_embed_sample
@@ -46,13 +47,11 @@ class MCConfig:
         if self.threads < 1:
             raise DataError(f"thread count must be >= 1, got {self.threads}")
         for family in self.families:
-            length = cascade_length(base_filter(family).length, self.j_max)
-            if length + self.grid_half_width > self.scheme.n:
+            if family not in FAMILIES:
                 raise DataError(
-                    f"{family} at level {self.j_max} with grid half-width "
-                    f"{self.grid_half_width} needs {length + self.grid_half_width} "
-                    f"samples but n={self.scheme.n}"
+                    f"unknown filter family {family!r}; known: {', '.join(FAMILIES)}"
                 )
+            check_levels_fit(family, self.j_max, self.grid_half_width, self.scheme.n)
         for c in self.model.components:
             if abs(c.lag_steps) > self.grid_half_width:
                 raise DataError(
@@ -187,7 +186,7 @@ def _run_worker(seed: int):
             model, scheme, families, j_max, grid, include_hry, seed,
             embedding=_WORKER["embedding"],
         )
-    except Exception as exc:  # noqa: BLE001 - failures recorded, not fatal
+    except LeadLagError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -227,7 +226,7 @@ def run_mc(config: MCConfig) -> MCSummary:
                         embedding=embedding,
                     )
                 )
-            except Exception as exc:  # noqa: BLE001
+            except LeadLagError as exc:
                 results.append({"error": f"{type(exc).__name__}: {exc}"})
 
     lags_by_family = {family: [] for family in config.families}

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import leadlag as ll
-from leadlag.estimator import LagGrid, estimate_levels, modwt, cross_cov
+from leadlag.estimator import (
+    LagGrid,
+    cross_cov,
+    cross_cov_curve,
+    estimate_levels,
+    hry_lag,
+    modwt,
+)
 from leadlag.filters import (
     FAMILIES,
     base_filter,
@@ -266,6 +273,18 @@ class TestChiOracleEquivalence:
         report("chi-oracle", f"1000 cases, worst deviation {worst:.2e}")
 
 
+def lagged_sum(a, b, lag):
+    """sum_k a[k] * b[k + lag] over the overlapping positions, by double loop."""
+    return sum(a[k] * b[k + lag] for k in range(len(a)) if 0 <= k + lag < len(b))
+
+
+def aligned_returns(returns, tau):
+    n = len(returns)
+    return ll.AlignedReturns(
+        t0=0.0, tau=tau, n=n, returns=returns, observed=np.ones(n + 1, dtype=bool)
+    )
+
+
 class TestBruteForceEstimatorEquivalence:
     def test_two_hundred_random_cases(self):
         rng = np.random.default_rng(17)
@@ -301,5 +320,23 @@ class TestBruteForceEstimatorEquivalence:
             dev = abs(got - want)
             worst = max(worst, dev)
             assert dev < 1e-12, f"case {cases}: deviation {dev:.2e}"
+
+            # the whole curve, on a contiguous and a non-contiguous grid
+            m = len(w1.values)
+            for grid in (LagGrid.symmetric(abs(lag)), LagGrid(np.array([-7, -3, 0, 3, 7]))):
+                curve = cross_cov_curve(w1, w2, grid, tau)
+                for l, rho in zip(grid.lags, curve.rho):
+                    want = lagged_sum(w1.values, w2.values, l) / (tau * (m - abs(l)))
+                    dev = abs(rho - want)
+                    worst = max(worst, dev)
+                    assert dev < 1e-12, f"case {cases}, lag {l}: deviation {dev:.2e}"
+
+            # the single-scale baseline's peak on the raw returns
+            grid = LagGrid.symmetric(abs(lag))
+            est = hry_lag(aligned_returns(x1, tau), aligned_returns(x2, tau), grid)
+            want = max(abs(lagged_sum(x1, x2, l)) for l in grid.lags)
+            dev = abs(est.peak_value - want)
+            worst = max(worst, dev)
+            assert dev < 1e-12, f"case {cases}, hry: deviation {dev:.2e}"
             cases += 1
         report("brute-force-estimator", f"200 cases, worst deviation {worst:.2e}")

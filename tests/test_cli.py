@@ -233,6 +233,47 @@ class TestEndToEnd:
         assert code == 2
         assert "overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad_row, needle",
+        [("2.0,nan", "non-finite price at row 3"), ("nan,100.5", "non-finite timestamp at row 3")],
+    )
+    def test_estimate_non_finite_tick_is_data_error(self, tmp_path, capsys, bad_row, needle):
+        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(40)]
+        good = "\n".join(rows) + "\n"
+        rows[3] = bad_row
+        (tmp_path / "a.csv").write_text(good)
+        (tmp_path / "b.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "r.json"
+        code = main(
+            [
+                "estimate",
+                "--in1", str(tmp_path / "a.csv"),
+                "--in2", str(tmp_path / "b.csv"),
+                "--family", "haar",
+                "--levels", "1",
+                "--maxlag", "2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_mc_unknown_family_is_data_error(self, tmp_path, capsys):
+        config = {"model": benchmark_spec(n=1200), "families": ["la9"], "j_max": 1, "l_max": 12}
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        code = main(["mc", "--config", str(config_path), "--reps", "1", "--threads", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'la9'" in err
+        assert "haar, la8, la20" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_mc_smoke_two_replications(self, tmp_path):
         config = {
             "model": benchmark_spec(n=1200),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leadlag as ll
-from leadlag.errors import DataError
+from leadlag.errors import DataError, NumericError
 from leadlag.estimator import (
     LagGrid,
     cross_cov,
@@ -281,6 +281,11 @@ class TestHry:
         assert est.degenerate
         assert est.lag == 0
 
+    def test_non_finite_return_is_numeric_error(self):
+        r = aligned([0.1, np.nan, -0.2, 0.3, 0.0, 0.4])
+        with pytest.raises(NumericError, match="level 0"):
+            hry_lag(r, r, LagGrid.symmetric(2))
+
     def test_lag_exceeding_data_rejected(self):
         r = aligned(np.ones(5))
         with pytest.raises(DataError, match="empty summation range"):
@@ -308,6 +313,14 @@ class TestEstimateLevels:
         assert max_feasible_level("haar", 2) == 1
         assert max_feasible_level("la20", 15000) == 9
         assert max_feasible_level("la8", 49) == 2  # level 3 needs 50 samples
+
+    def test_non_finite_return_is_numeric_error(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal(300)
+        x[150] = np.nan
+        r1, r2 = aligned(x), aligned(rng.standard_normal(300))
+        with pytest.raises(NumericError, match="level 1"):
+            estimate_levels(r1, r2, "haar", 2, LagGrid.symmetric(5))
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)

@@ -85,6 +85,19 @@ class TestReadCsv:
         with pytest.raises(DataError, match="non-positive price"):
             read_csv(p)
 
+    @pytest.mark.parametrize(
+        "rows, needle",
+        [
+            ("0.0,100.0\n1.0,nan\n", "non-finite price at row 2"),
+            ("0.0,100.0\n1.0,101.0\ninf,99.0\n", "non-finite timestamp at row 3"),
+        ],
+    )
+    def test_non_finite_value_names_row(self, tmp_path, rows, needle):
+        p = tmp_path / "ticks.csv"
+        p.write_text("timestamp,price\n" + rows)
+        with pytest.raises(DataError, match=needle):
+            read_csv(p)
+
     def test_missing_columns(self, tmp_path):
         p = tmp_path / "ticks.csv"
         p.write_text("time,px\n0.0,100.0\n")

@@ -3,7 +3,8 @@ import time
 import pytest
 
 import leadlag as ll
-from leadlag.errors import DataError
+from leadlag import montecarlo
+from leadlag.errors import DataError, NumericError
 from leadlag.estimator import LagGrid
 from leadlag.montecarlo import (
     MCConfig,
@@ -120,6 +121,32 @@ class TestRunMc:
     def test_infeasible_level_rejected(self):
         with pytest.raises(DataError, match="needs"):
             small_config(j_max=9)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(DataError, match="unknown filter family 'la9'"):
+            small_config(families=("haar", "la9"))
+
+    def test_expected_errors_count_as_failures(self, monkeypatch):
+        real = montecarlo.run_replication
+        first = replication_seeds(5, 1)[0]
+
+        def flaky(*args, **kwargs):
+            if args[6] == first:
+                raise NumericError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run_replication", flaky)
+        summary = run_mc(small_config())
+        assert summary.failures == 1
+        assert summary.replications == 4
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(montecarlo, "run_replication", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            run_mc(small_config())
 
 
 class TestConfigLoading:
