@@ -25,7 +25,7 @@ from .filters import FAMILIES, base_filter, cascade, empirical_gain, level_gain
 from .ingest import align_to_grid, read_csv
 from .model import cross_spectral_density, load_model
 from .montecarlo import load_mc_config, run_mc, write_summary_csv
-from .simulate import build_embedding, circulant_embed_sample
+from .simulate import circulant_embed_sample
 
 REPORT_SCHEMA_VERSION = 1
 THREADS_ENV_VAR = "LEADLAG_THREADS"
@@ -111,7 +111,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output CSV for increments")
     p.add_argument("--ticks1", default=None, help="optional tick CSV, series 1")
     p.add_argument("--ticks2", default=None, help="optional tick CSV, series 2")
-    p.add_argument("--maxlag", type=int, default=None, help="covariance truncation lag")
 
     p = sub.add_parser(
         "estimate",
@@ -203,8 +202,7 @@ def _cmd_simulate(args) -> int:
     for path in (args.out, args.ticks1, args.ticks2):
         check_writable(path)
     model, scheme = load_model(args.model)
-    embedding = build_embedding(model, scheme, max_lag=args.maxlag)
-    sample = circulant_embed_sample(model, scheme, args.seed, embedding=embedding)
+    sample = circulant_embed_sample(model, scheme, args.seed)
     with atomic_output(args.out) as fh:
         fh.write("# leadlag-path schema_version=1\n")
         fh.write("k,r1,r2,miss1,miss2\n")
@@ -233,6 +231,10 @@ def _cmd_estimate(args) -> int:
         raise UsageError(f"--levels must be >= 1, got {args.levels}")
     if args.maxlag < 0:
         raise UsageError(f"--maxlag must be >= 0, got {args.maxlag}")
+    if not (math.isfinite(args.tau) and args.tau > 0):
+        raise UsageError(f"--tau must be finite and positive, got {args.tau}")
+    if args.t0 is not None and not math.isfinite(args.t0):
+        raise UsageError(f"--t0 must be finite, got {args.t0}")
     if args.n is not None:
         # feasibility is checkable before touching any data
         try:
@@ -248,7 +250,12 @@ def _cmd_estimate(args) -> int:
     n = args.n
     if n is None:
         horizon = min(ticks1.timestamps[-1], ticks2.timestamps[-1]) - t0
-        n = int(math.floor(horizon / args.tau))
+        steps = float(horizon) / args.tau
+        if not math.isfinite(steps):
+            raise DataError(
+                f"series overlap of {horizon} s holds too many grid steps of {args.tau} s"
+            )
+        n = int(math.floor(steps))
         if n <= 0:
             raise DataError(
                 f"series overlap of {horizon} s leaves no full grid step of {args.tau} s"

@@ -170,10 +170,10 @@ def cross_cov_curve(
     count = len(w1.values)
     sums = _lagged_sums(w1.values, w2.values, grid.lags)
     rho = sums / (tau * (count - np.abs(grid.lags)))
-    divisor = (
-        np.sqrt(float(np.dot(w1.values, w1.values)) * float(np.dot(w2.values, w2.values)))
-        / (tau * count)
-    )
+    # einsum's own loop, not BLAS: a forked mc worker must start no BLAS threads
+    energy1 = float(np.einsum("i,i", w1.values, w1.values))
+    energy2 = float(np.einsum("i,i", w2.values, w2.values))
+    divisor = np.sqrt(energy1 * energy2) / (tau * count)
     if divisor > 0.0:
         normalized = rho / divisor
     else:

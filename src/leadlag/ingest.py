@@ -124,14 +124,14 @@ def read_csv(path, scale: str = "raw_price") -> TickSeries:
                 f"got {header}"
             )
         times, prices = [], []
-        for i, row in enumerate(reader, start=1):
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
             try:
                 times.append(float(row[t_col]))
                 prices.append(float(row[p_col]))
             except (ValueError, IndexError):
-                raise DataError(f"{path}: malformed row {i}: {row!r}")
+                raise DataError(f"{path}: malformed row {len(prices) + 1}: {row!r}")
     if not times:
         raise DataError(f"no ticks in {path}")
     try:
@@ -157,9 +157,14 @@ def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedRe
     """
     if n <= 0:
         raise DataError(f"need a positive number of grid steps, got {n}")
+    if not (np.isfinite(t0) and np.isfinite(tau)):
+        raise DataError(f"grid origin and spacing must be finite, got t0={t0}, tau={tau}")
     if tau <= 0:
         raise DataError(f"grid spacing must be positive, got {tau}")
-    grid = t0 + np.arange(n + 1) * tau
+    try:
+        grid = t0 + np.arange(n + 1) * tau
+    except (MemoryError, ValueError):
+        raise DataError(f"a grid of n={n:.3g} steps of tau={tau} is too large to allocate") from None
     idx = np.searchsorted(ticks.timestamps, grid, side="right") - 1
     if idx[0] < 0:
         raise DataError(

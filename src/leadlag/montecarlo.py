@@ -25,6 +25,11 @@ SUMMARY_SCHEMA_VERSION = 1
 
 DEFAULT_FAMILIES = ("haar", "la8", "la20")
 
+MC_CONFIG_KEYS = (
+    "schema_version", "model", "model_path", "families", "j_max", "l_max",
+    "replications", "master_seed", "include_hry", "threads",
+)
+
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -39,7 +44,6 @@ class MCConfig:
     master_seed: int = 0
     include_hry: bool = True
     threads: int = 1
-    sim_max_lag: int | None = None
 
     def __post_init__(self):
         if self.replications < 1:
@@ -173,9 +177,9 @@ def run_replication(
 _WORKER: dict = {}
 
 
-def _init_worker(model, scheme, families, j_max, half_width, include_hry, sim_max_lag):
+def _init_worker(model, scheme, families, j_max, half_width, include_hry):
     _WORKER["args"] = (model, scheme, families, j_max, half_width, include_hry)
-    _WORKER["embedding"] = build_embedding(model, scheme, max_lag=sim_max_lag)
+    _WORKER["embedding"] = build_embedding(model, scheme)
 
 
 def _run_worker(seed: int):
@@ -206,12 +210,11 @@ def run_mc(config: MCConfig) -> MCSummary:
                 config.j_max,
                 config.grid_half_width,
                 config.include_hry,
-                config.sim_max_lag,
             ),
         ) as pool:
             results = list(pool.map(_run_worker, seeds, chunksize=8))
     else:
-        embedding = build_embedding(config.model, config.scheme, max_lag=config.sim_max_lag)
+        embedding = build_embedding(config.model, config.scheme)
         for seed in seeds:
             try:
                 results.append(
@@ -255,9 +258,10 @@ def run_mc(config: MCConfig) -> MCSummary:
 def load_mc_config(source, **overrides) -> MCConfig:
     """Build an MCConfig from a JSON file path or dict.
 
-    Recognized fields: model (inline object) or model_path, families, j_max,
-    l_max, replications, master_seed, include_hry, sim_max_lag. Keyword
-    overrides (reps, seed, threads, ...) take precedence when not None.
+    Recognized fields are MC_CONFIG_KEYS; model (an inline object) or
+    model_path is required, and any other key is a DataError. Keyword
+    overrides (replications, master_seed, threads) take precedence when not
+    None.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -267,6 +271,14 @@ def load_mc_config(source, **overrides) -> MCConfig:
             raise DataError(f"cannot read MC config: {exc}") from exc
     else:
         raw = dict(source)
+    if not isinstance(raw, dict):
+        raise DataError("MC config must be a JSON object")
+    unknown = sorted(set(raw) - set(MC_CONFIG_KEYS))
+    if unknown:
+        raise DataError(
+            f"unknown MC config key {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(MC_CONFIG_KEYS)}"
+        )
     if "model" in raw:
         model, scheme = load_model(raw["model"])
     elif "model_path" in raw:
@@ -288,7 +300,6 @@ def load_mc_config(source, **overrides) -> MCConfig:
         master_seed=int(pick("master_seed", raw.get("master_seed", 0))),
         include_hry=bool(raw.get("include_hry", True)),
         threads=int(pick("threads", raw.get("threads", 1))),
-        sim_max_lag=raw.get("sim_max_lag"),
     )
 
 

@@ -4,8 +4,10 @@ Each series is marginally a Brownian increment sequence (white, variance tau
 per step); the pair carries the model's band-structured cross-covariance.
 Per frequency the 2x2 spectral matrix is [[tau, s], [conj(s), tau]] with
 eigenvalues tau +- |s|, so the embedding is valid exactly when the implied
-cross spectrum stays below tau, which admissibility (|corr| <= 1) guarantees
-up to truncation ripple.
+cross spectrum stays below tau. Admissibility (|corr| <= 1) bounds the
+model's band spectrum, but the circulant row stops at lag size // 2, and
+that cut rings at sharp band edges (Gibbs): the overshoot, about 9%, makes
+a band with |corr| above about 0.92 fail the eigenvalue guard.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .errors import DataError, NumericError
 from .model import ObservationScheme, SpectralModel, increment_cross_cov
@@ -40,67 +43,12 @@ class PathSample:
 
 
 @dataclass(frozen=True)
-class CovarianceTables:
-    """Target second moments: auto at lags 0..maxlag, cross at -maxlag..maxlag."""
-
-    auto1: np.ndarray
-    auto2: np.ndarray
-    cross: np.ndarray
-    max_lag: int
-
-    def cross_at(self, lag: int) -> float:
-        if abs(lag) > self.max_lag:
-            return 0.0
-        return float(self.cross[lag + self.max_lag])
-
-
-def default_max_lag(
-    model: SpectralModel,
-    scheme: ObservationScheme,
-    threshold: float = 1e-6,
-    cap: int = 4096,
-) -> int:
-    """Smallest truncation lag at which every band's kernel envelope falls
-    below ``threshold`` (relative to tau^2), capped for memory.
-
-    The band kernels decay like 1/lag, so for realistic thresholds the cap
-    binds; the truncation error is checked statistically by the simulator
-    fidelity tests.
-    """
-    hard_cap = min(cap, scheme.n - 1)
-    need = 1
-    for c in model.components:
-        if c.corr == 0.0:
-            continue
-        m = model.finest_level - c.level + 1
-        beta = 2.0**m * model.tau
-        # band term is 2^m R psi(beta (l - steps)) in units of tau^2, and
-        # |psi(s)| <= 2 / (pi |s|)
-        lag = abs(c.lag_steps) + 2.0 * 2.0**m * abs(c.corr) / (np.pi * beta * threshold)
-        need = max(need, int(np.ceil(lag)))
-    return max(1, min(need, hard_cap))
-
-
-def target_covariance_tables(
-    model: SpectralModel, scheme: ObservationScheme, max_lag: int
-) -> CovarianceTables:
-    """Tabulate the covariance targets for the embedding."""
-    if max_lag >= scheme.n:
-        raise DataError(
-            f"covariance truncation lag {max_lag} must be smaller than n={scheme.n}"
-        )
-    if max_lag < 1:
-        raise DataError(f"truncation lag must be >= 1, got {max_lag}")
-    auto = np.zeros(max_lag + 1)
-    auto[0] = scheme.tau
-    lags = np.arange(-max_lag, max_lag + 1)
-    cross = increment_cross_cov(model, lags, tau=scheme.tau)
-    return CovarianceTables(auto1=auto, auto2=auto.copy(), cross=cross, max_lag=max_lag)
-
-
-@dataclass(frozen=True)
 class CirculantEmbedding:
-    """Precomputed per-frequency factors, reusable across seeds."""
+    """Precomputed per-frequency factors, reusable across seeds.
+
+    ``size`` is the circulant length, ``next_fast_len(2 * n)``; ``clipped``
+    counts the slightly negative eigenvalues set to zero.
+    """
 
     n: int
     tau: float
@@ -110,28 +58,20 @@ class CirculantEmbedding:
     min_eigenvalue: float
 
 
-def build_embedding(
-    model: SpectralModel,
-    scheme: ObservationScheme,
-    max_lag: int | None = None,
-) -> CirculantEmbedding:
+def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> CirculantEmbedding:
     """Embed the block-Toeplitz target covariance into a circulant and factor
     each frequency's 2x2 spectral matrix.
 
-    The circulant length is the next power of two at or above
-    2 * (n + max_lag), which keeps the wrapped covariance exact for every
-    lag the sample can see.
+    The circulant length is ``next_fast_len(2 * n)``. Its first row holds
+    the model's cross-covariance at every circulant lag (k up to size // 2,
+    k - size above), so the embedding is exact at every lag |l| <= n - 1
+    that a sample can see; there is no truncation parameter.
     """
-    if max_lag is None:
-        max_lag = default_max_lag(model, scheme)
-    tables = target_covariance_tables(model, scheme, max_lag)
     n, tau = scheme.n, scheme.tau
-    size = 1 << int(2 * (n + max_lag) - 1).bit_length()
-
-    wrapped = np.zeros(size)
-    wrapped[: max_lag + 1] = tables.cross[max_lag:]
-    wrapped[size - max_lag :] = tables.cross[:max_lag]
-    s12 = np.fft.fft(wrapped)
+    size = next_fast_len(2 * n)
+    k = np.arange(size)
+    lags = np.where(k <= size // 2, k, k - size)
+    s12 = np.fft.fft(increment_cross_cov(model, lags, tau=tau))
 
     mag = np.abs(s12)
     lam_minus = tau - mag

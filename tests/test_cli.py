@@ -274,13 +274,59 @@ class TestEndToEnd:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            ("--tau nan", 1),
+            ("--tau inf", 1),
+            ("--tau 0", 1),
+            ("--tau -1", 1),
+            ("--t0 nan", 1),
+            ("--t0 nan --n 40", 1),
+            ("--t0 inf --n 40", 1),
+            ("--tau 1e-300", 2),
+        ],
+    )
+    def test_estimate_bad_grid_flags(self, tmp_path, capsys, flags, code):
+        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("\n".join(rows) + "\n")
+        out = tmp_path / "r.json"
+        argv = [
+            "estimate",
+            "--in1", str(tmp_path / "a.csv"),
+            "--in2", str(tmp_path / "b.csv"),
+            "--family", "haar",
+            "--levels", "1",
+            "--maxlag", "2",
+            "--out", str(out),
+        ]
+        assert main(argv + flags.split()) == code
+        err = capsys.readouterr().err
+        assert flags.split()[0] in err or "too large" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["sim_max_lag", "replication"])
+    def test_mc_unknown_config_key_is_data_error(self, tmp_path, capsys, key):
+        config = {"schema_version": 1, "model": benchmark_spec(n=1200), "j_max": 1, key: 2}
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        code = main(["mc", "--config", str(config_path), "--reps", "1", "--threads", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown MC config key {key!r}" in err
+        assert "schema_version, model, model_path" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_mc_smoke_two_replications(self, tmp_path):
         config = {
             "model": benchmark_spec(n=1200),
             "families": ["haar"],
             "j_max": 2,
             "l_max": 12,
-            "sim_max_lag": 128,
         }
         config_path = tmp_path / "mc.json"
         config_path.write_text(json.dumps(config))
@@ -308,7 +354,6 @@ class TestEndToEnd:
             "families": ["haar"],
             "j_max": 1,
             "l_max": 12,
-            "sim_max_lag": 64,
         }
         config_path = tmp_path / "mc.json"
         config_path.write_text(json.dumps(config))

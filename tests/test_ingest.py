@@ -109,6 +109,16 @@ class TestReadCsv:
         p.write_text("# produced by a tool\ntimestamp,price\n0.0,100.0\n1.0,101.0\n")
         assert len(read_csv(p)) == 2
 
+    def test_malformed_row_numbers_skip_comment_lines(self, tmp_path):
+        # the bad row is tick 3, as TickSeries would number it, not line 4
+        p = tmp_path / "ticks.csv"
+        p.write_text("timestamp,price\n0.0,100.0\n# note\n1.0,101.0\n2.0,oops\n")
+        with pytest.raises(DataError, match="malformed row 3:"):
+            read_csv(p)
+        p.write_text("timestamp,price\n0.0,100.0\n# note\n1.0,101.0\n-1.0,100.5\n")
+        with pytest.raises(DataError, match="row 3"):
+            read_csv(p)
+
     def test_log_scale_passthrough(self, tmp_path):
         p = tmp_path / "ticks.csv"
         p.write_text("timestamp,price\n0.0,-0.5\n1.0,0.5\n")
@@ -148,6 +158,21 @@ class TestAlignToGrid:
         ticks = TickSeries(np.array([0.0]), np.array([1.0]))
         with pytest.raises(DataError, match="positive number of grid steps"):
             align_to_grid(ticks, t0=0.0, tau=1.0, n=0)
+
+    @pytest.mark.parametrize(
+        "t0, tau, n, needle",
+        [
+            (float("nan"), 1.0, 4, "must be finite"),
+            (float("inf"), 1.0, 4, "must be finite"),
+            (0.0, float("nan"), 4, "must be finite"),
+            (0.0, 1e-300, 10**302, "n=1e\\+302 steps of tau=1e-300"),
+        ],
+        ids=["t0-nan", "t0-inf", "tau-nan", "too-large"],
+    )
+    def test_bad_grid_is_data_error(self, t0, tau, n, needle):
+        ticks = TickSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        with pytest.raises(DataError, match=needle):
+            align_to_grid(ticks, t0=t0, tau=tau, n=n)
 
     def test_idempotence_on_fully_observed_grid(self):
         rng = np.random.default_rng(5)

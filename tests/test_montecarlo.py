@@ -32,7 +32,6 @@ def small_config(**kw):
         replications=4,
         master_seed=5,
         threads=1,
-        sim_max_lag=256,
     )
     defaults.update(kw)
     return MCConfig(**defaults)
@@ -158,7 +157,6 @@ class TestConfigLoading:
             "l_max": 12,
             "replications": 50,
             "master_seed": 1,
-            "sim_max_lag": 128,
         }
         config = load_mc_config(raw, replications=3, master_seed=9)
         assert config.replications == 3
@@ -177,7 +175,6 @@ class TestConfigLoading:
                     "families": ["haar"],
                     "j_max": 2,
                     "l_max": 12,
-                    "sim_max_lag": 128,
                 }
             )
         )
@@ -187,6 +184,12 @@ class TestConfigLoading:
     def test_missing_model_rejected(self):
         with pytest.raises(DataError, match="model"):
             load_mc_config({"families": ["haar"]})
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "mc.json"
+        path.write_text('[{"model": {}}]')
+        with pytest.raises(DataError, match="JSON object"):
+            load_mc_config(str(path))
 
 
 class TestSummaryCsv:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import leadlag as ll
 from leadlag.errors import DataError, NumericError
@@ -7,82 +8,93 @@ from leadlag.simulate import (
     apply_missing,
     build_embedding,
     circulant_embed_sample,
-    default_max_lag,
-    target_covariance_tables,
 )
 
 from conftest import benchmark_spec
 
 
+def spectral_matrices(emb):
+    """Per-frequency A A^H of the embedding's factors, shape (size, 2, 2)."""
+    return emb.factors @ np.conj(np.swapaxes(emb.factors, 1, 2))
+
+
+def circulant_row(emb, i, j, lags):
+    """Entry (i, j) of the embedded covariance at the given lags: the inverse
+    FFT of that spectral entry, read at lag mod size."""
+    row = np.fft.ifft(spectral_matrices(emb)[:, i, j])
+    return row[np.asarray(lags) % emb.size]
+
+
 class TestCovarianceTables:
     def test_auto_is_white_with_variance_tau(self, benchmark_model):
         model, scheme = benchmark_model
-        tables = target_covariance_tables(model, scheme, max_lag=16)
-        assert tables.auto1[0] == scheme.tau
-        assert np.all(tables.auto1[1:] == 0.0)
-        assert np.array_equal(tables.auto1, tables.auto2)
+        emb = build_embedding(model, scheme)
+        lags = np.arange(17)
+        for nu in (0, 1):
+            auto = circulant_row(emb, nu, nu, lags)
+            assert auto[0].real == pytest.approx(scheme.tau, rel=1e-12)
+            assert np.all(np.abs(auto[1:]) < 1e-12 * scheme.tau)
 
     def test_zero_model_has_zero_cross(self):
         model, scheme = ll.load_model({"J": 6, "n": 256, "levels": []})
-        tables = target_covariance_tables(model, scheme, max_lag=8)
-        assert np.all(tables.cross == 0.0)
+        emb = build_embedding(model, scheme)
+        assert np.all(spectral_matrices(emb)[:, 0, 1] == 0.0)
 
     def test_cross_matches_model_oracle_per_lag(self, benchmark_model):
         model, scheme = benchmark_model
-        tables = target_covariance_tables(model, scheme, max_lag=32)
-        for lag in range(-32, 33):
-            assert tables.cross_at(lag) == pytest.approx(
+        emb = build_embedding(model, scheme)
+        cross = circulant_row(emb, 0, 1, np.arange(-32, 33))
+        for lag, value in zip(range(-32, 33), cross):
+            assert value.real == pytest.approx(
                 ll.increment_cross_cov(model, lag), rel=1e-12, abs=1e-18
             )
 
-    def test_max_lag_must_fit(self, benchmark_model):
-        model, _ = benchmark_model
-        scheme = ll.ObservationScheme(tau=model.tau, n=64)
-        with pytest.raises(DataError, match="smaller than n"):
-            target_covariance_tables(model, scheme, max_lag=64)
-
-    def test_default_max_lag_caps(self, benchmark_model):
+    def test_embedding_is_exact_at_every_visible_lag(self, benchmark_model):
+        # the circulant row holds the model's cross-covariance out to lag
+        # size // 2 >= n, so nothing a sample of n increments sees is cut
         model, scheme = benchmark_model
-        assert default_max_lag(model, scheme) == 4096
-        small = ll.ObservationScheme(tau=model.tau, n=1000)
-        assert default_max_lag(model, small) == 999
-        empty, _ = ll.load_model({"J": 6, "n": 100, "levels": []})
-        assert default_max_lag(empty, ll.ObservationScheme(tau=empty.tau, n=100)) == 1
+        assert scheme.n == 15000
+        emb = build_embedding(model, scheme)
+        lags = np.arange(-(scheme.n - 1), scheme.n)
+        cross = circulant_row(emb, 0, 1, lags)
+        target = ll.increment_cross_cov(model, lags, tau=scheme.tau)
+        worst = int(np.argmax(np.abs(cross - target)))
+        assert np.abs(cross - target).max() <= 1e-12 * scheme.tau, (
+            f"lag {lags[worst]}: embedded {cross[worst]} vs model {target[worst]}"
+        )
 
 
 class TestEmbedding:
     def test_benchmark_embedding_is_valid(self, benchmark_model):
         model, scheme = benchmark_model
         emb = build_embedding(model, scheme)
-        assert emb.size == 65536  # next power of two above 2 * (n + maxlag)
+        assert emb.size == next_fast_len(2 * scheme.n) == 30000
         assert emb.clipped == 0
         assert emb.min_eigenvalue > 0.0
 
     def test_factors_reproduce_spectral_matrices(self):
         model, scheme = ll.load_model(benchmark_spec(n=512))
-        emb = build_embedding(model, scheme, max_lag=64)
-        tables = target_covariance_tables(model, scheme, 64)
-        wrapped = np.zeros(emb.size)
-        wrapped[:65] = tables.cross[64:]
-        wrapped[emb.size - 64 :] = tables.cross[:64]
-        s12 = np.fft.fft(wrapped)
-        prod = emb.factors @ np.conj(np.swapaxes(emb.factors, 1, 2))
+        emb = build_embedding(model, scheme)
+        k = np.arange(emb.size)
+        lags = np.where(k <= emb.size // 2, k, k - emb.size)
+        s12 = np.fft.fft(ll.increment_cross_cov(model, lags, tau=scheme.tau))
+        prod = spectral_matrices(emb)
         assert np.allclose(prod[:, 0, 0].real, scheme.tau, atol=1e-18)
         assert np.allclose(prod[:, 1, 1].real, scheme.tau, atol=1e-18)
         assert np.allclose(prod[:, 0, 1], s12, atol=1e-18)
 
     def test_saturated_correlation_fails_loudly(self):
-        # |corr| = 1 with a truncated kernel overshoots the variance at the
-        # band edges, which must abort rather than silently distort
+        # |corr| = 1 with a kernel cut at size // 2 overshoots the variance
+        # at the band edges, which must abort rather than silently distort
         model, scheme = ll.load_model(
             {"J": 6, "n": 512, "levels": [{"j": 1, "R": 1.0, "theta_over_tau": 0}]}
         )
         with pytest.raises(NumericError, match="invalid circulant embedding"):
-            build_embedding(model, scheme, max_lag=256)
+            build_embedding(model, scheme)
 
     def test_scheme_mismatch_rejected(self, benchmark_model):
         model, scheme = benchmark_model
-        emb = build_embedding(model, ll.ObservationScheme(tau=model.tau, n=128), max_lag=32)
+        emb = build_embedding(model, ll.ObservationScheme(tau=model.tau, n=128))
         with pytest.raises(DataError, match="different sampling scheme"):
             circulant_embed_sample(model, scheme, 0, embedding=emb)
 
