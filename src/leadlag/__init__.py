@@ -32,7 +32,6 @@ from .estimator import (
     WaveletCoeffs,
     cross_cov,
     cross_cov_curve,
-    estimate_all_levels,
     estimate_lag,
     estimate_levels,
     hry_lag,
@@ -67,7 +66,6 @@ __all__ = [
     "circulant_embed_sample",
     "cross_cov",
     "cross_cov_curve",
-    "estimate_all_levels",
     "estimate_lag",
     "estimate_levels",
     "hry_lag",

@@ -1,8 +1,10 @@
 """Command-line interface: simulate, estimate, gain, mc, model-check.
 
 Exit codes: 0 success, 1 usage error, 2 bad data or configuration,
-3 numerical failure. All file outputs are written atomically (temp file in
-the target directory, then rename), so failures leave no partial files.
+3 numerical failure, or an ``mc`` summary marked invalid (more than 5% of
+its replications failed; the summary is still written). All file outputs
+are written atomically (temp file in the target directory, then rename),
+so failures leave no partial files.
 """
 
 from __future__ import annotations
@@ -319,6 +321,7 @@ def _cmd_mc(args) -> int:
             "failed; summary marked invalid",
             file=sys.stderr,
         )
+        return 3
     return 0
 
 

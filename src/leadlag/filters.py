@@ -5,11 +5,18 @@ their level-j band-pass cascades. Coefficients are embedded constants in the
 Percival-Walden orientation (wavelet filter ``h`` sums to zero, scaling
 filter ``g`` sums to sqrt(2), both unit energy); the closed-form squared
 gain function is the arbiter for their correctness, see tests.
+
+The estimator filters with the MODWT pyramid (``estimator.modwt``): level j
+applies the length-L base filters, taps spaced 2^(j-1) apart, to the level
+j-1 smooth, so a ``LevelFilter`` names a (family, level) pair and does not
+hold the level-j cascade. Its ``coefficients``, all (2^j - 1)(L - 1) + 1
+taps, are built on first read, for ``leadlag gain`` and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, pi
 
 import numpy as np
@@ -79,14 +86,35 @@ class BaseFilterPair:
 
 @dataclass(frozen=True)
 class LevelFilter:
-    """Level-j band-pass filter produced by the dyadic cascade."""
+    """Level-j band-pass filter of one family's dyadic cascade."""
 
+    base: BaseFilterPair
     level: int
-    coefficients: np.ndarray
 
     @property
     def length(self) -> int:
-        return len(self.coefficients)
+        return cascade_length(self.base.length, self.level)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The cascade's taps, by upsample-convolve recursion.
+
+        Level 1 is the base wavelet filter. Each further level convolves the
+        2^i-upsampled scaling filter into the low-pass stack and applies the
+        2^(j-1)-upsampled wavelet filter on top, so the squared gain equals
+        H(2^(j-1) lambda) * prod_i G(2^i lambda).
+        """
+        base, level = self.base, self.level
+        if level == 1:
+            coef = np.array(base.wavelet)
+        else:
+            low = np.array(base.scaling)
+            for i in range(1, level - 1):
+                low = np.convolve(_upsample(base.scaling, 2**i), low)
+            coef = np.convolve(_upsample(base.wavelet, 2 ** (level - 1)), low)
+        assert len(coef) == self.length
+        coef.setflags(write=False)
+        return coef
 
 
 def cascade_length(base_length: int, level: int) -> int:
@@ -133,25 +161,10 @@ def _upsample(x: np.ndarray, step: int) -> np.ndarray:
 
 
 def cascade(base: BaseFilterPair, level: int) -> LevelFilter:
-    """Build the level-j band-pass filter by upsample-convolve recursion.
-
-    Level 1 is the base wavelet filter. Each further level convolves the
-    2^i-upsampled scaling filter into the low-pass stack and applies the
-    2^(j-1)-upsampled wavelet filter on top, so the squared gain equals
-    H(2^(j-1) lambda) * prod_i G(2^i lambda).
-    """
+    """The level-j band-pass filter of ``base``'s family, for j >= 1."""
     if level < 1:
         raise ValueError(f"cascade level must be >= 1, got {level}")
-    if level == 1:
-        coef = np.array(base.wavelet)
-    else:
-        low = np.array(base.scaling)
-        for i in range(1, level - 1):
-            low = np.convolve(_upsample(base.scaling, 2**i), low)
-        coef = np.convolve(_upsample(base.wavelet, 2 ** (level - 1)), low)
-    assert len(coef) == cascade_length(base.length, level)
-    coef.setflags(write=False)
-    return LevelFilter(level=level, coefficients=coef)
+    return LevelFilter(base=base, level=level)
 
 
 def wavelet_gain(length: int, lam) -> np.ndarray:

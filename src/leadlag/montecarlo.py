@@ -259,9 +259,11 @@ def load_mc_config(source, **overrides) -> MCConfig:
     """Build an MCConfig from a JSON file path or dict.
 
     Recognized fields are MC_CONFIG_KEYS; model (an inline object) or
-    model_path is required, and any other key is a DataError. Keyword
-    overrides (replications, master_seed, threads) take precedence when not
-    None.
+    model_path is required, and any other key is a DataError. So is a value
+    of the wrong JSON type: j_max, l_max, replications, master_seed and
+    threads are integers, include_hry is a boolean and families a list of
+    names. Keyword overrides (replications, master_seed, threads) take
+    precedence when not None.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -286,20 +288,39 @@ def load_mc_config(source, **overrides) -> MCConfig:
     else:
         raise DataError("MC config needs 'model' or 'model_path'")
 
-    def pick(key, default):
-        value = overrides.get(key)
-        return default if value is None else value
+    def integer(key, value):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DataError(f"MC config key {key!r} must be an integer, got {value!r}")
+        return int(value)
 
+    def setting(key, default):
+        # the file's value is checked even where an override replaces it
+        value = integer(key, raw.get(key, default))
+        override = overrides.get(key)
+        return value if override is None else integer(key, override)
+
+    families = raw.get("families", DEFAULT_FAMILIES)
+    if not isinstance(families, (list, tuple)) or not all(
+        isinstance(f, str) for f in families
+    ):
+        raise DataError(
+            f"MC config key 'families' must be a list of family names, got {families!r}"
+        )
+    include_hry = raw.get("include_hry", True)
+    if not isinstance(include_hry, bool):
+        raise DataError(
+            f"MC config key 'include_hry' must be true or false, got {include_hry!r}"
+        )
     return MCConfig(
         model=model,
         scheme=scheme,
-        families=tuple(raw.get("families", DEFAULT_FAMILIES)),
-        j_max=int(raw.get("j_max", 8)),
-        grid_half_width=int(raw.get("l_max", 60)),
-        replications=int(pick("replications", raw.get("replications", 200))),
-        master_seed=int(pick("master_seed", raw.get("master_seed", 0))),
-        include_hry=bool(raw.get("include_hry", True)),
-        threads=int(pick("threads", raw.get("threads", 1))),
+        families=tuple(families),
+        j_max=setting("j_max", 8),
+        grid_half_width=setting("l_max", 60),
+        replications=setting("replications", 200),
+        master_seed=setting("master_seed", 0),
+        include_hry=include_hry,
+        threads=setting("threads", 1),
     )
 
 

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import leadlag as ll
+from leadlag import montecarlo
 from leadlag.cli import atomic_output, main
 from leadlag.filters import level_gain
 
@@ -321,6 +324,60 @@ class TestEndToEnd:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, needle",
+        [
+            ("j_max", "eight", "must be an integer"),
+            ("j_max", 2.0, "must be an integer"),
+            ("l_max", True, "must be an integer"),
+            ("replications", "3", "must be an integer"),
+            ("master_seed", None, "must be an integer"),
+            ("threads", [1], "must be an integer"),
+            ("include_hry", "false", "must be true or false"),
+            ("include_hry", 0, "must be true or false"),
+            ("families", "la20", "must be a list of family names"),
+            ("families", ["haar", 8], "must be a list of family names"),
+        ],
+    )
+    def test_mc_wrongly_typed_config_value_is_data_error(
+        self, tmp_path, capsys, key, value, needle
+    ):
+        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
+        config[key] = value
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        code = main(["mc", "--config", str(config_path), "--reps", "1", "--threads", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"MC config key {key!r} {needle}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_mc_invalid_summary_exits_numeric(self, tmp_path, capsys, monkeypatch):
+        real = montecarlo.run_replication
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ll.NumericError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run_replication", flaky)
+        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        code = main(["mc", "--config", str(config_path), "--reps", "4", "--threads", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "warning: 1 of 4 replications failed; summary marked invalid" in err
+        assert "Traceback" not in err
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# leadlag-mc-summary schema_version=1"
+        assert lines[2].startswith("haar,median,")
+
     def test_mc_smoke_two_replications(self, tmp_path):
         config = {
             "model": benchmark_spec(n=1200),
@@ -360,6 +417,16 @@ class TestEndToEnd:
         out = tmp_path / "o.csv"
         assert main(["mc", "--config", str(config_path), "--reps", "1", "--out", str(out)]) == 0
         assert out.exists()
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        probe = "import sys, leadlag.cli; print('scipy.signal' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestHelpDocumentsUnits:

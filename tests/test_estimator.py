@@ -10,15 +10,22 @@ from leadlag.estimator import (
     LagGrid,
     cross_cov,
     cross_cov_curve,
-    estimate_all_levels,
     estimate_lag,
     estimate_levels,
     hry_lag,
     max_feasible_level,
     modwt,
 )
-from leadlag.filters import base_filter, cascade
+from leadlag.filters import FAMILIES, base_filter, cascade
 from leadlag.ingest import AlignedReturns
+
+
+def estimate_all_levels(ret1, ret2, families, j_max, grid):
+    """estimate_levels for several filter families at once."""
+    return {
+        family: estimate_levels(ret1, ret2, family, j_max, grid)
+        for family in families
+    }
 
 
 def eq17_cross_cov(w1, w2, lag, tau, n, filter_length):
@@ -78,12 +85,62 @@ class TestModwt:
             modwt(np.zeros(f.length - 1), f)
 
     def test_direct_and_fft_paths_agree(self):
+        # the pyramid against one direct convolution with the whole cascade
         rng = np.random.default_rng(2)
         x = rng.standard_normal(40000)
-        f = cascade(base_filter("la8"), 2)
-        big = modwt(x, f)  # work estimate pushes this through the FFT path
-        small = np.convolve(x, f.coefficients, mode="valid")
-        assert np.max(np.abs(big.values - small)) < 1e-12
+        for family in FAMILIES:
+            for level in range(1, 9):
+                f = cascade(base_filter(family), level)
+                pyramid = modwt(x, f)
+                direct = np.convolve(x, f.coefficients, mode="valid")
+                assert len(pyramid.values) == len(direct)
+                assert np.max(np.abs(pyramid.values - direct)) < 1e-12
+
+    def test_chained_levels_equal_from_scratch(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(6000)
+        for family in FAMILIES:
+            base = base_filter(family)
+            chained = x
+            for level in range(1, 9):
+                f = cascade(base, level)
+                chained = modwt(chained, f)
+                scratch = modwt(aligned(x), f)
+                assert np.array_equal(chained.values, scratch.values)
+                assert (chained.level, chained.filter_length, chained.n) == (
+                    level, f.length, 6000,
+                )
+
+    def test_continuation_needs_same_family_previous_level(self):
+        x = np.random.default_rng(22).standard_normal(500)
+        la8, la20 = base_filter("la8"), base_filter("la20")
+        w2 = modwt(x, cascade(la8, 2))
+        with pytest.raises(DataError, match="need la20 level 2"):
+            modwt(w2, cascade(la20, 3))
+        with pytest.raises(DataError, match="need la8 level 3"):
+            modwt(w2, cascade(la8, 4))
+        with pytest.raises(DataError, match="need la8 level 1"):
+            modwt(w2, cascade(la8, 2))
+        bare = ll.WaveletCoeffs(level=2, filter_length=22, n=500, values=w2.values)
+        with pytest.raises(DataError, match="cannot continue"):
+            modwt(bare, cascade(la8, 3))
+
+    def test_continuation_too_short_rejected(self):
+        w = modwt(np.zeros(21), cascade(base_filter("la8"), 1))  # level 2 needs 22
+        with pytest.raises(DataError, match="shorter than filter"):
+            modwt(w, cascade(base_filter("la8"), 2))
+
+    def test_caller_array_is_not_shared(self):
+        x = np.random.default_rng(23).standard_normal(200)
+        base = base_filter("la8")
+        w1 = modwt(x, cascade(base, 1))
+        want = modwt(x.copy(), cascade(base, 2)).values
+        x[:] = 0.0
+        assert np.array_equal(modwt(w1, cascade(base, 2)).values, want)
+
+    def test_two_dimensional_series_rejected(self):
+        with pytest.raises(DataError, match="one-dimensional"):
+            modwt(np.zeros((40, 2)), cascade(base_filter("haar"), 2))
 
     def test_accepts_aligned_returns(self):
         f = cascade(base_filter("haar"), 1)
