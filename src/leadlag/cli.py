@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -157,7 +158,10 @@ def build_parser() -> _Parser:
         "--threads",
         type=int,
         default=None,
-        help=f"worker processes (default: all cores; env {THREADS_ENV_VAR} overrides)",
+        help=(
+            f"worker processes (default: the config's threads key, else all "
+            f"cores; env {THREADS_ENV_VAR} overrides)"
+        ),
     )
     p.add_argument("--out", required=True, help="output summary CSV")
 
@@ -282,17 +286,65 @@ def _cmd_estimate(args) -> int:
                 "tied": est.tied,
                 "degenerate": est.degenerate,
                 "curve": [
-                    {"l": int(l), "rho": float(r), "rho_norm": float(rn)}
-                    for l, r, rn in zip(curve.lags, curve.rho, curve.rho_normalized)
+                    {"l": l, "rho": r, "rho_norm": rn}
+                    for l, r, rn in zip(
+                        curve.lags.tolist(), curve.rho.tolist(), curve.rho_normalized.tolist()
+                    )
                 ],
             }
             for curve, est in results
         ],
     }
     with atomic_output(args.out) as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(render_report(report))
     return 0
+
+
+def render_report(report: dict) -> str:
+    """``json.dumps(report, indent=2) + "\\n"``, byte for byte, for an
+    ``estimate`` report.
+
+    json's indenting encoder runs in pure Python, and nearly all of a
+    report is curve points. So json writes the report with each level's
+    curve emptied, and the curve text, one template fill per point, then
+    replaces that level's ``"curve": []``.
+    """
+    levels = report["levels"]
+    shell = dict(report, levels=[dict(level, curve=[]) for level in levels])
+    curves = iter([level["curve"] for level in levels])
+    text = _EMPTY_CURVE.sub(
+        lambda m: m[1] + '"curve": ' + _curve_text(next(curves), m[1]),
+        json.dumps(shell, indent=2),
+    )
+    return text + "\n"
+
+
+# json escapes every quote and newline inside a string, and only a key is
+# followed by ": ", so a line that starts with this is a level's curve.
+_EMPTY_CURVE = re.compile(r'^( *)"curve": \[\]', re.MULTILINE)
+
+
+def _curve_text(points, pad: str) -> str:
+    """The JSON array of curve points ``{l, rho, rho_norm}`` after ``pad``."""
+    if not points:
+        return "[]"
+    item = pad + "  "
+    point = (
+        item + "{\n"
+        + item + '  "l": %d,\n'
+        + item + '  "rho": %s,\n'
+        + item + '  "rho_norm": %s\n'
+        + item + "}"
+    )
+    body = ",\n".join(
+        point % (p["l"], _json_float(p["rho"]), _json_float(p["rho_norm"])) for p in points
+    )
+    return "[\n" + body + "\n" + pad + "]"
+
+
+def _json_float(x: float) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
 def _cmd_mc(args) -> int:
@@ -303,14 +355,9 @@ def _cmd_mc(args) -> int:
             threads = int(env)
         except ValueError:
             raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-    if threads is None:
-        threads = os.cpu_count() or 1
     check_writable(args.out)
     config = load_mc_config(
-        args.config,
-        replications=args.reps,
-        master_seed=args.seed,
-        threads=threads,
+        args.config, replications=args.reps, master_seed=args.seed, threads=threads
     )
     summary = run_mc(config)
     with atomic_output(args.out) as fh:

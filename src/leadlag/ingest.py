@@ -9,6 +9,7 @@ next observed point aggregates everything since the previous one.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,47 +96,125 @@ class AlignedReturns:
         object.__setattr__(self, "observed", o)
 
 
+# Characters that send the rows after the header to the row parser: it
+# skips a row whose first field starts with '#' and reads '"' as quoting,
+# and float() rejects \x1c-\x1f around a number where np.loadtxt strips them.
+_ROW_PARSER_CHARS = '#"\x1c\x1d\x1e\x1f'
+
+# np.loadtxt opens a path through numpy's DataSource, which decompresses a
+# file by these suffixes; such a file goes to the row parser.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_csv(path, scale: str = "raw_price") -> TickSeries:
     """Parse a tick CSV with header columns ``timestamp`` and ``price``.
 
     Leading '#' comment lines are skipped; data rows are numbered from 1 in
-    error messages.
+    error messages. A well-formed file (plain numeric rows after the
+    header) is parsed by one vectorised ``np.loadtxt`` call; any other
+    file, and any file that call fails on, is parsed row by row. Both give
+    the same values and the same error messages.
     """
+    try:
+        # absolute, so that DataSource cannot read the name as a URL
+        name = os.path.abspath(os.fsdecode(path))
+        with open(name, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            t_col, p_col = _header_columns(reader, path)
+            skip = reader.line_num
+            body = fh.read()
+    except (OSError, UnicodeDecodeError, csv.Error, DataError):
+        return _read_rows(path, scale)
+    if (
+        not body
+        or body.isspace()
+        or any(c in body for c in _ROW_PARSER_CHARS)
+        or _may_hold_long_field(body)
+        or name.endswith(_COMPRESSED_SUFFIXES)
+    ):
+        return _read_rows(path, scale)
+    try:
+        values = np.loadtxt(
+            name,
+            delimiter=",",
+            usecols=(t_col, p_col),
+            skiprows=skip,
+            comments=None,
+            dtype=float,
+            ndmin=2,
+            encoding="utf-8",
+        )
+    except Exception:
+        # the row parser is the reference; it raises its own messages
+        return _read_rows(path, scale)
+    return _tick_series(path, values[:, 0].copy(), values[:, 1].copy(), scale)
+
+
+def _may_hold_long_field(body: str) -> bool:
+    """Whether a field of ``body`` (quote-free CSV) may be longer than the
+    csv module's field size limit, which the row parser enforces and
+    np.loadtxt does not.
+
+    Such a field covers a whole aligned block of half the limit, so a
+    separator in every block rules it out: a few ``find`` calls.
+    """
+    block = max(1, csv.field_size_limit() // 2)
+    return any(
+        all(body.find(sep, start, start + block) < 0 for sep in ",\n\r")
+        for start in range(0, len(body) - block + 1, block)
+    )
+
+
+def _header_columns(reader, path) -> tuple[int, int]:
+    """Consume rows up to the header; return the timestamp and price columns."""
+    for row in reader:
+        if not row or row[0].lstrip().startswith("#"):
+            continue
+        header = [c.strip().lower() for c in row]
+        break
+    else:
+        raise DataError(f"no ticks in {path}")
+    try:
+        return header.index("timestamp"), header.index("price")
+    except ValueError:
+        raise DataError(
+            f"{path}: header must name 'timestamp' and 'price' columns, "
+            f"got {header}"
+        )
+
+
+def _read_rows(path, scale: str = "raw_price") -> TickSeries:
+    """The row parser behind ``read_csv``: one ``float()`` per field, so
+    an error names the data row it found."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            header = [c.strip().lower() for c in row]
-            break
-        if header is None:
-            raise DataError(f"no ticks in {path}")
-        try:
-            t_col = header.index("timestamp")
-            p_col = header.index("price")
-        except ValueError:
-            raise DataError(
-                f"{path}: header must name 'timestamp' and 'price' columns, "
-                f"got {header}"
-            )
-        times, prices = [], []
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            try:
-                times.append(float(row[t_col]))
-                prices.append(float(row[p_col]))
-            except (ValueError, IndexError):
-                raise DataError(f"{path}: malformed row {len(prices) + 1}: {row!r}")
+    times, prices = [], []
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            t_col, p_col = _header_columns(reader, path)
+            for row in reader:
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                try:
+                    times.append(float(row[t_col]))
+                    prices.append(float(row[p_col]))
+                except (ValueError, IndexError):
+                    raise DataError(f"{path}: malformed row {len(prices) + 1}: {row!r}")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed row {len(prices) + 1}: {exc}") from None
     if not times:
         raise DataError(f"no ticks in {path}")
+    return _tick_series(path, np.array(times), np.array(prices), scale)
+
+
+def _tick_series(path, times, prices, scale) -> TickSeries:
     try:
-        return TickSeries(np.array(times), np.array(prices), scale=scale)
+        return TickSeries(times, prices, scale=scale)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -208,11 +287,3 @@ def returns_from_sample(
         )
     return out[0], out[1]
 
-
-def write_aligned_csv(aligned: AlignedReturns, fh) -> None:
-    """Write rows k,return,observed; the flag is for the return's right
-    endpoint (grid point k+1)."""
-    fh.write("# leadlag-aligned schema_version=1\n")
-    fh.write("k,return,observed\n")
-    for k in range(aligned.n):
-        fh.write(f"{k},{float(aligned.returns[k])!r},{int(aligned.observed[k + 1])}\n")

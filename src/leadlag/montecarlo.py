@@ -8,6 +8,7 @@ merge deterministically by index.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -50,6 +51,10 @@ class MCConfig:
             raise DataError(f"need at least one replication, got {self.replications}")
         if self.threads < 1:
             raise DataError(f"thread count must be >= 1, got {self.threads}")
+        if self.j_max < 1:
+            raise DataError(f"MC config key 'j_max' must be >= 1, got {self.j_max}")
+        if not self.families:
+            raise DataError("MC config key 'families' must name at least one filter family")
         for family in self.families:
             if family not in FAMILIES:
                 raise DataError(
@@ -263,7 +268,8 @@ def load_mc_config(source, **overrides) -> MCConfig:
     of the wrong JSON type: j_max, l_max, replications, master_seed and
     threads are integers, include_hry is a boolean and families a list of
     names. Keyword overrides (replications, master_seed, threads) take
-    precedence when not None.
+    precedence when not None. The worker count defaults to the number of
+    cores.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -320,7 +326,7 @@ def load_mc_config(source, **overrides) -> MCConfig:
         replications=setting("replications", 200),
         master_seed=setting("master_seed", 0),
         include_hry=include_hry,
-        threads=setting("threads", 1),
+        threads=setting("threads", os.cpu_count() or 1),
     )
 
 

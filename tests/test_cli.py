@@ -1,18 +1,23 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import leadlag as ll
-from leadlag import montecarlo
-from leadlag.cli import atomic_output, main
-from leadlag.filters import level_gain
+from leadlag import cli, montecarlo
+from leadlag.cli import atomic_output, main, render_report
+from leadlag.filters import FAMILIES, level_gain
 
-from conftest import benchmark_spec
+from conftest import benchmark_spec, tick_csv_text
 
 
 def write_model(tmp_path, spec, name="model.json"):
@@ -417,6 +422,215 @@ class TestEndToEnd:
         out = tmp_path / "o.csv"
         assert main(["mc", "--config", str(config_path), "--reps", "1", "--out", str(out)]) == 0
         assert out.exists()
+
+
+class TestMcDesign:
+    @pytest.mark.parametrize(
+        "file_threads, flag, env, expected",
+        [
+            (3, None, None, 3),
+            (None, None, None, 6),
+            (3, "2", None, 2),
+            (3, None, "4", 4),
+            (3, "2", "5", 5),
+        ],
+        ids=["config-key", "all-cores", "flag-over-key", "env-over-key", "env-over-flag"],
+    )
+    def test_mc_thread_count_precedence(
+        self, tmp_path, monkeypatch, file_threads, flag, env, expected
+    ):
+        # --threads or LEADLAG_THREADS, then the config's threads key, then every core
+        seen = []
+        real = cli.run_mc
+
+        def spy(config):
+            seen.append(config.threads)
+            return real(dataclasses.replace(config, threads=1))
+
+        monkeypatch.setattr(cli, "run_mc", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        if env is None:
+            monkeypatch.delenv("LEADLAG_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LEADLAG_THREADS", env)
+        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
+        if file_threads is not None:
+            config["threads"] = file_threads
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["mc", "--config", str(config_path), "--reps", "1", "--out", str(tmp_path / "o.csv")]
+        if flag is not None:
+            argv += ["--threads", flag]
+        assert main(argv) == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize(
+        "key, value, needle",
+        [
+            ("j_max", 0, "MC config key 'j_max' must be >= 1, got 0"),
+            ("j_max", -3, "MC config key 'j_max' must be >= 1, got -3"),
+            ("families", [], "MC config key 'families' must name at least one filter family"),
+        ],
+    )
+    def test_mc_empty_design_is_data_error(self, tmp_path, capsys, key, value, needle):
+        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
+        config[key] = value
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        code = main(["mc", "--config", str(config_path), "--reps", "2", "--threads", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+EDGE_FLOATS = (
+    -0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1e308, -1e308, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+)
+report_floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+
+
+@st.composite
+def estimate_reports(draw):
+    """Reports shaped like the estimate command's, with any float values."""
+    levels = []
+    for j in range(1, draw(st.integers(1, 8)) + 1):
+        lags = sorted(draw(st.sets(st.integers(-400, 400), max_size=30)))
+        levels.append(
+            {
+                "j": j,
+                "theta_hat_steps": draw(st.integers(-400, 400)),
+                "theta_hat_seconds": draw(report_floats),
+                "peak": draw(report_floats),
+                "runner_up_gap": draw(report_floats),
+                "tied": draw(st.booleans()),
+                "degenerate": draw(st.booleans()),
+                "curve": [
+                    {"l": l, "rho": draw(report_floats), "rho_norm": draw(report_floats)}
+                    for l in lags
+                ],
+            }
+        )
+    return {
+        "schema_version": 1,
+        "family": draw(st.sampled_from(FAMILIES)),
+        "tau": draw(report_floats),
+        "t0": draw(report_floats),
+        "n": draw(st.integers(1, 2**40)),
+        "levels": levels,
+    }
+
+
+class TestReportWriter:
+    @given(report=estimate_reports())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_dumps(self, report):
+        assert render_report(report) == json.dumps(report, indent=2) + "\n"
+
+    def test_estimate_report_round_trips_and_equals_old_rendering(self, tmp_path):
+        spec = dict(SMALL_SPEC, pi1=0.3, pi2=0.3)
+        model_path = write_model(tmp_path, spec)
+        t1, t2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
+        path_csv = tmp_path / "path.csv"
+        assert main(
+            ["simulate", "--model", model_path, "--seed", "11", "--out", str(path_csv),
+             "--ticks1", str(t1), "--ticks2", str(t2)]
+        ) == 0
+        tau, n = 2.0**-14, SMALL_SPEC["n"]
+        report_path = tmp_path / "report.json"
+        assert main(
+            ["estimate", "--in1", str(t1), "--in2", str(t2), "--family", "la8", "--levels", "3",
+             "--maxlag", "12", "--tau", repr(tau), "--t0", "0", "--n", str(n),
+             "--out", str(report_path)]
+        ) == 0
+        raw = report_path.read_bytes()
+        with open(report_path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        assert (json.dumps(loaded, indent=2) + "\n").encode() == raw
+        # the same report built and dumped as the command did before its writer
+        r1 = ll.align_to_grid(ll.read_csv(t1), 0.0, tau, n)
+        r2 = ll.align_to_grid(ll.read_csv(t2), 0.0, tau, n)
+        results = ll.estimate_levels(r1, r2, "la8", 3, ll.LagGrid.symmetric(12))
+        old = {
+            "schema_version": 1,
+            "family": "la8",
+            "tau": tau,
+            "t0": 0.0,
+            "n": n,
+            "levels": [
+                {
+                    "j": est.level,
+                    "theta_hat_steps": est.lag,
+                    "theta_hat_seconds": est.theta_seconds,
+                    "peak": est.peak_value,
+                    "runner_up_gap": est.runner_up_gap,
+                    "tied": est.tied,
+                    "degenerate": est.degenerate,
+                    "curve": [
+                        {"l": int(l), "rho": float(r), "rho_norm": float(rn)}
+                        for l, r, rn in zip(curve.lags, curve.rho, curve.rho_normalized)
+                    ],
+                }
+                for curve, est in results
+            ],
+        }
+        assert raw == (json.dumps(old, indent=2) + "\n").encode()
+
+
+GRID_FLOATS = st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300))
+
+
+@st.composite
+def estimate_flags(draw):
+    """Grid and level flags of the estimate command; the grid flags may be
+    absent.
+
+    Generated timestamps lie in [0, 210] and a finite positive --tau is at
+    least 0.05, so a grid derived from the data has at most 4200 steps.
+    """
+    values = {
+        "--levels": st.sampled_from((1, 2, 3, 4, 5, 6, 0, -1)),
+        "--maxlag": st.integers(-1, 30),
+        "--tau": st.none() | GRID_FLOATS | st.floats(0.05, 50.0),
+        "--t0": st.none() | GRID_FLOATS | st.floats(-5.0, 120.0),
+        "--n": st.none() | st.integers(-3, 3000),
+    }
+    drawn = {flag: draw(strategy) for flag, strategy in values.items()}
+    return [f"{flag}={value!r}" for flag, value in drawn.items() if value is not None]
+
+
+class TestEstimateProperty:
+    @given(
+        text1=tick_csv_text(plain=True) | tick_csv_text(),
+        text2=tick_csv_text(plain=True) | tick_csv_text(),
+        flags=estimate_flags(),
+    )
+    @settings(
+        max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_exit_code_and_no_partial_output(self, tmp_path, text1, text2, flags):
+        # in-process, a traceback would be an exception escaping main()
+        work = tempfile.mkdtemp(dir=tmp_path)
+        for name, text in (("a.csv", text1), ("b.csv", text2)):
+            with open(os.path.join(work, name), "wb") as fh:
+                fh.write(text.encode("utf-8"))
+        out = os.path.join(work, "report.json")
+        argv = ["estimate", "--in1", os.path.join(work, "a.csv"), "--in2",
+                os.path.join(work, "b.csv"), "--family", "haar", "--out", out] + flags
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        expected = ["a.csv", "b.csv"] + (["report.json"] if code == 0 else [])
+        assert sorted(os.listdir(work)) == expected
+        if code == 0:
+            with open(out, "r", encoding="utf-8") as fh:
+                report = json.load(fh)
+            assert len(report["levels"]) >= 1
 
 
 class TestImport:

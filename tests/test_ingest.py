@@ -1,8 +1,14 @@
+import json
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import leadlag as ll
+from leadlag import ingest
+from leadlag.cli import main
 from leadlag.errors import DataError
 from leadlag.ingest import (
     AlignedReturns,
@@ -11,9 +17,10 @@ from leadlag.ingest import (
     previous_tick_fill,
     read_csv,
     returns_from_sample,
-    write_aligned_csv,
 )
 from leadlag.simulate import PathSample
+
+from conftest import benchmark_spec, tick_csv_text
 
 
 def chi_weighted_returns(increments, missing):
@@ -39,6 +46,15 @@ def chi_weighted_returns(increments, missing):
                 total += increments[k - alpha]
         out[k] = total
     return np.array(out)
+
+
+def write_aligned_csv(aligned: AlignedReturns, fh) -> None:
+    """Write rows k,return,observed; the flag is for the return's right
+    endpoint (grid point k+1)."""
+    fh.write("# leadlag-aligned schema_version=1\n")
+    fh.write("k,return,observed\n")
+    for k in range(aligned.n):
+        fh.write(f"{k},{float(aligned.returns[k])!r},{int(aligned.observed[k + 1])}\n")
 
 
 def make_sample(increments, miss1, miss2, seed=0):
@@ -124,6 +140,127 @@ class TestReadCsv:
         p.write_text("timestamp,price\n0.0,-0.5\n1.0,0.5\n")
         ticks = read_csv(p, scale="log_price")
         assert np.allclose(ticks.log_values(), [-0.5, 0.5])
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        p = tmp_path / "ticks.csv"
+        p.write_bytes(b"timestamp,price\n0.0,1.0\n1.0,\xff\n")
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            read_csv(p)
+
+    def test_oversized_field_is_data_error(self, tmp_path):
+        # the csv module refuses fields over its 131072-character limit
+        p = tmp_path / "ticks.csv"
+        p.write_text("timestamp,price\n0.0,1.0\n#" + "x" * 200000 + "\n")
+        with pytest.raises(DataError, match="malformed row 2: field larger than field limit"):
+            read_csv(p)
+
+
+def parse_outcome(parse, path, scale):
+    """The arrays, bit for bit, or the DataError message of one parse."""
+    try:
+        ticks = parse(path, scale)
+    except DataError as exc:
+        return "error", str(exc)
+    return "ok", ticks.timestamps.tobytes(), ticks.prices.tobytes(), ticks.scale
+
+
+class TestFastIngest:
+    """read_csv parses well-formed files with np.loadtxt and everything else
+    with the row parser, ingest._read_rows; both must give the same ticks
+    or the same error."""
+
+    @given(text=tick_csv_text(), scale=st.sampled_from(ingest.PRICE_SCALES))
+    @settings(
+        max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_matches_row_parser(self, tmp_path, text, scale):
+        p = tmp_path / "ticks.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = parse_outcome(read_csv, p, scale)
+        assert fast == parse_outcome(ingest._read_rows, p, scale)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sym,timestamp,price\n#a,1.0,2.0\nb,2.0,3.0\n",
+            "timestamp,note,size,price\n1.0,\"a,b\",7,2.0\n",
+            'timestamp,price,note\n1.0,2.0,"\n3.0,4.0,"\n',
+            "timestamp,price\n\x1c1.0,2.0\n",
+            "timestamp,price\n1.0,2.0\x1f\n",
+            "timestamp,price\n1_000,2\n",
+            "timestamp,price\n1.0,2.0\n   \n",
+            "timestamp,price\n\xa01.0,2.0\u2028\n",
+            "timestamp,price\r1.0,2.0\r\r3.0,4.0",
+            "timestamp,price,note\n1.0,2.0," + "x" * 200000 + "\n3.0,4.0,y\n",
+            "timestamp,price\n1.0," + " " * 200000 + "2.0\n",
+            "timestamp,price,note\n1.0,2.0," + "x" * 131072 + "\n",
+            "timestamp,price,note\n1.0,2.0," + "x" * 131073 + "\n",
+        ],
+        ids=[
+            "comment-row-in-unused-column", "quoted-comma", "quoted-newline", "x1c-prefix",
+            "x1f-suffix", "underscore", "whitespace-line", "unicode-space", "bare-cr",
+            "long-unused-field", "long-padded-number", "field-at-limit", "field-over-limit",
+        ],
+    )
+    def test_matches_row_parser_on_loadtxt_traps(self, tmp_path, text):
+        # files that np.loadtxt alone would read differently from the row parser
+        p = tmp_path / "ticks.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert parse_outcome(read_csv, p, "raw_price") == parse_outcome(
+            ingest._read_rows, p, "raw_price"
+        )
+
+    @pytest.mark.parametrize("name", ["ticks.csv.xz", "ticks.lzma", "ticks.gz", "ticks.csv.bz2"])
+    def test_compressed_suffix_is_read_as_plain_text(self, tmp_path, name):
+        # np.loadtxt would pick a decompressor by these suffixes
+        p = tmp_path / name
+        p.write_text("timestamp,price\n1.0,2.0\n3.0,4.0\n")
+        outcome = parse_outcome(read_csv, p, "raw_price")
+        assert outcome[0] == "ok"
+        assert outcome == parse_outcome(ingest._read_rows, p, "raw_price")
+
+    def test_bytes_path_takes_the_fast_path(self, tmp_path):
+        p = tmp_path / "ticks.csv"
+        p.write_text("timestamp,price\n1.0,2.0\n3.0,4.0\n")
+        rows = parse_outcome(ingest._read_rows, p, "raw_price")
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row parser ran")):
+            assert parse_outcome(read_csv, bytes(p), "raw_price") == rows
+
+    @given(text=tick_csv_text(plain=True))
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_plain_files_take_the_fast_path(self, tmp_path, text):
+        p = tmp_path / "ticks.csv"
+        p.write_bytes(text.encode("utf-8"))
+        rows = parse_outcome(ingest._read_rows, p, "log_price")
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row parser ran")):
+            assert parse_outcome(read_csv, p, "log_price") == rows
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n", "\n\n\n"])
+    def test_empty_body_is_no_ticks_without_warning(self, tmp_path, body):
+        p = tmp_path / "ticks.csv"
+        p.write_text("# note\ntimestamp,price\n" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^no ticks in "):
+                read_csv(p)
+
+    def test_simulated_day_takes_the_fast_path(self, tmp_path):
+        spec = benchmark_spec(n=131072, pi1=0.5, pi2=0.5)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(spec))
+        ticks = tmp_path / "ticks.csv"
+        argv = ["simulate", "--model", str(model), "--seed", "5", "--out", str(tmp_path / "path.csv")]
+        assert main(argv + ["--ticks1", str(ticks)]) == 0
+        rows = ingest._read_rows(ticks)
+        assert 60000 < len(rows) < 70000
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row parser ran")):
+            fast = read_csv(ticks)
+        assert fast.timestamps.tobytes() == rows.timestamps.tobytes()
+        assert fast.prices.tobytes() == rows.prices.tobytes()
 
 
 class TestAlignToGrid:
