@@ -3,12 +3,17 @@
 Library layout:
 
 - ``filters``: Daubechies filter bank and gain functions
-- ``model``: multi-scale cross-spectral model and limit-theory kernels
+- ``model``: multi-scale cross-spectral model and its loader
 - ``simulate``: circulant-embedding path generator with missingness
 - ``ingest``: tick ingestion and previous-tick grid alignment
 - ``estimator``: non-decimated wavelet cross-covariance and lag estimates
 - ``montecarlo``: replicated experiments with median/MAD summaries
 - ``cli``: the ``leadlag`` command
+- ``theory``: the estimator's large-sample limit (``limit_constant``) and
+  its kernels, the numeric oracles of the tests
+
+numpy is the only runtime dependency. ``leadlag.theory`` also needs scipy,
+and ``import leadlag`` does not load it.
 """
 
 __version__ = "0.1.0"
@@ -20,7 +25,6 @@ from .model import (
     ScaleComponent,
     SpectralModel,
     increment_cross_cov,
-    limit_constant,
     load_model,
 )
 from .simulate import PathSample, apply_missing, build_embedding, circulant_embed_sample
@@ -70,7 +74,6 @@ __all__ = [
     "estimate_levels",
     "hry_lag",
     "increment_cross_cov",
-    "limit_constant",
     "load_mc_config",
     "load_model",
     "modwt",

@@ -26,7 +26,7 @@ from .errors import DataError, LeadLagError, NumericError, UsageError
 from .estimator import LagGrid, check_levels_fit, estimate_levels
 from .filters import FAMILIES, base_filter, cascade, empirical_gain, level_gain
 from .ingest import align_to_grid, read_csv
-from .model import cross_spectral_density, load_model
+from .model import check_lags_in_grid, cross_spectral_density, load_model
 from .montecarlo import load_mc_config, run_mc, write_summary_csv
 from .simulate import circulant_embed_sample
 
@@ -385,12 +385,7 @@ def _cmd_model_check(args) -> int:
             f"cross-spectral density violates hermitian symmetry by {hermitian_residual:.3e}"
         )
     if args.l_max is not None:
-        for c in model.components:
-            if abs(c.lag_steps) > args.l_max:
-                raise DataError(
-                    f"model lag {c.lag_steps} steps at level {c.level} lies "
-                    f"outside the search grid +-{args.l_max}"
-                )
+        check_lags_in_grid(model, args.l_max)
     active = model.active_levels()
     print(f"model ok: J={model.finest_level}, tau={scheme.tau!r}, n={scheme.n}")
     print(f"active levels: {active or 'none'}")

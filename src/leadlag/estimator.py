@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import DataError, NumericError
 from .filters import LevelFilter, base_filter, cascade, cascade_length
 from .ingest import AlignedReturns
+from .simulate import _next_fast_len
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,9 @@ def _lagged_sums(x1: np.ndarray, x2: np.ndarray, lags: np.ndarray) -> np.ndarray
     widest = int(lags[np.argmax(np.abs(lags))])
     if abs(widest) >= m:
         raise DataError(f"empty summation range at lag {widest}: only {m} values")
-    size = next_fast_len(m + abs(widest), real=True)
-    spectrum = np.conj(rfft(x1, size)) * rfft(x2, size)
-    return irfft(spectrum, size)[lags % size]
+    size = _next_fast_len(m + abs(widest))
+    spectrum = np.conj(np.fft.rfft(x1, size)) * np.fft.rfft(x2, size)
+    return np.fft.irfft(spectrum, size)[lags % size]
 
 
 def cross_cov(w1: WaveletCoeffs, w2: WaveletCoeffs, lag: int, tau: float) -> float:

@@ -1,24 +1,21 @@
 """Multi-scale cross-spectral model for a pair of Brownian log-price drivers.
 
 Each dyadic frequency band carries a correlation strength and a time lag;
-level 1 is the finest band resolvable on the sampling grid. The module also
-provides the closed-form kernels of the estimator's large-sample limit
-(discretization kernel, interpolation kernel, volatility weight) used as
-numeric test oracles throughout the suite.
+level 1 is the finest band resolvable on the sampling grid. The module
+holds the model, its sampling scheme and their loader, the cross-spectral
+density and the increment cross-covariance the simulator draws from. The
+estimator's large-sample limit lives in ``leadlag.theory``.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import DataError, NumericError
+from .errors import DataError
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -110,6 +107,9 @@ def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
 
     Expected fields: J, levels: [{j, R, theta_over_tau | theta_seconds}],
     and optionally tau (seconds per grid step, default 2^(-J-1)), n, pi1, pi2.
+    J, n and each j are integers; tau, R, the thetas, pi1 and pi2 finite
+    numbers. Any other value is a DataError naming the key, and the level
+    entry where there is one.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "read"):
         try:
@@ -124,38 +124,67 @@ def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
         raw = source
     if not isinstance(raw, dict):
         raise DataError("model JSON must be an object")
-    try:
-        J = int(raw["J"])
-    except (KeyError, TypeError, ValueError):
+
+    def integer(key, value, where=""):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DataError(f"model key {key!r}{where} must be an integer, got {value!r}")
+        return int(value)
+
+    def number(key, value, where=""):
+        if not isinstance(value, bool) and isinstance(
+            value, (int, float, np.integer, np.floating)
+        ):
+            try:
+                if math.isfinite(value):
+                    return float(value)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        raise DataError(f"model key {key!r}{where} must be a finite number, got {value!r}")
+
+    if "J" not in raw:
         raise DataError("model JSON needs an integer field 'J'")
-    tau = float(raw.get("tau", 2.0 ** -(J + 1)))
+    J = integer("J", raw["J"])
+    if J < 1:  # checked before 2^(-J-1), which overflows for J far below 1
+        raise DataError(f"finest level must be >= 1, got {J}")
+    scheme = ObservationScheme(
+        tau=number("tau", raw["tau"]) if "tau" in raw else 2.0 ** -(J + 1),
+        n=integer("n", raw.get("n", 1)),
+        pi1=number("pi1", raw.get("pi1", 0.0)),
+        pi2=number("pi2", raw.get("pi2", 0.0)),
+    )
+    levels = raw.get("levels", [])
+    if not isinstance(levels, (list, tuple)) or not all(isinstance(e, dict) for e in levels):
+        raise DataError(f"model key 'levels' must be a list of objects, got {levels!r}")
     components = []
-    for entry in raw.get("levels", []):
-        try:
-            j = int(entry["j"])
-            r = float(entry["R"])
-        except (KeyError, TypeError, ValueError):
+    for i, entry in enumerate(levels):
+        if "j" not in entry or "R" not in entry:
             raise DataError(f"bad level entry {entry!r}: needs fields 'j' and 'R'")
+        where = f" in levels[{i}]"
         if "theta_over_tau" in entry:
-            steps = float(entry["theta_over_tau"])
+            steps = number("theta_over_tau", entry["theta_over_tau"], where)
         elif "theta_seconds" in entry:
-            steps = float(entry["theta_seconds"]) / tau
+            steps = number("theta_seconds", entry["theta_seconds"], where) / scheme.tau
         else:
             steps = 0.0
-        components.append(ScaleComponent(level=j, corr=r, lag_steps=steps))
+        components.append(
+            ScaleComponent(
+                level=integer("j", entry["j"], where),
+                corr=number("R", entry["R"], where),
+                lag_steps=steps,
+            )
+        )
     model = SpectralModel(finest_level=J, components=tuple(components))
-    scheme = ObservationScheme(
-        tau=tau,
-        n=int(raw.get("n", 1)),
-        pi1=float(raw.get("pi1", 0.0)),
-        pi2=float(raw.get("pi2", 0.0)),
-    )
     return model, scheme
 
 
-def lp_scaling(s):
-    """Band-limited scaling kernel sin(pi s) / (pi s), with value 1 at 0."""
-    return np.sinc(np.asarray(s, dtype=float))
+def check_lags_in_grid(model: SpectralModel, half_width: int) -> None:
+    """Raise DataError unless every band's lag lies on the grid +-half_width."""
+    for c in model.components:
+        if abs(c.lag_steps) > half_width:
+            raise DataError(
+                f"model lag {c.lag_steps} steps at level {c.level} lies "
+                f"outside the search grid +-{half_width}"
+            )
 
 
 def lp_wavelet(s):
@@ -205,11 +234,11 @@ def increment_cross_cov(model: SpectralModel, lag, tau: float | None = None):
     is tau * R on the band and admissibility |R| <= 1 keeps it bounded.
 
     The band kernel is point-sampled at integer lags, so the per-step cross
-    spectrum is flat on the band. ``limit_constant`` instead weights the
-    band by the discretization kernel D of Brownian increments over a grid
-    step. At the same R, D-weighting gives 0.6127, 0.8864 and 0.9704 times
-    the flat value at levels 1, 2 and 3 (above 0.99 from level 4). Which
-    view the simulator should follow is open (ROADMAP item 3).
+    spectrum is flat on the band. ``leadlag.theory.limit_constant`` instead
+    weights the band by the discretization kernel D of Brownian increments
+    over a grid step. At the same R, D-weighting gives 0.6127, 0.8864 and
+    0.9704 times the flat value at levels 1, 2 and 3 (above 0.99 from level
+    4). Which view the simulator should follow is open (ROADMAP item 3).
     """
     tau_c = model.tau
     if tau is None:
@@ -224,100 +253,3 @@ def increment_cross_cov(model: SpectralModel, lag, tau: float | None = None):
         out += beta * c.corr * lp_wavelet(beta * (lag - c.lag_steps))
     out *= tau
     return float(out[0]) if scalar else out
-
-
-def discretization_kernel(lam):
-    """Kernel (2/pi) sin^2(lam/2) / lam^2 capturing increment discretization;
-    continuous at 0 with value 1/(2 pi) and unit integral over the line."""
-    lam = np.asarray(lam, dtype=float)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    out = np.full(lam.shape, 1.0 / (2.0 * math.pi))
-    nz = lam != 0.0
-    out[nz] = (2.0 / math.pi) * np.sin(lam[nz] / 2.0) ** 2 / lam[nz] ** 2
-    return float(out[0]) if scalar else out
-
-
-def interpolation_kernel(lam, pi1: float, pi2: float):
-    """Frequency response of previous-tick interpolation under Bernoulli
-    missingness: (1-pi1)(1-pi2) / ((1-pi1 e^(i lam))(1-pi2 e^(-i lam)))."""
-    lam = np.asarray(lam, dtype=float)
-    scalar = lam.ndim == 0
-    z = np.exp(1j * np.atleast_1d(lam))
-    out = (1.0 - pi1) * (1.0 - pi2) / ((1.0 - pi1 * z) * (1.0 - pi2 * np.conj(z)))
-    return complex(out[0]) if scalar else out
-
-
-def sigma_weight(theta: float, sigma1, sigma2, horizon: float, t: float | None = None) -> float:
-    """Volatility overlap weight of the limit constant.
-
-    For theta >= 0 this is (1/(T-theta)) * int_0^((t-theta)+) s1(u) s2(u+theta) du,
-    mirrored for negative theta. ``sigma1``/``sigma2`` are callables of time.
-    """
-    if t is None:
-        t = horizon
-    if horizon - abs(theta) <= 0:
-        raise DataError(f"lag {theta} is not smaller than the horizon {horizon}")
-    if theta >= 0:
-        upper = max(t - theta, 0.0)
-        if upper == 0.0:
-            return 0.0
-        val, _ = integrate.quad(lambda u: sigma1(u) * sigma2(u + theta), 0.0, upper)
-        return val / (horizon - theta)
-    upper = max(t + theta, 0.0)
-    if upper == 0.0:
-        return 0.0
-    val, _ = integrate.quad(lambda u: sigma1(u - theta) * sigma2(u), 0.0, upper)
-    return val / (horizon + theta)
-
-
-def _band_quad(func, lo: float, hi: float) -> complex:
-    re, _ = integrate.quad(lambda x: func(x).real, lo, hi, epsabs=1e-9, limit=200)
-    im, _ = integrate.quad(lambda x: func(x).imag, lo, hi, epsabs=1e-9, limit=200)
-    return complex(re, im)
-
-
-def limit_constant(
-    level: int,
-    b: float,
-    pi1: float,
-    pi2: float,
-    corr: float,
-    sigma_value: float,
-) -> float:
-    """Large-sample value of the cross-covariance estimator near the true lag.
-
-    2^j * sigma_value * corr * int over +-(pi/2^j, pi/2^(j-1)] of
-    D(lam) Pi(lam) e^(i b lam) d lam, evaluated by adaptive quadrature on
-    the two symmetric band halves. The integrand is hermitian, so the
-    imaginary part must cancel; anything above 1e-9 is a numerical failure.
-
-    This is the ideal band-pass limit: the level-j squared gain is taken as
-    2^j on the band and 0 off it, which the Daubechies gain approaches only
-    as the filter length grows without bound. D models Brownian increments
-    over one grid step; ``increment_cross_cov`` draws a flat per-step cross
-    spectrum instead, see there.
-    """
-    if level < 1:
-        raise DataError(f"level must be >= 1, got {level}")
-    if abs(b) > 0.5:
-        warnings.warn(
-            f"grid offset b={b} is outside [-1/2, 1/2]; the limit is only "
-            "guaranteed nonzero inside that range",
-            stacklevel=2,
-        )
-
-    def integrand(lam):
-        return (
-            discretization_kernel(lam)
-            * interpolation_kernel(lam, pi1, pi2)
-            * cmath.exp(1j * b * lam)
-        )
-
-    lo, hi = math.pi / 2.0**level, math.pi / 2.0 ** (level - 1)
-    total = _band_quad(integrand, lo, hi) + _band_quad(integrand, -hi, -lo)
-    if abs(total.imag) > 1e-9:
-        raise NumericError(
-            f"band integral has non-cancelling imaginary part {total.imag:.3e}"
-        )
-    return 2.0**level * sigma_value * corr * total.real

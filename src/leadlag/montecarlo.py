@@ -19,7 +19,7 @@ from .estimator import LagGrid, check_levels_fit, estimate_levels, hry_lag
 # base_filter is unused here, but perfbench/tracing.py hooks it as a module attribute
 from .filters import FAMILIES, base_filter  # noqa: F401
 from .ingest import returns_from_sample
-from .model import ObservationScheme, SpectralModel, load_model
+from .model import ObservationScheme, SpectralModel, check_lags_in_grid, load_model
 from .simulate import CirculantEmbedding, build_embedding, circulant_embed_sample
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -61,12 +61,7 @@ class MCConfig:
                     f"unknown filter family {family!r}; known: {', '.join(FAMILIES)}"
                 )
             check_levels_fit(family, self.j_max, self.grid_half_width, self.scheme.n)
-        for c in self.model.components:
-            if abs(c.lag_steps) > self.grid_half_width:
-                raise DataError(
-                    f"model lag {c.lag_steps} steps at level {c.level} lies "
-                    f"outside the search grid +-{self.grid_half_width}"
-                )
+        check_lags_in_grid(self.model, self.grid_half_width)
 
 
 @dataclass(frozen=True)
@@ -104,18 +99,15 @@ def summarize(
     lags_by_family: dict,
     hry_lags=None,
     *,
-    families=None,
-    j_max: int | None = None,
     replications: int | None = None,
     failures: int = 0,
 ) -> MCSummary:
     """Aggregate per-replication lag estimates into medians and MADs.
 
     ``lags_by_family`` maps family -> list of per-replication lag vectors
-    (one integer per level).
+    (one integer per level); its key order is the summary's family order.
     """
-    if families is None:
-        families = tuple(lags_by_family)
+    families = tuple(lags_by_family)
     counts = [len(v) for v in lags_by_family.values()]
     if hry_lags is not None:
         counts.append(len(hry_lags))
@@ -123,8 +115,7 @@ def summarize(
         raise DataError("no replications to summarize")
     if replications is None:
         replications = max(counts) + failures
-    if j_max is None:
-        j_max = len(next(iter(lags_by_family.values()))[0])
+    j_max = len(next(iter(lags_by_family.values()))[0])
     medians, mads = {}, {}
     for family in families:
         per_rep = np.asarray(lags_by_family[family])
@@ -139,7 +130,7 @@ def summarize(
         hry_med = lower_median(hry_lags)
         hry_mad = median_abs_deviation(hry_lags)
     return MCSummary(
-        families=tuple(families),
+        families=families,
         j_max=j_max,
         replications=replications,
         failures=failures,
@@ -200,42 +191,31 @@ def _run_worker(seed: int):
 
 
 def run_mc(config: MCConfig) -> MCSummary:
-    """Run the replicated experiment described by ``config``."""
+    """Run the replicated experiment described by ``config``.
+
+    At one thread the replications run in this process through the same
+    worker functions as the pool's.
+    """
     seeds = replication_seeds(config.master_seed, config.replications)
-    grid = LagGrid.symmetric(config.grid_half_width)
-    results = []
+    init = (
+        config.model,
+        config.scheme,
+        config.families,
+        config.j_max,
+        config.grid_half_width,
+        config.include_hry,
+    )
     if config.threads > 1:
         with ProcessPoolExecutor(
-            max_workers=config.threads,
-            initializer=_init_worker,
-            initargs=(
-                config.model,
-                config.scheme,
-                config.families,
-                config.j_max,
-                config.grid_half_width,
-                config.include_hry,
-            ),
+            max_workers=config.threads, initializer=_init_worker, initargs=init
         ) as pool:
             results = list(pool.map(_run_worker, seeds, chunksize=8))
     else:
-        embedding = build_embedding(config.model, config.scheme)
-        for seed in seeds:
-            try:
-                results.append(
-                    run_replication(
-                        config.model,
-                        config.scheme,
-                        config.families,
-                        config.j_max,
-                        grid,
-                        config.include_hry,
-                        seed,
-                        embedding=embedding,
-                    )
-                )
-            except LeadLagError as exc:
-                results.append({"error": f"{type(exc).__name__}: {exc}"})
+        try:
+            _init_worker(*init)
+            results = [_run_worker(seed) for seed in seeds]
+        finally:
+            _WORKER.clear()
 
     lags_by_family = {family: [] for family in config.families}
     hry_lags = [] if config.include_hry else None
@@ -251,12 +231,7 @@ def run_mc(config: MCConfig) -> MCSummary:
     if failures == config.replications:
         raise DataError("every replication failed")
     return summarize(
-        lags_by_family,
-        hry_lags,
-        families=config.families,
-        j_max=config.j_max,
-        replications=config.replications,
-        failures=failures,
+        lags_by_family, hry_lags, replications=config.replications, failures=failures
     )
 
 

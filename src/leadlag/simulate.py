@@ -16,7 +16,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import DataError, NumericError
 from .model import ObservationScheme, SpectralModel, increment_cross_cov
@@ -25,6 +24,21 @@ logger = logging.getLogger(__name__)
 
 # eigenvalues this far below zero (relative to tau) abort; closer ones clip
 EIGENVALUE_FLOOR = 1e-8
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= target, a length pocketfft transforms
+    fast; the rule of ``scipy.fft.next_fast_len(target, real=True)``."""
+    target = int(target)
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 * 2^k with the least k that reaches target
+            best = min(best, p35 << ((target - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -46,7 +60,7 @@ class PathSample:
 class CirculantEmbedding:
     """Precomputed per-frequency factors, reusable across seeds.
 
-    ``size`` is the circulant length, ``next_fast_len(2 * n)``; ``clipped``
+    ``size`` is the circulant length, ``_next_fast_len(2 * n)``; ``clipped``
     counts the slightly negative eigenvalues set to zero.
     """
 
@@ -62,13 +76,13 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
     """Embed the block-Toeplitz target covariance into a circulant and factor
     each frequency's 2x2 spectral matrix.
 
-    The circulant length is ``next_fast_len(2 * n)``. Its first row holds
+    The circulant length is ``_next_fast_len(2 * n)``. Its first row holds
     the model's cross-covariance at every circulant lag (k up to size // 2,
     k - size above), so the embedding is exact at every lag |l| <= n - 1
     that a sample can see; there is no truncation parameter.
     """
     n, tau = scheme.n, scheme.tau
-    size = next_fast_len(2 * n)
+    size = _next_fast_len(2 * n)
     k = np.arange(size)
     lags = np.where(k <= size // 2, k, k - size)
     s12 = np.fft.fft(increment_cross_cov(model, lags, tau=tau))

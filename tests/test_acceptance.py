@@ -30,6 +30,7 @@ from leadlag.filters import (
     wavelet_gain,
 )
 from leadlag.montecarlo import MCConfig, run_mc
+from leadlag.theory import discretization_kernel, limit_constant
 from scipy import integrate
 
 from conftest import benchmark_spec
@@ -200,10 +201,10 @@ class TestTheoryOracleConvergence:
 
         # With the ideal gain 2^j on the band and the weight 2 pi D this is
         # limit_constant itself.
-        limit = ll.limit_constant(level, 0.0, 0.0, 0.0, corr, 1.0)
+        limit = limit_constant(level, 0.0, 0.0, 0.0, corr, 1.0)
         ideal = band_value(
             lambda lam: 2.0**level,
-            lambda lam: 2.0 * math.pi * ll.model.discretization_kernel(lam),
+            lambda lam: 2.0 * math.pi * discretization_kernel(lam),
         )
         assert abs(ideal - limit) <= 1e-6 * abs(limit), f"{ideal!r} vs {limit!r}"
 
@@ -226,7 +227,7 @@ class TestTheoryOracleConvergence:
         total = 0.0
         for k in range(200):  # out to 400 pi, tail decays like 1/x^2
             val, _ = integrate.quad(
-                ll.model.discretization_kernel, 2 * math.pi * k, 2 * math.pi * (k + 1)
+                discretization_kernel, 2 * math.pi * k, 2 * math.pi * (k + 1)
             )
             total += val
         err = abs(2 * total - 1.0)

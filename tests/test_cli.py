@@ -153,6 +153,43 @@ class TestModelCheck:
         assert main(["model-check", "--model", model_path, "--l-max", "1"]) == 2
         assert "outside the search grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("n",), "abc"),
+            (("n",), 64.9),
+            (("n",), True),
+            (("J",), 3.7),
+            (("J",), False),
+            (("tau",), "x"),
+            (("tau",), float("nan")),
+            (("pi2",), None),
+            (("levels",), 5),
+            (("levels",), [5]),
+            (("levels", 0, "j"), 1.5),
+            (("levels", 1, "R"), float("inf")),
+            (("levels", 2, "theta_over_tau"), "abc"),
+            (("levels", 2, "theta_over_tau"), float("nan")),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["model-check", "simulate"])
+    def test_wrongly_typed_model_value_is_data_error(self, tmp_path, capsys, command, path, value):
+        spec = json.loads(json.dumps(SMALL_SPEC))
+        target = spec
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        model_path = write_model(tmp_path, spec)
+        argv = [command, "--model", model_path]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "path.csv"), "--ticks1", str(tmp_path / "t1.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        where = f" in levels[{path[1]}]" if len(path) == 3 else ""
+        assert f"model key {path[-1]!r}{where} must be" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
 
 class TestEndToEnd:
     def test_simulate_then_estimate_recovers_lags(self, tmp_path):
@@ -641,6 +678,15 @@ class TestImport:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("module", ["leadlag", "leadlag.cli"])
+    def test_import_loads_no_scipy_module(self, module):
+        probe = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestHelpDocumentsUnits:

@@ -7,14 +7,12 @@ from scipy import integrate
 
 import leadlag as ll
 from leadlag.errors import DataError
-from leadlag.model import (
-    cross_spectral_density,
+from leadlag.model import cross_spectral_density, increment_cross_cov, lp_wavelet
+from leadlag.theory import (
     discretization_kernel,
-    increment_cross_cov,
     interpolation_kernel,
     limit_constant,
     lp_scaling,
-    lp_wavelet,
     sigma_weight,
 )
 

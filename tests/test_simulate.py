@@ -5,6 +5,7 @@ from scipy.fft import next_fast_len
 import leadlag as ll
 from leadlag.errors import DataError, NumericError
 from leadlag.simulate import (
+    _next_fast_len,
     apply_missing,
     build_embedding,
     circulant_embed_sample,
@@ -62,6 +63,26 @@ class TestCovarianceTables:
         assert np.abs(cross - target).max() <= 1e-12 * scheme.tau, (
             f"lag {lags[worst]}: embedded {cross[worst]} vs model {target[worst]}"
         )
+
+
+def five_smooth(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+class TestFastLength:
+    def test_matches_scipy_real_rule(self):
+        wrong = [t for t in range(1, 200001) if _next_fast_len(t) != next_fast_len(t, real=True)]
+        assert not wrong, f"{len(wrong)} targets differ, the first at {wrong[0]}"
+
+    # at n = 777 scipy's complex rule would pick 1568 = 2^5 * 7^2
+    @pytest.mark.parametrize("n, size", [(1, 2), (256, 512), (777, 1600), (2000, 4000), (15000, 30000)])
+    def test_embedding_size_is_5_smooth_and_covers_2n(self, n, size):
+        model, scheme = ll.load_model(benchmark_spec(n=n))
+        assert build_embedding(model, scheme).size == size
+        assert five_smooth(size) and size >= 2 * n
 
 
 class TestEmbedding:
