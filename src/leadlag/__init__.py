@@ -34,7 +34,6 @@ from .estimator import (
     LagEstimate,
     LagGrid,
     WaveletCoeffs,
-    cross_cov,
     cross_cov_curve,
     estimate_lag,
     estimate_levels,
@@ -68,7 +67,6 @@ __all__ = [
     "build_embedding",
     "cascade",
     "circulant_embed_sample",
-    "cross_cov",
     "cross_cov_curve",
     "estimate_lag",
     "estimate_levels",

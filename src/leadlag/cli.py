@@ -193,7 +193,10 @@ def _cmd_gain(args) -> int:
     check_writable(args.out)
     base = base_filter(args.family)
     filt = cascade(base, args.level)
-    lams = np.linspace(0.0, math.pi, args.points)
+    try:
+        lams = np.linspace(0.0, math.pi, args.points)
+    except (MemoryError, ValueError):
+        raise DataError(f"--points {args.points} is too large to allocate") from None
     theory = level_gain(args.level, base.length, lams)
     empirical = empirical_gain(filt.coefficients, lams)
     with atomic_output(args.out) as fh:
@@ -268,6 +271,7 @@ def _cmd_estimate(args) -> int:
             )
     ret1 = align_to_grid(ticks1, t0, args.tau, n)
     ret2 = align_to_grid(ticks2, t0, args.tau, n)
+    check_levels_fit(args.family, args.levels, args.maxlag, n)  # before the grid is allocated
     grid = LagGrid.symmetric(args.maxlag)
     results = estimate_levels(ret1, ret2, args.family, args.levels, grid)
     report = {

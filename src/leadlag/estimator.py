@@ -194,19 +194,6 @@ def _lagged_sums(x1: np.ndarray, x2: np.ndarray, lags: np.ndarray) -> np.ndarray
     return np.fft.irfft(spectrum, size)[lags % size]
 
 
-def cross_cov(w1: WaveletCoeffs, w2: WaveletCoeffs, lag: int, tau: float) -> float:
-    """Lagged cross-covariance of two coefficient series at one level.
-
-    For lag >= 0: (1/tau) * mean over k of W1_k * W2_(k+lag) with the mean
-    taken over the n - lag - L_j + 1 admissible positions; mirrored for
-    negative lags.
-    """
-    _check_pair(w1, w2)
-    lag = int(lag)
-    s = float(_lagged_sums(w1.values, w2.values, np.array([lag]))[0])
-    return s / (tau * (len(w1.values) - abs(lag)))
-
-
 def cross_cov_curve(
     w1: WaveletCoeffs, w2: WaveletCoeffs, grid: LagGrid, tau: float
 ) -> CrossCovCurve:
@@ -268,9 +255,7 @@ def estimate_lag(curve: CrossCovCurve) -> LagEstimate:
     return _lag_estimate(curve.level, curve.lags, curve.rho, curve.tau)
 
 
-def hry_lag(
-    ret1: AlignedReturns, ret2: AlignedReturns, grid: LagGrid, tau: float | None = None
-) -> LagEstimate:
+def hry_lag(ret1: AlignedReturns, ret2: AlignedReturns, grid: LagGrid) -> LagEstimate:
     """Single-scale baseline: argmax |sum_k r1[k] r2[k+l]| over the grid.
 
     On an equally spaced previous-tick grid the overlapping-interval
@@ -279,9 +264,7 @@ def hry_lag(
     r1, r2 = ret1.returns, ret2.returns
     if len(r1) != len(r2):
         raise DataError(f"return series differ in length: {len(r1)} vs {len(r2)}")
-    if tau is None:
-        tau = ret1.tau
-    return _lag_estimate(0, grid.lags, _lagged_sums(r1, r2, grid.lags), tau)
+    return _lag_estimate(0, grid.lags, _lagged_sums(r1, r2, grid.lags), ret1.tau)
 
 
 def max_feasible_level(family: str, n: int) -> int:

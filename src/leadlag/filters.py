@@ -122,16 +122,6 @@ def cascade_length(base_length: int, level: int) -> int:
     return (2**level - 1) * (base_length - 1) + 1
 
 
-def scaling_from_wavelet(wavelet) -> np.ndarray:
-    """Quadrature mirror: g_p = (-1)^(p+1) h_(L-p-1)."""
-    h = np.asarray(wavelet, dtype=float)
-    if h.ndim != 1 or len(h) % 2 != 0:
-        raise ValueError(f"wavelet filter length must be even, got {h.shape}")
-    L = len(h)
-    p = np.arange(L)
-    return (-1.0) ** (p + 1) * h[L - p - 1]
-
-
 def wavelet_from_scaling(scaling) -> np.ndarray:
     """Inverse quadrature mirror: h_p = (-1)^p g_(L-p-1)."""
     g = np.asarray(scaling, dtype=float)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-
-MODEL_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,6 @@ class SpectralModel:
         """Grid spacing in model time units, 2^(-J-1)."""
         return 2.0 ** -(self.finest_level + 1)
 
-    def corr(self, level: int) -> float:
-        for c in self.components:
-            if c.level == level:
-                return c.corr
-        return 0.0
-
-    def lag_steps(self, level: int) -> float:
-        for c in self.components:
-            if c.level == level:
-                return c.lag_steps
-        return 0.0
-
     def active_levels(self) -> list[int]:
         return sorted(c.level for c in self.components if c.corr != 0.0)
 
@@ -102,28 +90,46 @@ class ObservationScheme:
                 raise DataError(f"missing probability {name}={p} outside [0, 1)")
 
 
+MODEL_KEYS = ("schema_version", "J", "n", "tau", "pi1", "pi2", "levels")
+LEVEL_KEYS = ("j", "R", "theta_over_tau", "theta_seconds")
+
+
+def json_object(source, what: str) -> Mapping:
+    """``source`` itself if it is a mapping, else the JSON object in the file
+    it names (a ``str``, ``bytes`` or ``os.PathLike`` path)."""
+    if isinstance(source, Mapping):
+        return source
+    try:
+        with open(os.fspath(source), "r", encoding="utf-8") as fh:  # never a descriptor
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, not UTF-8
+        raise DataError(f"cannot read {what}: {exc}") from exc
+    if not isinstance(raw, Mapping):
+        raise DataError(f"{what} must be a JSON object")
+    return raw
+
+
+def check_keys(raw: Mapping, known, what: str, where: str = "") -> None:
+    """Raise DataError naming every key of ``raw`` outside ``known``."""
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise DataError(
+            f"unknown {what} key {', '.join(map(repr, unknown))}{where}; "
+            f"known: {', '.join(known)}"
+        )
+
+
 def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
-    """Load a model + sampling scheme from a JSON file path or a parsed dict.
+    """Load a model + sampling scheme from a parsed mapping or a JSON file path.
 
     Expected fields: J, levels: [{j, R, theta_over_tau | theta_seconds}],
-    and optionally tau (seconds per grid step, default 2^(-J-1)), n, pi1, pi2.
-    J, n and each j are integers; tau, R, the thetas, pi1 and pi2 finite
-    numbers. Any other value is a DataError naming the key, and the level
-    entry where there is one.
+    and optionally tau (seconds per grid step, default 2^(-J-1)), n, pi1,
+    pi2 and schema_version. J, n and each j are integers; tau, R, the
+    thetas, pi1 and pi2 finite numbers. An unknown key or any other value is
+    a DataError naming the key, and the level entry where there is one.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        try:
-            if hasattr(source, "read"):
-                raw = json.load(source)
-            else:
-                with open(source, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read model file: {exc}") from exc
-    else:
-        raw = source
-    if not isinstance(raw, dict):
-        raise DataError("model JSON must be an object")
+    raw = json_object(source, "model file")
+    check_keys(raw, MODEL_KEYS, "model")
 
     def integer(key, value, where=""):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -157,9 +163,10 @@ def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
         raise DataError(f"model key 'levels' must be a list of objects, got {levels!r}")
     components = []
     for i, entry in enumerate(levels):
+        where = f" in levels[{i}]"
+        check_keys(entry, LEVEL_KEYS, "model", where)
         if "j" not in entry or "R" not in entry:
             raise DataError(f"bad level entry {entry!r}: needs fields 'j' and 'R'")
-        where = f" in levels[{i}]"
         if "theta_over_tau" in entry:
             steps = number("theta_over_tau", entry["theta_over_tau"], where)
         elif "theta_seconds" in entry:
@@ -238,7 +245,9 @@ def increment_cross_cov(model: SpectralModel, lag, tau: float | None = None):
     weights the band by the discretization kernel D of Brownian increments
     over a grid step. At the same R, D-weighting gives 0.6127, 0.8864 and
     0.9704 times the flat value at levels 1, 2 and 3 (above 0.99 from level
-    4). Which view the simulator should follow is open (ROADMAP item 3).
+    4). The simulator keeps the flat spectrum: the benchmark table's medians
+    are pinned to flat-spectrum paths, and D-weighting would cut the level-1
+    band correlation to 0.61 times its value.
     """
     tau_c = model.tau
     if tau is None:

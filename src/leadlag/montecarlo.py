@@ -7,8 +7,8 @@ merge deterministically by index.
 
 from __future__ import annotations
 
-import json
 import os
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,7 +19,14 @@ from .estimator import LagGrid, check_levels_fit, estimate_levels, hry_lag
 # base_filter is unused here, but perfbench/tracing.py hooks it as a module attribute
 from .filters import FAMILIES, base_filter  # noqa: F401
 from .ingest import returns_from_sample
-from .model import ObservationScheme, SpectralModel, check_lags_in_grid, load_model
+from .model import (
+    ObservationScheme,
+    SpectralModel,
+    check_keys,
+    check_lags_in_grid,
+    json_object,
+    load_model,
+)
 from .simulate import CirculantEmbedding, build_embedding, circulant_embed_sample
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -173,18 +180,16 @@ def run_replication(
 _WORKER: dict = {}
 
 
-def _init_worker(model, scheme, families, j_max, half_width, include_hry):
-    _WORKER["args"] = (model, scheme, families, j_max, half_width, include_hry)
-    _WORKER["embedding"] = build_embedding(model, scheme)
+def _init_worker(*args):
+    _WORKER["args"] = args
 
 
 def _run_worker(seed: int):
-    model, scheme, families, j_max, half_width, include_hry = _WORKER["args"]
+    model, scheme, families, j_max, half_width, include_hry, embedding = _WORKER["args"]
     grid = LagGrid.symmetric(half_width)
     try:
         return run_replication(
-            model, scheme, families, j_max, grid, include_hry, seed,
-            embedding=_WORKER["embedding"],
+            model, scheme, families, j_max, grid, include_hry, seed, embedding=embedding
         )
     except LeadLagError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
@@ -193,8 +198,9 @@ def _run_worker(seed: int):
 def run_mc(config: MCConfig) -> MCSummary:
     """Run the replicated experiment described by ``config``.
 
-    At one thread the replications run in this process through the same
-    worker functions as the pool's.
+    The embedding is built once, here, so a model it rejects stops the run
+    before any worker starts. At one thread the replications run in this
+    process through the same worker functions as the pool's.
     """
     seeds = replication_seeds(config.master_seed, config.replications)
     init = (
@@ -204,6 +210,7 @@ def run_mc(config: MCConfig) -> MCSummary:
         config.j_max,
         config.grid_half_width,
         config.include_hry,
+        build_embedding(config.model, config.scheme),
     )
     if config.threads > 1:
         with ProcessPoolExecutor(
@@ -236,7 +243,7 @@ def run_mc(config: MCConfig) -> MCSummary:
 
 
 def load_mc_config(source, **overrides) -> MCConfig:
-    """Build an MCConfig from a JSON file path or dict.
+    """Build an MCConfig from a parsed mapping or a JSON file path.
 
     Recognized fields are MC_CONFIG_KEYS; model (an inline object) or
     model_path is required, and any other key is a DataError. So is a value
@@ -246,28 +253,19 @@ def load_mc_config(source, **overrides) -> MCConfig:
     precedence when not None. The worker count defaults to the number of
     cores.
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read MC config: {exc}") from exc
-    else:
-        raw = dict(source)
-    if not isinstance(raw, dict):
-        raise DataError("MC config must be a JSON object")
-    unknown = sorted(set(raw) - set(MC_CONFIG_KEYS))
-    if unknown:
-        raise DataError(
-            f"unknown MC config key {', '.join(map(repr, unknown))}; "
-            f"known: {', '.join(MC_CONFIG_KEYS)}"
-        )
+    raw = json_object(source, "MC config")
+    check_keys(raw, MC_CONFIG_KEYS, "MC config")
     if "model" in raw:
-        model, scheme = load_model(raw["model"])
+        model_source = raw["model"]
+        if not isinstance(model_source, Mapping):
+            raise DataError(f"MC config key 'model' must be an object, got {model_source!r}")
     elif "model_path" in raw:
-        model, scheme = load_model(raw["model_path"])
+        model_source = raw["model_path"]
+        if not isinstance(model_source, (str, os.PathLike)):
+            raise DataError(f"MC config key 'model_path' must be a file name, got {model_source!r}")
     else:
         raise DataError("MC config needs 'model' or 'model_path'")
+    model, scheme = load_model(model_source)
 
     def integer(key, value):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

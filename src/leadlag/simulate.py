@@ -7,7 +7,11 @@ eigenvalues tau +- |s|, so the embedding is valid exactly when the implied
 cross spectrum stays below tau. Admissibility (|corr| <= 1) bounds the
 model's band spectrum, but the circulant row stops at lag size // 2, and
 that cut rings at sharp band edges (Gibbs): the overshoot, about 9%, makes
-a band with |corr| above about 0.92 fail the eigenvalue guard.
+a band with |corr| above about 0.92 fail the eigenvalue guard. The guard
+stays because no admissible circulant is also exact: one built from the band
+spectrum itself misses the model's cross-covariance by up to 3.9e-5 tau at
+visible lags, and a taper of the lags beyond n - 1 would need a
+positive-definite window equal to 1 on |k| < n, which does not exist.
 """
 
 from __future__ import annotations
@@ -83,6 +87,17 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
     """
     n, tau = scheme.n, scheme.tau
     size = _next_fast_len(2 * n)
+    # Probe the largest array and drop it: numpy refuses a size it cannot
+    # allocate up front, before any work. Keeping the probe as ``factors``
+    # measured about 12 times the minor page faults of an mc run (20k against
+    # 1.7k per 16 replications, Linux/glibc) and 6% less throughput, so
+    # ``factors`` is allocated last.
+    try:
+        np.empty((size, 2, 2), dtype=complex)
+    except (MemoryError, ValueError):
+        raise DataError(
+            f"n={n} is too large to allocate a circulant embedding of {size} points"
+        ) from None
     k = np.arange(size)
     lags = np.where(k <= size // 2, k, k - size)
     s12 = np.fft.fft(increment_cross_cov(model, lags, tau=tau))

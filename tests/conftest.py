@@ -1,9 +1,12 @@
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import strategies as st
 
 import leadlag as ll
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 # benchmark experiment parameters: eight correlated bands on a J=13 grid
 BENCHMARK_LEVELS = [

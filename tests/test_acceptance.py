@@ -14,7 +14,6 @@ import pytest
 import leadlag as ll
 from leadlag.estimator import (
     LagGrid,
-    cross_cov,
     cross_cov_curve,
     estimate_levels,
     hry_lag,
@@ -302,7 +301,8 @@ class TestBruteForceEstimatorEquivalence:
             tau = float(rng.uniform(0.1, 2.0))
             x1, x2 = rng.standard_normal((2, n))
             w1, w2 = modwt(x1, filt), modwt(x2, filt)
-            got = cross_cov(w1, w2, lag, tau)
+            curve = cross_cov_curve(w1, w2, LagGrid.symmetric(abs(lag)), tau)
+            got = curve.rho[abs(lag) + lag]
 
             first = filt.length - 1
             if lag >= 0:

@@ -190,6 +190,54 @@ class TestModelCheck:
         assert "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
 
+    @pytest.mark.parametrize(
+        "path, key",
+        [((), "pi_1"), ((), "sim_max_lag"), (("levels", 0), "theta"), (("levels", 2), "lag")],
+        ids=["pi_1", "sim_max_lag", "levels0-theta", "levels2-lag"],
+    )
+    @pytest.mark.parametrize("command", ["model-check", "simulate"])
+    def test_unknown_model_key_is_data_error(self, tmp_path, capsys, command, path, key):
+        spec = json.loads(json.dumps(SMALL_SPEC))
+        target = spec
+        for step in path:
+            target = target[step]
+        target[key] = -2
+        model_path = write_model(tmp_path, spec)
+        argv = [command, "--model", model_path]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "path.csv"), "--ticks1", str(tmp_path / "t1.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if path:
+            needle = f"unknown model key {key!r} in levels[{path[1]}]; known: j, R, theta_over_tau"
+        else:
+            needle = f"unknown model key {key!r}; known: schema_version, J, n, tau, pi1, pi2, levels"
+        assert needle in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"J": 3, "levels": [], "note": "\xff"}', b'{"J": 3, "n": ' + b"9" * 5000 + b"}", b"{"],
+        ids=["not-utf8", "integer-too-long", "truncated"],
+    )
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [(["model-check", "--model"], "cannot read model file"), (["mc", "--config"], "cannot read MC config")],
+        ids=["model-check", "mc"],
+    )
+    def test_unreadable_json_is_data_error(self, tmp_path, capsys, content, argv, needle):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        argv = argv + [str(path)]
+        if argv[0] == "mc":
+            argv += ["--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
 
 class TestEndToEnd:
     def test_simulate_then_estimate_recovers_lags(self, tmp_path):
@@ -459,6 +507,77 @@ class TestEndToEnd:
         out = tmp_path / "o.csv"
         assert main(["mc", "--config", str(config_path), "--reps", "1", "--out", str(out)]) == 0
         assert out.exists()
+
+
+class TestMcEmbedding:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_invalid_embedding_exits_numeric_at_every_thread_count(self, tmp_path, threads):
+        # |R| = 0.95 is beyond the embedding's ceiling of about 0.92
+        model = {"J": 13, "n": 2000, "levels": [{"j": 3, "R": 0.95, "theta_over_tau": -2}]}
+        config = {"model": model, "families": ["haar"], "j_max": 3, "l_max": 12, "replications": 4}
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+        env.pop("LEADLAG_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "leadlag.cli", "mc", "--config", str(config_path),
+             "--threads", threads, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "numeric error: invalid circulant embedding" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
+class TestTooLargeToAllocate:
+    # sizes numpy refuses up front, before it reserves any memory
+
+    @pytest.mark.parametrize("n", [2**40, 2**62])
+    def test_simulate(self, tmp_path, capsys, n):
+        model_path = write_model(tmp_path, dict(SMALL_SPEC, n=n))
+        argv = ["simulate", "--model", model_path, "--out", str(tmp_path / "path.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"n={n} is too large to allocate" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mc(self, tmp_path, capsys, threads):
+        config = {"model": dict(SMALL_SPEC, n=2**40), "families": ["haar"], "j_max": 1, "l_max": 12}
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["mc", "--config", str(config_path), "--reps", "2", "--threads", threads]
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"n={2**40} is too large to allocate" in err
+        assert sorted(os.listdir(tmp_path)) == ["mc.json"]
+
+    def test_gain_points(self, tmp_path, capsys):
+        out = tmp_path / "gain.csv"
+        assert main(["gain", "--family", "haar", "--points", "100000000000", "--out", str(out)]) == 2
+        assert "--points 100000000000 is too large to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_estimate_maxlag(self, tmp_path, capsys):
+        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("\n".join(rows) + "\n")
+        out = tmp_path / "r.json"
+        argv = [
+            "estimate",
+            "--in1", str(tmp_path / "a.csv"),
+            "--in2", str(tmp_path / "b.csv"),
+            "--family", "haar",
+            "--levels", "1",
+            "--maxlag", "100000000000",
+            "--out", str(out),
+        ]
+        assert main(argv) == 2
+        assert "grid half-width 100000000000" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMcDesign:

@@ -8,7 +8,6 @@ import leadlag as ll
 from leadlag.errors import DataError, NumericError
 from leadlag.estimator import (
     LagGrid,
-    cross_cov,
     cross_cov_curve,
     estimate_lag,
     estimate_levels,
@@ -26,6 +25,13 @@ def estimate_all_levels(ret1, ret2, families, j_max, grid):
         family: estimate_levels(ret1, ret2, family, j_max, grid)
         for family in families
     }
+
+
+def cross_cov(w1, w2, lag, tau):
+    """The lagged coefficient covariance at one lag: cross_cov_curve on the
+    grid +-|lag|, read at lag."""
+    curve = cross_cov_curve(w1, w2, LagGrid.symmetric(abs(lag)), tau)
+    return float(curve.rho[abs(lag) + lag])
 
 
 def eq17_cross_cov(w1, w2, lag, tau, n, filter_length):

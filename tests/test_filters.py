@@ -11,13 +11,22 @@ from leadlag.filters import (
     cascade_length,
     empirical_gain,
     level_gain,
-    scaling_from_wavelet,
     scaling_gain,
     wavelet_from_scaling,
     wavelet_gain,
 )
 
 SQRT2_INV = 0.7071067811865475
+
+
+def scaling_from_wavelet(wavelet) -> np.ndarray:
+    """Quadrature mirror: g_p = (-1)^(p+1) h_(L-p-1)."""
+    h = np.asarray(wavelet, dtype=float)
+    if h.ndim != 1 or len(h) % 2 != 0:
+        raise ValueError(f"wavelet filter length must be even, got {h.shape}")
+    L = len(h)
+    p = np.arange(L)
+    return (-1.0) ** (p + 1) * h[L - p - 1]
 
 
 class TestBaseFilters:

@@ -16,7 +16,7 @@ from leadlag.theory import (
     sigma_weight,
 )
 
-from conftest import BENCHMARK_LEVELS, benchmark_spec
+from conftest import BENCHMARK_LEVELS, CONFIGS, benchmark_spec
 
 # frozen before the build from an independent 40-digit quadrature of the
 # band integral: 2 * int over +-(pi/2, pi] of (2/pi) sin^2(x/2)/x^2 dx
@@ -248,15 +248,36 @@ class TestModelLoading:
         assert model.finest_level == 13
         assert scheme.tau == 2.0**-14
         assert scheme.n == 15000
-        assert model.corr(3) == 0.7
-        assert model.lag_steps(8) == -10
-        assert model.corr(9) == 0.0
+        bands = {c.level: c for c in model.components}
+        assert bands[3].corr == 0.7
+        assert bands[8].lag_steps == -10
+        assert 9 not in bands
 
     def test_theta_seconds_converted(self):
         model, _ = ll.load_model(
             {"J": 3, "tau": 0.5, "levels": [{"j": 1, "R": 0.1, "theta_seconds": -1.5}]}
         )
-        assert model.lag_steps(1) == pytest.approx(-3.0)
+        assert model.components[0].lag_steps == pytest.approx(-3.0)
+
+    def test_path_object_is_read(self):
+        path = CONFIGS / "benchmark_model.json"
+        assert ll.load_model(path) == ll.load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "spec, needle",
+        [
+            ({"J": 3, "pi_1": 0.5, "levels": []}, "unknown model key 'pi_1'; known: schema_version, J"),
+            (
+                {"J": 3, "levels": [{"j": 3, "R": 0.7, "theta": -2}]},
+                "unknown model key 'theta' in levels[0]; known: j, R, theta_over_tau, theta_seconds",
+            ),
+        ],
+        ids=["top-level", "level-entry"],
+    )
+    def test_unknown_key_rejected(self, spec, needle):
+        with pytest.raises(DataError) as exc:
+            ll.load_model(spec)
+        assert needle in str(exc.value)
 
     def test_missing_J_rejected(self):
         with pytest.raises(DataError, match="'J'"):

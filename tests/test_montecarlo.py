@@ -18,7 +18,7 @@ from leadlag.montecarlo import (
     write_summary_csv,
 )
 
-from conftest import benchmark_spec
+from conftest import CONFIGS, benchmark_spec
 
 
 def small_config(**kw):
@@ -184,6 +184,25 @@ class TestConfigLoading:
     def test_missing_model_rejected(self):
         with pytest.raises(DataError, match="model"):
             load_mc_config({"families": ["haar"]})
+
+    def test_path_object_is_read(self):
+        path = CONFIGS / "benchmark_mc.json"
+        assert load_mc_config(path) == load_mc_config(str(path))
+
+    @pytest.mark.parametrize(
+        "raw, needle",
+        [
+            ({"model": 5}, "MC config key 'model' must be an object, got 5"),
+            ({"model": "model.json"}, "MC config key 'model' must be an object"),
+            ({"model_path": 5}, "MC config key 'model_path' must be a file name, got 5"),
+            ({"model_path": ["model.json"]}, "MC config key 'model_path' must be a file name"),
+        ],
+        ids=["model-number", "model-string", "path-number", "path-list"],
+    )
+    def test_model_source_of_wrong_type_rejected(self, raw, needle):
+        with pytest.raises(DataError) as exc:
+            load_mc_config(raw)
+        assert needle in str(exc.value)
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "mc.json"
