@@ -83,13 +83,14 @@ class ObservationScheme:
     def __post_init__(self):
         if self.n < 1:
             raise DataError(f"need at least one increment, got n={self.n}")
-        if self.tau <= 0:
-            raise DataError(f"grid spacing must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise DataError(f"grid spacing tau must be finite and positive, got {self.tau}")
         for name, p in (("pi1", self.pi1), ("pi2", self.pi2)):
             if not 0.0 <= p < 1.0:
                 raise DataError(f"missing probability {name}={p} outside [0, 1)")
 
 
+SCHEMA_VERSION = 1
 MODEL_KEYS = ("schema_version", "J", "n", "tau", "pi1", "pi2", "levels")
 LEVEL_KEYS = ("j", "R", "theta_over_tau", "theta_seconds")
 
@@ -119,22 +120,37 @@ def check_keys(raw: Mapping, known, what: str, where: str = "") -> None:
         )
 
 
+def json_integer(value, what: str) -> int:
+    """``value`` as an int if it is a JSON integer (not a boolean), else a
+    DataError saying that ``what`` must be an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_schema_version(raw: Mapping, what: str) -> None:
+    """Raise DataError unless ``raw`` omits schema_version or gives the
+    integer SCHEMA_VERSION."""
+    if "schema_version" in raw:
+        version = raw["schema_version"]
+        key = f"{what} key 'schema_version'"
+        if json_integer(version, f"{key} (supported: {SCHEMA_VERSION})") != SCHEMA_VERSION:
+            raise DataError(f"{key} must be {SCHEMA_VERSION}, the supported version, got {version!r}")
+
+
 def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
     """Load a model + sampling scheme from a parsed mapping or a JSON file path.
 
     Expected fields: J, levels: [{j, R, theta_over_tau | theta_seconds}],
     and optionally tau (seconds per grid step, default 2^(-J-1)), n, pi1,
-    pi2 and schema_version. J, n and each j are integers; tau, R, the
-    thetas, pi1 and pi2 finite numbers. An unknown key or any other value is
-    a DataError naming the key, and the level entry where there is one.
+    pi2 and schema_version (1, the only version). J, n and each j are
+    integers; tau, R, the thetas, pi1 and pi2 finite numbers. An unknown key
+    or any other value is a DataError naming the key, and the level entry
+    where there is one.
     """
     raw = json_object(source, "model file")
     check_keys(raw, MODEL_KEYS, "model")
-
-    def integer(key, value, where=""):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DataError(f"model key {key!r}{where} must be an integer, got {value!r}")
-        return int(value)
+    check_schema_version(raw, "model")
 
     def number(key, value, where=""):
         if not isinstance(value, bool) and isinstance(
@@ -149,12 +165,12 @@ def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
 
     if "J" not in raw:
         raise DataError("model JSON needs an integer field 'J'")
-    J = integer("J", raw["J"])
+    J = json_integer(raw["J"], "model key 'J'")
     if J < 1:  # checked before 2^(-J-1), which overflows for J far below 1
         raise DataError(f"finest level must be >= 1, got {J}")
     scheme = ObservationScheme(
         tau=number("tau", raw["tau"]) if "tau" in raw else 2.0 ** -(J + 1),
-        n=integer("n", raw.get("n", 1)),
+        n=json_integer(raw.get("n", 1), "model key 'n'"),
         pi1=number("pi1", raw.get("pi1", 0.0)),
         pi2=number("pi2", raw.get("pi2", 0.0)),
     )
@@ -175,7 +191,7 @@ def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
             steps = 0.0
         components.append(
             ScaleComponent(
-                level=integer("j", entry["j"], where),
+                level=json_integer(entry["j"], f"model key 'j'{where}"),
                 corr=number("R", entry["R"], where),
                 lag_steps=steps,
             )

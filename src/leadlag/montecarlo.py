@@ -24,6 +24,8 @@ from .model import (
     SpectralModel,
     check_keys,
     check_lags_in_grid,
+    check_schema_version,
+    json_integer,
     json_object,
     load_model,
 )
@@ -31,27 +33,31 @@ from .simulate import CirculantEmbedding, build_embedding, circulant_embed_sampl
 
 SUMMARY_SCHEMA_VERSION = 1
 
-DEFAULT_FAMILIES = ("haar", "la8", "la20")
-
 MC_CONFIG_KEYS = (
     "schema_version", "model", "model_path", "families", "j_max", "l_max",
     "replications", "master_seed", "include_hry", "threads",
 )
+# integer MC config keys and the MCConfig fields they set
+INTEGER_SETTINGS = {
+    "j_max": "j_max", "l_max": "grid_half_width", "replications": "replications",
+    "master_seed": "master_seed", "threads": "threads",
+}
 
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Design of one Monte Carlo experiment."""
+    """Design of one Monte Carlo experiment; its field defaults are the
+    defaults of an MC config file too."""
 
     model: SpectralModel
     scheme: ObservationScheme
-    families: tuple[str, ...] = DEFAULT_FAMILIES
+    families: tuple[str, ...] = FAMILIES
     j_max: int = 8
     grid_half_width: int = 60
     replications: int = 200
     master_seed: int = 0
     include_hry: bool = True
-    threads: int = 1
+    threads: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def __post_init__(self):
         if self.replications < 1:
@@ -106,7 +112,7 @@ def summarize(
     lags_by_family: dict,
     hry_lags=None,
     *,
-    replications: int | None = None,
+    replications: int,
     failures: int = 0,
 ) -> MCSummary:
     """Aggregate per-replication lag estimates into medians and MADs.
@@ -120,8 +126,6 @@ def summarize(
         counts.append(len(hry_lags))
     if not counts or min(counts) == 0:
         raise DataError("no replications to summarize")
-    if replications is None:
-        replications = max(counts) + failures
     j_max = len(next(iter(lags_by_family.values()))[0])
     medians, mads = {}, {}
     for family in families:
@@ -155,24 +159,19 @@ def replication_seeds(master_seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def run_replication(
-    model: SpectralModel,
-    scheme: ObservationScheme,
-    families,
-    j_max: int,
-    grid: LagGrid,
-    include_hry: bool,
-    seed: int,
-    embedding: CirculantEmbedding | None = None,
-) -> dict:
-    """One simulate-ingest-estimate pass; returns lags per family (+ 'hry')."""
-    sample = circulant_embed_sample(model, scheme, seed, embedding=embedding)
+def run_replication(config: MCConfig, embedding: CirculantEmbedding, seed: int) -> dict:
+    """One simulate-ingest-estimate pass of ``config``'s design on the path
+    that ``seed`` draws from ``embedding`` (``build_embedding`` of the
+    config's model and scheme); returns lags per family (+ 'hry')."""
+    scheme = config.scheme
+    sample = circulant_embed_sample(config.model, scheme, seed, embedding=embedding)
     ret1, ret2 = returns_from_sample(sample, scheme)
+    grid = LagGrid.symmetric(config.grid_half_width)
     out = {}
-    for family in families:
-        results = estimate_levels(ret1, ret2, family, j_max, grid)
+    for family in config.families:
+        results = estimate_levels(ret1, ret2, family, config.j_max, grid)
         out[family] = [est.lag for _, est in results]
-    if include_hry:
+    if config.include_hry:
         out["hry"] = hry_lag(ret1, ret2, grid).lag
     return out
 
@@ -180,17 +179,13 @@ def run_replication(
 _WORKER: dict = {}
 
 
-def _init_worker(*args):
-    _WORKER["args"] = args
+def _init_worker(config: MCConfig, embedding: CirculantEmbedding):
+    _WORKER.update(config=config, embedding=embedding)
 
 
 def _run_worker(seed: int):
-    model, scheme, families, j_max, half_width, include_hry, embedding = _WORKER["args"]
-    grid = LagGrid.symmetric(half_width)
     try:
-        return run_replication(
-            model, scheme, families, j_max, grid, include_hry, seed, embedding=embedding
-        )
+        return run_replication(_WORKER["config"], _WORKER["embedding"], seed)
     except LeadLagError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -203,15 +198,7 @@ def run_mc(config: MCConfig) -> MCSummary:
     process through the same worker functions as the pool's.
     """
     seeds = replication_seeds(config.master_seed, config.replications)
-    init = (
-        config.model,
-        config.scheme,
-        config.families,
-        config.j_max,
-        config.grid_half_width,
-        config.include_hry,
-        build_embedding(config.model, config.scheme),
-    )
+    init = (config, build_embedding(config.model, config.scheme))
     if config.threads > 1:
         with ProcessPoolExecutor(
             max_workers=config.threads, initializer=_init_worker, initargs=init
@@ -249,12 +236,13 @@ def load_mc_config(source, **overrides) -> MCConfig:
     model_path is required, and any other key is a DataError. So is a value
     of the wrong JSON type: j_max, l_max, replications, master_seed and
     threads are integers, include_hry is a boolean and families a list of
-    names. Keyword overrides (replications, master_seed, threads) take
-    precedence when not None. The worker count defaults to the number of
-    cores.
+    names, and schema_version must be 1. Keyword overrides (replications,
+    master_seed, threads) take precedence when not None. A setting that
+    neither gives keeps MCConfig's default.
     """
     raw = json_object(source, "MC config")
     check_keys(raw, MC_CONFIG_KEYS, "MC config")
+    check_schema_version(raw, "MC config")
     if "model" in raw:
         model_source = raw["model"]
         if not isinstance(model_source, Mapping):
@@ -267,40 +255,29 @@ def load_mc_config(source, **overrides) -> MCConfig:
         raise DataError("MC config needs 'model' or 'model_path'")
     model, scheme = load_model(model_source)
 
-    def integer(key, value):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DataError(f"MC config key {key!r} must be an integer, got {value!r}")
-        return int(value)
-
-    def setting(key, default):
+    settings = {}
+    for key, name in INTEGER_SETTINGS.items():
         # the file's value is checked even where an override replaces it
-        value = integer(key, raw.get(key, default))
-        override = overrides.get(key)
-        return value if override is None else integer(key, override)
-
-    families = raw.get("families", DEFAULT_FAMILIES)
-    if not isinstance(families, (list, tuple)) or not all(
-        isinstance(f, str) for f in families
-    ):
-        raise DataError(
-            f"MC config key 'families' must be a list of family names, got {families!r}"
-        )
-    include_hry = raw.get("include_hry", True)
-    if not isinstance(include_hry, bool):
-        raise DataError(
-            f"MC config key 'include_hry' must be true or false, got {include_hry!r}"
-        )
-    return MCConfig(
-        model=model,
-        scheme=scheme,
-        families=tuple(families),
-        j_max=setting("j_max", 8),
-        grid_half_width=setting("l_max", 60),
-        replications=setting("replications", 200),
-        master_seed=setting("master_seed", 0),
-        include_hry=include_hry,
-        threads=setting("threads", os.cpu_count() or 1),
-    )
+        if key in raw:
+            settings[name] = json_integer(raw[key], f"MC config key {key!r}")
+        if overrides.get(key) is not None:
+            settings[name] = json_integer(overrides[key], f"MC config key {key!r}")
+    if "families" in raw:
+        families = raw["families"]
+        if not isinstance(families, (list, tuple)) or not all(
+            isinstance(f, str) for f in families
+        ):
+            raise DataError(
+                f"MC config key 'families' must be a list of family names, got {families!r}"
+            )
+        settings["families"] = tuple(families)
+    if "include_hry" in raw:
+        if not isinstance(raw["include_hry"], bool):
+            raise DataError(
+                f"MC config key 'include_hry' must be true or false, got {raw['include_hry']!r}"
+            )
+        settings["include_hry"] = raw["include_hry"]
+    return MCConfig(model=model, scheme=scheme, **settings)
 
 
 def write_summary_csv(summary: MCSummary, fh) -> None:

@@ -86,6 +86,9 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
     that a sample can see; there is no truncation parameter.
     """
     n, tau = scheme.n, scheme.tau
+    too_large = f"n={n} is too large to allocate a circulant embedding of"
+    if 2 * n > np.iinfo(np.intp).max:  # unindexable; _next_fast_len would take hours
+        raise DataError(f"{too_large} 2n points")
     size = _next_fast_len(2 * n)
     # Probe the largest array and drop it: numpy refuses a size it cannot
     # allocate up front, before any work. Keeping the probe as ``factors``
@@ -95,9 +98,7 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
     try:
         np.empty((size, 2, 2), dtype=complex)
     except (MemoryError, ValueError):
-        raise DataError(
-            f"n={n} is too large to allocate a circulant embedding of {size} points"
-        ) from None
+        raise DataError(f"{too_large} {size} points") from None
     k = np.arange(size)
     lags = np.where(k <= size // 2, k, k - size)
     s12 = np.fft.fft(increment_cross_cov(model, lags, tau=tau))

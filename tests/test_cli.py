@@ -509,6 +509,28 @@ class TestEndToEnd:
         assert out.exists()
 
 
+class TestSchemaVersion:
+    @pytest.mark.parametrize("version", ["1", 2, True], ids=["string", "two", "true"])
+    @pytest.mark.parametrize("command", ["model-check", "simulate", "mc"])
+    def test_unsupported_version_is_data_error(self, tmp_path, capsys, command, version):
+        if command == "mc":
+            config = {"schema_version": version, "model": SMALL_SPEC, "families": ["haar"], "j_max": 1}
+            (tmp_path / "in.json").write_text(json.dumps(config))
+            argv = ["mc", "--config", str(tmp_path / "in.json"), "--threads", "1"]
+            needle = "MC config key 'schema_version'"
+        else:
+            write_model(tmp_path, dict(SMALL_SPEC, schema_version=version), name="in.json")
+            argv = [command, "--model", str(tmp_path / "in.json")]
+            needle = "model key 'schema_version'"
+        if command != "model-check":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+
 class TestMcEmbedding:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_invalid_embedding_exits_numeric_at_every_thread_count(self, tmp_path, threads):
@@ -554,6 +576,30 @@ class TestTooLargeToAllocate:
         err = capsys.readouterr().err
         assert f"n={2**40} is too large to allocate" in err
         assert sorted(os.listdir(tmp_path)) == ["mc.json"]
+
+    @pytest.mark.parametrize(
+        "n", [10**4000, int("9" * 4300)], ids=["4001-digits", "4300-digits"]
+    )
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    def test_unindexable_n_exits_promptly(self, tmp_path, command, n):
+        # the largest integers a JSON file can hold; 2n points cannot be indexed
+        if command == "mc":
+            config = {"model": dict(SMALL_SPEC, n=n), "families": ["haar"], "j_max": 1, "l_max": 12}
+            (tmp_path / "in.json").write_text(json.dumps(config))
+            argv = ["mc", "--config", str(tmp_path / "in.json"), "--threads", "1"]
+        else:
+            write_model(tmp_path, dict(SMALL_SPEC, n=n), name="in.json")
+            argv = ["simulate", "--model", str(tmp_path / "in.json")]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+        env.pop("LEADLAG_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "leadlag.cli", *argv, "--out", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "is too large to allocate a circulant embedding" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
     def test_gain_points(self, tmp_path, capsys):
         out = tmp_path / "gain.csv"

@@ -294,3 +294,8 @@ class TestModelLoading:
     def test_bad_missing_probability_rejected(self):
         with pytest.raises(DataError, match="pi1"):
             ll.load_model({"J": 3, "pi1": 1.0, "levels": []})
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_scheme_spacing_rejected(self, tau):
+        with pytest.raises(DataError, match="tau"):
+            ll.ObservationScheme(tau=tau, n=64)

@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 import leadlag as ll
 from leadlag import montecarlo
 from leadlag.errors import DataError, NumericError
-from leadlag.estimator import LagGrid
 from leadlag.montecarlo import (
     MCConfig,
     load_mc_config,
@@ -17,6 +17,7 @@ from leadlag.montecarlo import (
     summarize,
     write_summary_csv,
 )
+from leadlag.simulate import build_embedding
 
 from conftest import CONFIGS, benchmark_spec
 
@@ -76,15 +77,7 @@ class TestRunMc:
         config = small_config(replications=1)
         summary = run_mc(config)
         seed = replication_seeds(config.master_seed, 1)[0]
-        direct = run_replication(
-            config.model,
-            config.scheme,
-            config.families,
-            config.j_max,
-            LagGrid.symmetric(config.grid_half_width),
-            True,
-            seed,
-        )
+        direct = run_replication(config, build_embedding(config.model, config.scheme), seed)
         for family in config.families:
             assert summary.medians[family] == tuple(direct[family])
             assert summary.mads[family] == (0,) * config.j_max
@@ -130,7 +123,7 @@ class TestRunMc:
         first = replication_seeds(5, 1)[0]
 
         def flaky(*args, **kwargs):
-            if args[6] == first:
+            if args[2] == first:
                 raise NumericError("injected")
             return real(*args, **kwargs)
 
@@ -203,6 +196,14 @@ class TestConfigLoading:
         with pytest.raises(DataError) as exc:
             load_mc_config(raw)
         assert needle in str(exc.value)
+
+    def test_defaults_are_mcconfig_defaults(self, monkeypatch):
+        # the worker count defaults to the core count, in a file as in MCConfig
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        model, scheme = ll.load_model(benchmark_spec())
+        config = load_mc_config({"model": benchmark_spec()})
+        assert config == MCConfig(model, scheme)
+        assert config.threads == 6
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "mc.json"
