@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, LeadLagError
+from .errors import DataError, LeadLagError, int_text
 from .estimator import LagGrid, check_levels_fit, estimate_levels, hry_lag
 # base_filter is unused here, but perfbench/tracing.py hooks it as a module attribute
 from .filters import FAMILIES, base_filter  # noqa: F401
@@ -155,7 +155,12 @@ def summarize(
 
 def replication_seeds(master_seed: int, count: int) -> list[int]:
     """One 64-bit seed per replication, derived from the master seed."""
-    state = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
+    try:
+        state = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
+    except (ValueError, MemoryError):
+        raise DataError(
+            f"{int_text('replications', count)} is too many to derive seeds for"
+        ) from None
     return [int(s) for s in state]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, int_text
 from .model import ObservationScheme, SpectralModel, increment_cross_cov
 
 logger = logging.getLogger(__name__)
@@ -86,7 +86,7 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
     that a sample can see; there is no truncation parameter.
     """
     n, tau = scheme.n, scheme.tau
-    too_large = f"n={n} is too large to allocate a circulant embedding of"
+    too_large = f"{int_text('n', n)} is too large to allocate a circulant embedding of"
     if 2 * n > np.iinfo(np.intp).max:  # unindexable; _next_fast_len would take hours
         raise DataError(f"{too_large} 2n points")
     size = _next_fast_len(2 * n)

@@ -601,6 +601,24 @@ class TestTooLargeToAllocate:
         assert "Traceback" not in proc.stderr
         assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mc_replication_count_beyond_seed_generator(self, tmp_path, threads):
+        # numpy refuses this many seeds up front; a count it would allocate is not run
+        reps = str(2**62)
+        config = {"model": SMALL_SPEC, "families": ["haar"], "j_max": 1, "l_max": 12}
+        (tmp_path / "in.json").write_text(json.dumps(config))
+        argv = ["mc", "--config", str(tmp_path / "in.json"), "--reps", reps, "--threads", threads]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+        env.pop("LEADLAG_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "leadlag.cli", *argv, "--out", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert f"replications={reps} is too many" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
     def test_gain_points(self, tmp_path, capsys):
         out = tmp_path / "gain.csv"
         assert main(["gain", "--family", "haar", "--points", "100000000000", "--out", str(out)]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import leadlag as ll
 from leadlag.errors import DataError, NumericError
 from leadlag.estimator import (
     LagGrid,
+    _lagged_sums,
     cross_cov_curve,
     estimate_lag,
     estimate_levels,
@@ -17,6 +19,7 @@ from leadlag.estimator import (
 )
 from leadlag.filters import FAMILIES, base_filter, cascade
 from leadlag.ingest import AlignedReturns
+from leadlag.simulate import _next_fast_len
 
 
 def estimate_all_levels(ret1, ret2, families, j_max, grid):
@@ -456,3 +459,98 @@ class TestFiniteFilterExpectation:
 
         predicted = corr * 2.0 * np.trapezoid(level_gain(level, 20, lam), lam) / (2 * math.pi)
         assert measured == pytest.approx(predicted, rel=0.03)
+
+
+def direct_lagged_sums(x1, x2, lags):
+    """sum_k x1[k] * x2[k + l] over the overlapping positions, lag by lag."""
+    m = len(x1)
+    out = []
+    for lag in lags:
+        lo, hi = max(0, -lag), min(m, m - lag)
+        out.append(sum(float(a) * float(b) for a, b in zip(x1[lo:hi], x2[lo + lag : hi + lag])))
+    return np.array(out)
+
+
+def section_length(half_width):
+    """Values per section of the kernel's multi-section path at this grid
+    half-width: the transform length less the 2H values the lags reach."""
+    return _next_fast_len(max(1024, 16 * half_width)) - 2 * half_width
+
+
+class TestLaggedSums:
+    def check(self, m, lags, seed=0):
+        x1, x2 = np.random.default_rng(seed).standard_normal((2, m))
+        got = _lagged_sums(x1, x2, np.asarray(lags))
+        want = direct_lagged_sums(x1, x2, lags)
+        bound = 1e-12 * np.linalg.norm(x1) * np.linalg.norm(x2)
+        assert np.max(np.abs(got - want)) <= bound
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_direct_sums(self, data):
+        m = data.draw(st.integers(1, 6000), label="m")
+        half = data.draw(st.integers(0, min(m - 1, 300)), label="H")
+        if data.draw(st.booleans(), label="dense"):
+            lags = list(range(-half, half + 1))
+        else:
+            side = sorted({half} | data.draw(st.sets(st.integers(1, half), max_size=12))) if half else []
+            middle = [0] if not side or data.draw(st.booleans(), label="zero") else []
+            lags = [-l for l in reversed(side)] + middle + side
+        self.check(m, lags, seed=data.draw(st.integers(0, 2**32 - 1)))
+
+    @pytest.mark.parametrize(
+        "m, half",
+        [
+            (500, 60),  # below one section
+            (3 * section_length(60), 60),  # an exact multiple of the section length
+            (2 * section_length(60) + 1, 60),  # kB + 1: a one-value last section
+            (2 * section_length(300), 300),
+            (section_length(300) + 1, 300),
+            (5000, 0),
+            (2 * section_length(0), 0),
+            (1, 0),  # H = m - 1
+            (2, 1),
+            (61, 60),
+            (301, 300),
+        ],
+    )
+    def test_section_boundaries(self, m, half):
+        self.check(m, list(range(-half, half + 1)))
+
+    def test_sparse_grid_reads_its_own_lags(self):
+        self.check(7000, [-300, -7, 0, 7, 300])
+
+
+class TestLagKernelShape:
+    @pytest.mark.parametrize("half_width, limit", [(60, 1024), (300, 4800)])
+    def test_transform_length_follows_grid(self, monkeypatch, half_width, limit):
+        lengths = []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def record_rfft(a, n=None, *args, **kwargs):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        def record_irfft(a, n=None, *args, **kwargs):
+            lengths.append(2 * (np.shape(a)[-1] - 1) if n is None else n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", record_rfft)
+        monkeypatch.setattr(np.fft, "irfft", record_irfft)
+        f = cascade(base_filter("haar"), 1)
+        rng = np.random.default_rng(8)
+        w1, w2 = (modwt(x, f) for x in rng.standard_normal((2, 15001)))
+        assert len(w1.values) == 15000
+        cross_cov_curve(w1, w2, LagGrid.symmetric(half_width), 1.0)
+        assert lengths and max(lengths) <= limit
+
+    def test_peak_memory_at_day_scale(self):
+        x1, x2 = np.random.default_rng(9).standard_normal((2, 131072))
+        lags = LagGrid.symmetric(300).lags
+        tracemalloc.start()
+        try:
+            _lagged_sums(x1, x2, lags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2e6

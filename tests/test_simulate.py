@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -112,6 +114,14 @@ class TestEmbedding:
         )
         with pytest.raises(NumericError, match="invalid circulant embedding"):
             build_embedding(model, scheme)
+
+    def test_unprintable_n_named_by_bit_length(self, benchmark_model):
+        # more digits than Python converts to text; the message still forms
+        model, scheme = benchmark_model
+        start = time.perf_counter()
+        with pytest.raises(DataError, match="n of 16610 bits is too large to allocate"):
+            circulant_embed_sample(model, ll.ObservationScheme(tau=scheme.tau, n=10**5000), 1)
+        assert time.perf_counter() - start < 1.0
 
     def test_scheme_mismatch_rejected(self, benchmark_model):
         model, scheme = benchmark_model
