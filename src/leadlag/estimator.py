@@ -291,8 +291,14 @@ def estimate_lag(curve: CrossCovCurve) -> LagEstimate:
 def hry_lag(ret1: AlignedReturns, ret2: AlignedReturns, grid: LagGrid) -> LagEstimate:
     """Single-scale baseline: argmax |sum_k r1[k] r2[k+l]| over the grid.
 
-    On an equally spaced previous-tick grid the overlapping-interval
-    contrast reduces to this raw cross-covariance of the aligned returns.
+    At pi = 0, with every grid point observed, these grid sums are the
+    overlapping-interval contrast of Hoffmann, Rosenbaum and Yoshida (2013).
+    Under missingness the baseline is this grid version: on previous-tick
+    returns its curve differs from the true contrast on the observation
+    intervals by about twice the curve's peak (largest difference over a
+    +-60 grid on the benchmark model, median over 60 replications: 2.2x at
+    pi = 0.5, 1.9x at (pi1, pi2) = (0.2, 0.6)), while the two argmaxes
+    agreed in 60 of 60 replications at both.
     """
     r1, r2 = ret1.returns, ret2.returns
     if len(r1) != len(r2):

@@ -32,6 +32,7 @@ from .model import (
 from .simulate import CirculantEmbedding, build_embedding, circulant_embed_sample
 
 SUMMARY_SCHEMA_VERSION = 1
+CHUNKSIZE = 8  # replications per task sent to a pool worker
 
 MC_CONFIG_KEYS = (
     "schema_version", "model", "model_path", "families", "j_max", "l_max",
@@ -199,16 +200,19 @@ def run_mc(config: MCConfig) -> MCSummary:
     """Run the replicated experiment described by ``config``.
 
     The embedding is built once, here, so a model it rejects stops the run
-    before any worker starts. At one thread the replications run in this
-    process through the same worker functions as the pool's.
+    before any worker starts. The pool has one worker per chunk of
+    ``CHUNKSIZE`` replications, up to ``config.threads``; when that is one
+    worker the replications run in this process, through the same worker
+    functions as the pool's.
     """
     seeds = replication_seeds(config.master_seed, config.replications)
     init = (config, build_embedding(config.model, config.scheme))
-    if config.threads > 1:
+    workers = min(config.threads, -(-config.replications // CHUNKSIZE))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=config.threads, initializer=_init_worker, initargs=init
+            max_workers=workers, initializer=_init_worker, initargs=init
         ) as pool:
-            results = list(pool.map(_run_worker, seeds, chunksize=8))
+            results = list(pool.map(_run_worker, seeds, chunksize=CHUNKSIZE))
     else:
         try:
             _init_worker(*init)

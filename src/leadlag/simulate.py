@@ -12,6 +12,13 @@ stays because no admissible circulant is also exact: one built from the band
 spectrum itself misses the model's cross-covariance by up to 3.9e-5 tau at
 visible lags, and a taper of the lags beyond n - 1 would need a
 positive-definite window equal to 1 on |k| < n, which does not exist.
+
+A path is synthesised in real-output form (Dietrich & Newsam 1997): the
+noise is Hermitian-symmetric, so only the size // 2 + 1 bins of the half
+spectrum are drawn and coloured, and one ``numpy.fft.hfft`` call returns
+both real paths. ``hfft`` is the forward transform of the Hermitian
+extension, the same direction as a full ``fft``, so Cov(x1[a], x2[b]) =
+c12(b - a) for the model's increment cross-covariance c12.
 """
 
 from __future__ import annotations
@@ -165,6 +172,28 @@ def apply_missing(scheme: ObservationScheme, seed: int) -> tuple[np.ndarray, np.
     return masks[0], masks[1]
 
 
+def _synthesize(embedding: CirculantEmbedding, normals: np.ndarray, n: int) -> np.ndarray:
+    """The first n increments of both series, shape (2, n), from real
+    normals of shape (2, size // 2 + 1, 2): real and imaginary parts of the
+    half spectrum's noise, per bin and series.
+
+    The noise is xi = (g0 + i g1) / sqrt(2) on the interior bins and real
+    (g0) at bin 0 and, for even size, at bin size / 2, so that its Hermitian
+    extension has unit covariance in every bin. The factors of bin size - k
+    are the conjugates of bin k's, so colouring the half spectrum colours the
+    whole extension.
+    """
+    size = embedding.size
+    noise = normals[0] + 1j * normals[1]
+    noise *= np.sqrt(0.5)
+    noise[0] = normals[0, 0]
+    if size % 2 == 0:
+        noise[-1] = normals[0, -1]
+    # C order keeps each series' bins, and so its path, contiguous
+    colored = np.einsum("kij,kj->ik", embedding.factors[: size // 2 + 1], noise, order="C")
+    return np.fft.hfft(colored, size, axis=1)[:, :n] / np.sqrt(size)
+
+
 def circulant_embed_sample(
     model: SpectralModel,
     scheme: ObservationScheme,
@@ -173,10 +202,14 @@ def circulant_embed_sample(
 ) -> PathSample:
     """Draw one bivariate increment path plus missingness masks.
 
-    Synthesis is the standard spectral route: independent standard complex
-    Gaussians per frequency, colored by the factored spectral matrices,
-    transformed back with one FFT; the real part carries the target
-    covariance exactly (up to eigenvalue clipping).
+    The path comes from one draw of size // 2 + 1 complex Gaussians per
+    series on the half spectrum (``_synthesize``): Hermitian-symmetric noise,
+    the real-output form of circulant embedding, coloured by the factored
+    spectral matrices and taken back with one ``hfft``, the forward
+    transform of the Hermitian extension. Its covariance is the target
+    exactly (up to eigenvalue clipping), with Cov(returns1[a], returns2[b])
+    the model's cross-covariance at lag b - a. The masks come from their own
+    streams of the seed (``apply_missing``).
     """
     if embedding is None:
         embedding = build_embedding(model, scheme)
@@ -184,11 +217,9 @@ def circulant_embed_sample(
         raise DataError("embedding was built for a different sampling scheme")
     path_ss, _, _ = _seed_streams(seed)
     rng = np.random.Generator(np.random.Philox(path_ss))
-    size = embedding.size
-    noise = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
-    colored = np.einsum("kij,kj->ki", embedding.factors, noise)
-    paths = np.fft.fft(colored, axis=0)[: scheme.n] / np.sqrt(size)
-    returns = np.ascontiguousarray(paths.real.T)
+    returns = _synthesize(
+        embedding, rng.standard_normal((2, embedding.size // 2 + 1, 2)), scheme.n
+    )
     mask1, mask2 = apply_missing(scheme, seed)
     returns.setflags(write=False)
     return PathSample(

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -870,6 +871,17 @@ class TestImport:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+    def test_version_matches_pyproject(self, capsys):
+        tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            version = tomllib.load(fh)["project"]["version"]
+        assert ll.__version__ == version
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == f"leadlag {version}"
 
 
 class TestHelpDocumentsUnits:

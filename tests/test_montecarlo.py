@@ -1,5 +1,7 @@
+import io
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -139,6 +141,60 @@ class TestRunMc:
         monkeypatch.setattr(montecarlo, "run_replication", broken)
         with pytest.raises(RuntimeError, match="bug"):
             run_mc(small_config())
+
+
+class TestPoolSize:
+    """run_mc starts min(threads, ceil(replications / CHUNKSIZE)) workers and
+    runs in-process when that is one."""
+
+    @pytest.mark.parametrize(
+        "threads, replications, workers",
+        [
+            (2, 1, None), (2, 4, None), (2, 8, None), (1, 20, None),
+            (2, 9, 2), (4, 9, 2), (3, 17, 3), (8, 16, 2),
+        ],
+    )
+    def test_workers_follow_the_work(self, monkeypatch, threads, replications, workers):
+        started = []
+
+        class RecordingPool:
+            """Records the worker count and runs the tasks in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                montecarlo._WORKER.clear()
+
+            def map(self, fn, items, chunksize):
+                assert chunksize == montecarlo.CHUNKSIZE
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        summary = run_mc(small_config(families=("haar",), threads=threads, replications=replications))
+        assert summary.failures == 0
+        assert started == ([] if workers is None else [workers])
+
+    def test_two_worker_pool_writes_the_serial_csv(self, monkeypatch):
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        texts = []
+        for threads in (1, 2):
+            out = io.StringIO()
+            write_summary_csv(run_mc(small_config(replications=9, threads=threads)), out)
+            texts.append(out.getvalue())
+        assert started == [2]
+        assert texts[0] == texts[1]
 
 
 class TestConfigLoading:

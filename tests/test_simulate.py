@@ -8,6 +8,8 @@ import leadlag as ll
 from leadlag.errors import DataError, NumericError
 from leadlag.simulate import (
     _next_fast_len,
+    _seed_streams,
+    _synthesize,
     apply_missing,
     build_embedding,
     circulant_embed_sample,
@@ -194,6 +196,39 @@ class TestSampling:
         for lag in range(1, 11):
             ac = np.mean(returns[0, :, :-lag] * returns[0, :, lag:]) / scheme.tau
             assert abs(ac) < 4.0 / np.sqrt(total)
+
+
+class TestSynthesis:
+    """The draw's linear map M from normals to the two paths, probed with
+    unit vectors: M M^T is the covariance of a draw."""
+
+    @pytest.mark.parametrize("n, size", [(7, 15), (8, 16), (50, 100)])
+    def test_covariance_is_exact(self, n, size):
+        model, scheme = ll.load_model(benchmark_spec(n=n))
+        emb = build_embedding(model, scheme)
+        assert emb.size == size
+        shape = (2, size // 2 + 1, 2)
+        probes = np.eye(np.prod(shape)).reshape(-1, *shape)
+        m = np.stack([_synthesize(emb, e, n).ravel() for e in probes], axis=1)
+        cov = m @ m.T
+        # Cov(x1[a], x2[b]) = c12(b - a); c12 is not even on this model
+        lags = np.arange(n)[None, :] - np.arange(n)[:, None]
+        c12 = ll.increment_cross_cov(model, lags, tau=scheme.tau)
+        assert not np.allclose(c12, c12.T)
+        eye = scheme.tau * np.eye(n)
+        target = np.block([[eye, c12], [c12.T, eye]])
+        assert np.abs(cov - target).max() <= 1e-12 * scheme.tau
+
+    def test_sample_is_one_draw_of_half_spectrum_normals(self):
+        model, scheme = ll.load_model(benchmark_spec(n=512, pi1=0.3, pi2=0.6))
+        emb = build_embedding(model, scheme)
+        path_ss, _, _ = _seed_streams(11)
+        rng = np.random.Generator(np.random.Philox(path_ss))
+        expected = _synthesize(emb, rng.standard_normal((2, emb.size // 2 + 1, 2)), scheme.n)
+        sample = circulant_embed_sample(model, scheme, 11)
+        assert np.array_equal(sample.returns1, expected[0])
+        assert np.array_equal(sample.returns2, expected[1])
+        assert sample.returns1.flags.c_contiguous and sample.returns2.flags.c_contiguous
 
 
 class TestMissingness:
