@@ -67,6 +67,10 @@ class MCConfig:
             raise DataError(f"thread count must be >= 1, got {self.threads}")
         if self.j_max < 1:
             raise DataError(f"MC config key 'j_max' must be >= 1, got {self.j_max}")
+        if self.grid_half_width < 0:
+            raise DataError(f"MC config key 'l_max' must be >= 0, got {self.grid_half_width}")
+        if self.master_seed < 0:
+            raise DataError(f"MC config key 'master_seed' must be >= 0, got {self.master_seed}")
         if not self.families:
             raise DataError("MC config key 'families' must name at least one filter family")
         for family in self.families:

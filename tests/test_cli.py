@@ -18,7 +18,7 @@ from leadlag import cli, montecarlo
 from leadlag.cli import atomic_output, main, render_report
 from leadlag.filters import FAMILIES, level_gain
 
-from conftest import benchmark_spec, tick_csv_text
+from conftest import CONFIGS, benchmark_spec, tick_csv_text
 
 
 def write_model(tmp_path, spec, name="model.json"):
@@ -155,6 +155,63 @@ class TestModelCheck:
         assert "outside the search grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "spec, extra",
+        [
+            ({"J": 6, "n": 512, "levels": [{"j": 1, "R": 1.0}]}, []),
+            (
+                {"J": 13, "n": 15000, "levels": [{"j": 3, "R": 0.95, "theta_over_tau": -2}]},
+                ["--l-max", "60"],
+            ),
+        ],
+        ids=["J6-R1", "J13-R0.95"],
+    )
+    def test_embedding_guard_exits_numeric_as_simulate_does(
+        self, tmp_path, capsys, spec, extra
+    ):
+        # |R| <= 1 holds, but the cut circulant row overshoots the variance
+        model_path = write_model(tmp_path, spec)
+        assert main(["model-check", "--model", model_path, *extra]) == 3
+        captured = capsys.readouterr()
+        assert "invalid circulant embedding" in captured.err
+        assert "Traceback" not in captured.err
+        assert "model ok" not in captured.out
+        simulate = ["simulate", "--model", model_path, "--out", str(tmp_path / "x.csv")]
+        assert main(simulate) == 3
+        assert capsys.readouterr().err == captured.err
+
+    def test_max_corr_is_read_from_the_bands(self, tmp_path, capsys):
+        # a coarse band that sampled frequencies would miss
+        spec = {"J": 13, "n": 15000, "levels": [{"j": 13, "R": 0.9}]}
+        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 0
+        assert "band correlations: max |R| = 0.900000 (admissible <= 1)" in capsys.readouterr().out
+
+    def test_benchmark_model_reports_its_embedding(self, capsys):
+        model_path = str(CONFIGS / "benchmark_model.json")
+        assert main(["model-check", "--model", model_path, "--l-max", "60"]) == 0
+        out = capsys.readouterr().out
+        assert "band correlations: max |R| = 0.700000 (admissible <= 1)" in out
+        assert "circulant embedding: 30000 points" in out
+        assert "0 clipped" in out
+
+    def test_n_too_large_to_embed_is_data_error(self, tmp_path, capsys):
+        model_path = write_model(tmp_path, dict(SMALL_SPEC, n=2**40))
+        assert main(["model-check", "--model", model_path]) == 2
+        captured = capsys.readouterr()
+        assert f"n={2**40} is too large to allocate a circulant embedding" in captured.err
+        assert "model ok" not in captured.out
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SMALL_SPEC, {"J": 13, "n": 15000, "levels": [{"j": 13, "R": 0.9}]}, {"J": 3}],
+        ids=["small", "coarse-band", "no-bands"],
+    )
+    def test_report_has_no_sampled_density_lines(self, tmp_path, capsys, spec):
+        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 0
+        lines = capsys.readouterr().out.lower().splitlines()
+        assert len(lines) == 5
+        assert not [line for line in lines if "sampled" in line or "hermitian" in line]
+
+    @pytest.mark.parametrize(
         "path, value",
         [
             (("n",), "abc"),
@@ -238,6 +295,44 @@ class TestModelCheck:
         assert needle in err
         assert "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["in.json"]
+
+
+class TestNegativeSettings:
+    def test_simulate_negative_seed_is_usage_error(self, tmp_path, capsys):
+        model_path = write_model(tmp_path, SMALL_SPEC)
+        argv = ["simulate", "--model", model_path, "--seed", "-1", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    @pytest.mark.parametrize(
+        "setting, flags, needle",
+        [
+            ({}, ["--seed", "-1"], "MC config key 'master_seed' must be >= 0, got -1"),
+            ({"master_seed": -1}, [], "MC config key 'master_seed' must be >= 0, got -1"),
+            ({"l_max": -1}, [], "MC config key 'l_max' must be >= 0, got -1"),
+            ({"l_max": -1, "model": {"J": 13, "n": 1200}}, [], "MC config key 'l_max' must be >= 0, got -1"),
+        ],
+        ids=["seed-flag", "seed-key", "l_max-lagged-bands", "l_max-no-bands"],
+    )
+    def test_mc_negative_setting_names_its_key(
+        self, tmp_path, capsys, monkeypatch, setting, flags, needle
+    ):
+        def no_embedding(*args):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(montecarlo, "build_embedding", no_embedding)
+        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
+        config.update(setting)
+        (tmp_path / "mc.json").write_text(json.dumps(config))
+        argv = ["mc", "--config", str(tmp_path / "mc.json"), "--reps", "2", "--threads", "1"]
+        assert main(argv + flags + ["--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["mc.json"]
 
 
 class TestEndToEnd:

@@ -1,11 +1,16 @@
-"""Smoke tests: the experiment scripts under scripts/ run against the package."""
+"""Smoke tests: the experiment scripts under scripts/ run against the package,
+and the traced benchmark run's hooks record every layer."""
 
+import importlib.util
+import json
 import os
 import re
 import subprocess
 import sys
 
 import leadlag as ll
+from leadlag import cli
+from leadlag.montecarlo import load_mc_config, run_mc
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -39,3 +44,52 @@ def test_demo_pipeline(tmp_path):
     assert proc.returncode == 0, proc.stderr
     levels = re.findall(r"^  level (\d+): lag [+-]\d+ steps", proc.stdout, flags=re.MULTILINE)
     assert levels == [str(j) for j in range(1, 7)]
+
+
+def test_traced_run_hooks_record_every_layer(tmp_path):
+    # perfbench's traced run swaps module globals for recording wrappers; a
+    # call that bypasses one of them would drop that layer's metrics
+    path = os.path.join(os.path.dirname(SCRIPTS), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    model = {
+        "J": 13,
+        "n": 2048,
+        "pi1": 0.3,
+        "pi2": 0.3,
+        "levels": [{"j": 1, "R": 0.5, "theta_over_tau": -1}, {"j": 3, "R": 0.5, "theta_over_tau": -2}],
+    }
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    ticks = [str(tmp_path / "t1.csv"), str(tmp_path / "t2.csv")]
+    assert cli.main(
+        ["simulate", "--model", str(tmp_path / "model.json"), "--seed", "3",
+         "--out", str(tmp_path / "path.csv"), "--ticks1", ticks[0], "--ticks2", ticks[1]]
+    ) == 0
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracing.layer_hooks(tracer)):
+        config = load_mc_config(
+            {"model": model, "families": ["haar"], "j_max": 3, "l_max": 10,
+             "replications": 2, "threads": 1}
+        )
+        assert run_mc(config).failures == 0
+        assert cli.main(
+            ["estimate", "--in1", ticks[0], "--in2", ticks[1], "--family", "haar",
+             "--levels", "3", "--maxlag", "10", "--tau", repr(2.0**-14),
+             "--out", str(tmp_path / "report.json")]
+        ) == 0
+
+    recorded = {span[0] for span in tracer.spans}
+    expected = {
+        *(f"estimator.{name}" for name in
+          ("cross_cov_curve", "estimate_lag", "estimate_levels", "hry_lag", "modwt")),
+        "filters.base_filter", "filters.cascade",
+        "ingest.align_to_grid", "ingest.read_csv", "ingest.returns_from_sample",
+        "model.increment_cross_cov", "model.load_model",
+        "montecarlo.run_replication", "montecarlo.summarize",
+        "simulate.build_embedding", "simulate.circulant_embed_sample",
+    }
+    assert len(expected) == 16
+    assert expected - recorded == set()
