@@ -381,6 +381,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_model_check(args) -> int:
+    if args.l_max is not None and args.l_max < 0:
+        raise UsageError(f"--l-max must be >= 0, got {args.l_max}")
     model, scheme = load_model(args.model)
     if args.l_max is not None:
         check_lags_in_grid(model, args.l_max)

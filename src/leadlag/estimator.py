@@ -14,7 +14,12 @@ the smooth they were filtered from, and the next level continues from it.
 
 The wavelet curve and the baseline share one lag kernel, a sectioned FFT
 cross-correlation whose transforms are sized by the lag grid, not by the
-series: 1024 points at +-60 and 4800 at +-300 for any long series.
+series: 1024 points at +-60 and 4800 at +-300 for any long series. The
+sections of a series are transformed together, in one group per series
+when they fit in 2^16 transform points, so a curve at mc scale costs one
+forward transform per series and one inverse. Set-up that does not depend
+on the data is kept off this path: strided views come from the ndarray
+constructor, and transform lengths from a cached ``_next_fast_len``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError, NumericError
 from .filters import LevelFilter, base_filter, cascade, cascade_length
@@ -117,16 +121,17 @@ def _as_returns(returns) -> np.ndarray:
 def _dilated_valid(x: np.ndarray, taps: np.ndarray, step: int) -> np.ndarray:
     """sum_p taps[p] * x[k + (L - 1 - p) * step] for every k whose taps all
     land in x: a "valid" convolution with the taps spaced ``step`` apart.
+    x must be contiguous: the windows are a view built by the ndarray
+    constructor, which costs a fraction of ``as_strided``'s Python set-up
+    and refuses a view that would reach past x's buffer.
 
     einsum's own loop, not BLAS. With the default output order, step 1 ran
     about twice as slow as the wider steps; order="F" removes that.
     """
     span = (len(taps) - 1) * step
-    windows = as_strided(
-        x,
-        shape=(len(x) - span, len(taps)),
-        strides=(x.strides[0], step * x.strides[0]),
-        writeable=False,
+    stride = x.strides[0]
+    windows = np.ndarray(
+        (len(x) - span, len(taps)), x.dtype, buffer=x, strides=(stride, step * stride)
     )
     return np.einsum("kp,p->k", windows, taps[::-1], order="F")
 
@@ -158,8 +163,10 @@ def modwt(source, level_filter: LevelFilter) -> WaveletCoeffs:
         smooth = _as_returns(source)
         if smooth.ndim != 1:
             raise DataError(f"return series must be one-dimensional, got shape {smooth.shape}")
-        if smooth.flags.writeable:  # the smooth outlives this call; keep the caller's array out
-            smooth = smooth.copy()
+        # the smooth outlives this call, so a caller's writable array is
+        # copied; the pyramid's strided views need a contiguous one
+        if smooth.flags.writeable or not smooth.flags.c_contiguous:
+            smooth = np.array(smooth, order="C")
             smooth.setflags(write=False)
         n, done = len(smooth), 0
     L = level_filter.length
@@ -195,6 +202,13 @@ def _lagged_sums(x1: np.ndarray, x2: np.ndarray, lags: np.ndarray) -> np.ndarray
     ever meets a section's zero padding. Sections are transformed in groups
     of at most 2^16 transform points, so at day scale (m = 2^17, H = 300)
     the peak memory stays below that of one transform of the whole series.
+    The partial last section joins the last group, whose rows alone are
+    built zero-filled, so a series that fits one group (m = 15000 at +-60:
+    17 sections of 1024 points) costs one transform per series. The sum
+    adds the same rows in the same order as transforming that section alone
+    would: its cross spectrum is added on its own, after the whole sections
+    of its group, so the sums equal those of a separate last group bit for
+    bit.
     """
     m = len(x1)
     widest = int(lags[np.argmax(np.abs(lags))])
@@ -207,23 +221,27 @@ def _lagged_sums(x1: np.ndarray, x2: np.ndarray, lags: np.ndarray) -> np.ndarray
     sections = full + (rest > 0)
     padded = np.zeros(sections * block + 2 * half)
     padded[half : half + m] = x2
-    windows = as_strided(
-        padded,
-        shape=(sections, size),
-        strides=(block * padded.strides[0], padded.strides[0]),
-        writeable=False,
+    stride = padded.strides[0]
+    windows = np.ndarray(
+        (sections, size), padded.dtype, buffer=padded, strides=(block * stride, stride)
     )
-    heads = x1[: full * block].reshape(full, block)
     group = max(1, (1 << 16) // size)
-    chunks = [(first, heads[first : first + group]) for first in range(0, full, group)]
-    if rest:  # the last, partial section
-        chunks.append((full, x1[full * block :][np.newaxis]))
     spectrum = np.zeros(size // 2 + 1, dtype=complex)
-    for first, rows in chunks:
+    for first in range(0, sections, group):
+        count = min(group, sections - first)
+        whole = min(count, full - first)  # sections of B values; the rest is partial
+        if whole == count:
+            rows = x1[first * block : (first + count) * block].reshape(count, block)
+        else:
+            rows = np.zeros((count, block), dtype=x1.dtype)
+            rows.reshape(-1)[: m - first * block] = x1[first * block :]
         cross = np.fft.rfft(rows, size)
         np.conjugate(cross, out=cross)
-        cross *= np.fft.rfft(windows[first : first + len(rows)])
-        spectrum += cross.sum(axis=0)
+        cross *= np.fft.rfft(windows[first : first + count])
+        if whole:
+            spectrum += cross[:whole].sum(axis=0)
+        if whole < count:  # added on its own, the order of a separate last group
+            spectrum += cross[-1]
     return np.fft.irfft(spectrum, size)[lags + half]
 
 
@@ -267,7 +285,10 @@ def _lag_estimate(
     if not np.isfinite(peak):
         raise NumericError(f"lag curve at level {level} holds a non-finite value")
     candidates = lags[magnitude == peak]
-    lag = int(min(candidates, key=lambda l: (abs(int(l)), int(l))))
+    if len(candidates) == 1:
+        lag = int(candidates[0])
+    else:
+        lag = int(min(candidates, key=lambda l: (abs(int(l)), int(l))))
     if len(magnitude) > 1:
         gap = peak - float(magnitude[lags != lag].max())
     else:

@@ -202,6 +202,8 @@ def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
 
 def check_lags_in_grid(model: SpectralModel, half_width: int) -> None:
     """Raise DataError unless every band's lag lies on the grid +-half_width."""
+    if half_width < 0:
+        raise DataError(f"grid half-width must be >= 0, got {half_width}")
     for c in model.components:
         if abs(c.lag_steps) > half_width:
             raise DataError(

@@ -23,6 +23,7 @@ c12(b - a) for the model's increment cross-covariance c12.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -37,9 +38,12 @@ logger = logging.getLogger(__name__)
 EIGENVALUE_FLOOR = 1e-8
 
 
+@functools.lru_cache(maxsize=256)
 def _next_fast_len(target: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= target, a length pocketfft transforms
-    fast; the rule of ``scipy.fft.next_fast_len(target, real=True)``."""
+    fast; the rule of ``scipy.fft.next_fast_len(target, real=True)``.
+
+    Cached: the lag kernel asks for the same few lengths on every curve."""
     target = int(target)
     best = 1 << (target - 1).bit_length()
     p5 = 1
@@ -152,7 +156,21 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
 
 
 def _seed_streams(seed: int):
+    """The path, mask-1 and mask-2 streams of a seed."""
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(seed).spawn(3)
+
+
+def _masks(scheme: ObservationScheme, ss1, ss2) -> tuple[np.ndarray, np.ndarray]:
+    masks = []
+    for ss, p in ((ss1, scheme.pi1), (ss2, scheme.pi2)):
+        rng = np.random.Generator(np.random.Philox(ss))
+        mask = np.zeros(scheme.n + 1, dtype=bool)
+        mask[1:] = rng.random(scheme.n) < p
+        mask.setflags(write=False)
+        masks.append(mask)
+    return masks[0], masks[1]
 
 
 def apply_missing(scheme: ObservationScheme, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,14 +180,7 @@ def apply_missing(scheme: ObservationScheme, seed: int) -> tuple[np.ndarray, np.
     drawn standalone agree with the ones inside circulant_embed_sample.
     """
     _, ss1, ss2 = _seed_streams(seed)
-    masks = []
-    for ss, p in ((ss1, scheme.pi1), (ss2, scheme.pi2)):
-        rng = np.random.Generator(np.random.Philox(ss))
-        mask = np.zeros(scheme.n + 1, dtype=bool)
-        mask[1:] = rng.random(scheme.n) < p
-        mask.setflags(write=False)
-        masks.append(mask)
-    return masks[0], masks[1]
+    return _masks(scheme, ss1, ss2)
 
 
 def _synthesize(embedding: CirculantEmbedding, normals: np.ndarray, n: int) -> np.ndarray:
@@ -215,12 +226,12 @@ def circulant_embed_sample(
         embedding = build_embedding(model, scheme)
     if embedding.n != scheme.n or embedding.tau != scheme.tau:
         raise DataError("embedding was built for a different sampling scheme")
-    path_ss, _, _ = _seed_streams(seed)
+    path_ss, ss1, ss2 = _seed_streams(seed)
     rng = np.random.Generator(np.random.Philox(path_ss))
     returns = _synthesize(
         embedding, rng.standard_normal((2, embedding.size // 2 + 1, 2)), scheme.n
     )
-    mask1, mask2 = apply_missing(scheme, seed)
+    mask1, mask2 = _masks(scheme, ss1, ss2)
     returns.setflags(write=False)
     return PathSample(
         returns1=returns[0],

@@ -154,6 +154,14 @@ class TestModelCheck:
         assert main(["model-check", "--model", model_path, "--l-max", "1"]) == 2
         assert "outside the search grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [SMALL_SPEC, {"J": 13, "n": 1200}], ids=["lagged", "no-bands"])
+    def test_negative_l_max_is_usage_error(self, tmp_path, capsys, spec):
+        model_path = write_model(tmp_path, spec)
+        assert main(["model-check", "--model", model_path, "--l-max", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--l-max must be >= 0, got -1" in captured.err
+        assert "model ok" not in captured.out
+
     @pytest.mark.parametrize(
         "spec, extra",
         [

@@ -156,6 +156,18 @@ class TestModwt:
         w = modwt(aligned([1.0, 2.0, 4.0]), f)
         assert len(w.values) == 2
 
+    def test_read_only_strided_input_equals_contiguous_copy(self):
+        x = np.random.default_rng(24).standard_normal(3000)
+        x.setflags(write=False)
+        strided = x[::2]
+        assert not strided.flags.c_contiguous and not strided.flags.writeable
+        for family in FAMILIES:
+            f = cascade(base_filter(family), 3)
+            want = modwt(strided.copy(), f)
+            got = modwt(strided, f)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.smooth, want.smooth)
+
 
 class TestCrossCov:
     def test_zero_inputs(self):
@@ -211,6 +223,26 @@ class TestCrossCov:
 
 
 class TestCrossCovCurve:
+    def test_read_only_strided_coefficients_equal_contiguous_copy(self):
+        x = np.random.default_rng(25).standard_normal((2, 4000))
+        x.setflags(write=False)
+        w1, w2 = (
+            ll.WaveletCoeffs(level=1, filter_length=2, n=2001, values=row[::2])
+            for row in x
+        )
+        assert not w1.values.flags.c_contiguous and not w1.values.flags.writeable
+        c1, c2 = (
+            ll.WaveletCoeffs(level=1, filter_length=2, n=2001, values=w.values.copy())
+            for w in (w1, w2)
+        )
+        grid = LagGrid.symmetric(60)
+        got = cross_cov_curve(w1, w2, grid, 0.5)
+        want = cross_cov_curve(c1, c2, grid, 0.5)
+        assert np.array_equal(got.rho, want.rho)
+        # einsum sums a strided array's energy in another order
+        assert got.divisor == pytest.approx(want.divisor, rel=1e-14)
+        assert np.allclose(got.rho_normalized, want.rho_normalized, rtol=1e-14, atol=0.0)
+
     def test_identical_inputs_normalize_to_one_at_zero(self):
         rng = np.random.default_rng(3)
         f = cascade(base_filter("la8"), 1)
@@ -477,6 +509,37 @@ def section_length(half_width):
     return _next_fast_len(max(1024, 16 * half_width)) - 2 * half_width
 
 
+def grouped_lagged_sums(x1, x2, lags):
+    """The sectioned kernel with its partial last section transformed as a
+    group of its own: the order of sums that ``_lagged_sums`` must keep."""
+    m = len(x1)
+    half = int(np.max(np.abs(lags)))
+    size = _next_fast_len(min(m + 2 * half, max(1024, 16 * half)))
+    block = size - 2 * half
+    full, rest = divmod(m, block)
+    sections = full + (rest > 0)
+    padded = np.zeros(sections * block + 2 * half)
+    padded[half : half + m] = x2
+    windows = np.lib.stride_tricks.as_strided(
+        padded,
+        shape=(sections, size),
+        strides=(block * padded.strides[0], padded.strides[0]),
+        writeable=False,
+    )
+    heads = x1[: full * block].reshape(full, block)
+    group = max(1, (1 << 16) // size)
+    chunks = [(first, heads[first : first + group]) for first in range(0, full, group)]
+    if rest:
+        chunks.append((full, x1[full * block :][np.newaxis]))
+    spectrum = np.zeros(size // 2 + 1, dtype=complex)
+    for first, rows in chunks:
+        cross = np.fft.rfft(rows, size)
+        np.conjugate(cross, out=cross)
+        cross *= np.fft.rfft(windows[first : first + len(rows)])
+        spectrum += cross.sum(axis=0)
+    return np.fft.irfft(spectrum, size)[lags + half]
+
+
 class TestLaggedSums:
     def check(self, m, lags, seed=0):
         x1, x2 = np.random.default_rng(seed).standard_normal((2, m))
@@ -520,6 +583,18 @@ class TestLaggedSums:
     def test_sparse_grid_reads_its_own_lags(self):
         self.check(7000, [-300, -7, 0, 7, 300])
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_separate_partial_section_bit_for_bit(self, data):
+        # long series reach several groups, so the partial section can join
+        # a group that follows others
+        m = data.draw(st.one_of(st.integers(1, 6000), st.integers(60000, 140000)), label="m")
+        half = data.draw(st.integers(0, min(m - 1, 400)), label="H")
+        lags = np.arange(-half, half + 1)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        x1, x2 = np.random.default_rng(seed).standard_normal((2, m))
+        assert np.array_equal(_lagged_sums(x1, x2, lags), grouped_lagged_sums(x1, x2, lags))
+
 
 class TestLagKernelShape:
     @pytest.mark.parametrize("half_width, limit", [(60, 1024), (300, 4800)])
@@ -544,7 +619,24 @@ class TestLagKernelShape:
         cross_cov_curve(w1, w2, LagGrid.symmetric(half_width), 1.0)
         assert lengths and max(lengths) <= limit
 
-    def test_peak_memory_at_day_scale(self):
+    @pytest.mark.parametrize(
+        "m, half_width, transforms",
+        [(15000, 60, 2), (131072, 300, 6), (500, 60, 2), (3 * section_length(60), 60, 2)],
+        ids=["mc-one-group", "day-three-groups", "one-section", "whole-sections"],
+    )
+    def test_one_transform_pair_per_group(self, monkeypatch, m, half_width, transforms):
+        calls = []
+        rfft = np.fft.rfft
+
+        def count_rfft(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", count_rfft)
+        x1, x2 = np.random.default_rng(10).standard_normal((2, m))
+        _lagged_sums(x1, x2, LagGrid.symmetric(half_width).lags)
+        assert len(calls) == transforms
+
         x1, x2 = np.random.default_rng(9).standard_normal((2, 131072))
         lags = LagGrid.symmetric(300).lags
         tracemalloc.start()

@@ -7,7 +7,12 @@ from scipy import integrate
 
 import leadlag as ll
 from leadlag.errors import DataError
-from leadlag.model import cross_spectral_density, increment_cross_cov, lp_wavelet
+from leadlag.model import (
+    check_lags_in_grid,
+    cross_spectral_density,
+    increment_cross_cov,
+    lp_wavelet,
+)
 from leadlag.theory import (
     discretization_kernel,
     interpolation_kernel,
@@ -240,6 +245,20 @@ class TestLimitConstant:
         both_halves = 2.0 * np.trapezoid(integrand.real, lam)
         expected = 2.0**level * 0.8 * both_halves
         assert limit_constant(level, b, p1, p2, 0.8, 1.0) == pytest.approx(expected, rel=1e-6)
+
+
+class TestLagGridCheck:
+    def test_lags_inside_and_outside(self):
+        model, _ = ll.load_model(benchmark_spec())
+        check_lags_in_grid(model, 60)
+        with pytest.raises(DataError, match="outside the search grid"):
+            check_lags_in_grid(model, 1)
+
+    @pytest.mark.parametrize("spec", [benchmark_spec(), {"J": 13, "n": 1200}], ids=["lagged", "no-bands"])
+    def test_negative_half_width_rejected(self, spec):
+        model, _ = ll.load_model(spec)
+        with pytest.raises(DataError, match="grid half-width must be >= 0, got -1"):
+            check_lags_in_grid(model, -1)
 
 
 class TestModelLoading:

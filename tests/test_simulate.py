@@ -262,3 +262,10 @@ class TestMissingness:
         m1, m2 = apply_missing(scheme, seed=9)
         assert np.array_equal(sample.mask1, m1)
         assert np.array_equal(sample.mask2, m2)
+
+    def test_negative_seed_is_data_error(self):
+        model, scheme = ll.load_model(benchmark_spec(n=256, pi1=0.4, pi2=0.2))
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            apply_missing(scheme, -1)
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            circulant_embed_sample(model, scheme, -1)
