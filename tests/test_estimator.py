@@ -637,6 +637,7 @@ class TestLagKernelShape:
         _lagged_sums(x1, x2, LagGrid.symmetric(half_width).lags)
         assert len(calls) == transforms
 
+    def test_peak_memory_at_day_scale(self):
         x1, x2 = np.random.default_rng(9).standard_normal((2, 131072))
         lags = LagGrid.symmetric(300).lags
         tracemalloc.start()
