@@ -16,7 +16,7 @@ numpy is the only runtime dependency. ``leadlag.theory`` also needs scipy,
 and ``import leadlag`` does not load it.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import DataError, LeadLagError, NumericError, UsageError
 from .filters import BaseFilterPair, LevelFilter, base_filter, cascade

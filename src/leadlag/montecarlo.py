@@ -205,9 +205,10 @@ def run_mc(config: MCConfig) -> MCSummary:
 
     The embedding is built once, here, so a model it rejects stops the run
     before any worker starts. The pool has one worker per chunk of
-    ``CHUNKSIZE`` replications, up to ``config.threads``; when that is one
-    worker the replications run in this process, through the same worker
-    functions as the pool's.
+    ``CHUNKSIZE`` replications, up to ``config.threads``, and the chunk
+    shrinks to ceil(replications / workers) so that every worker gets work;
+    when that is one worker the replications run in this process, through
+    the same worker functions as the pool's.
     """
     seeds = replication_seeds(config.master_seed, config.replications)
     init = (config, build_embedding(config.model, config.scheme))
@@ -216,7 +217,8 @@ def run_mc(config: MCConfig) -> MCSummary:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=init
         ) as pool:
-            results = list(pool.map(_run_worker, seeds, chunksize=CHUNKSIZE))
+            chunksize = min(CHUNKSIZE, -(-config.replications // workers))
+            results = list(pool.map(_run_worker, seeds, chunksize=chunksize))
     else:
         try:
             _init_worker(*init)

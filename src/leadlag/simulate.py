@@ -1,24 +1,24 @@
-"""Bivariate Gaussian increment paths via multivariate circulant embedding.
+"""Bivariate Gaussian increment paths via circulant embedding in regression form.
 
 Each series is marginally a Brownian increment sequence (white, variance tau
-per step); the pair carries the model's band-structured cross-covariance.
-Per frequency the 2x2 spectral matrix is [[tau, s], [conj(s), tau]] with
-eigenvalues tau +- |s|, so the embedding is valid exactly when the implied
-cross spectrum stays below tau. Admissibility (|corr| <= 1) bounds the
-model's band spectrum, but the circulant row stops at lag size // 2, and
-that cut rings at sharp band edges (Gibbs): the overshoot, about 9%, makes
-a band with |corr| above about 0.92 fail the eigenvalue guard. The guard
-stays because no admissible circulant is also exact: one built from the band
+per step); the pair carries the model's band-structured cross-covariance
+c12, whose circulant spectrum is s12. Series 2 is white noise, and series 1
+is series 2 filtered through conj(s12) / tau plus independent noise with the
+residual spectrum tau - |s12|^2 / tau = (tau - |s12|)(tau + |s12|) / tau
+(Chan & Wood 1999). tau - |s12| is the smaller eigenvalue of the 2x2
+spectral matrix, so the embedding is valid exactly when the implied cross
+spectrum stays below tau. Admissibility (|corr| <= 1) bounds the model's
+band spectrum, but the circulant row stops at lag size // 2, and that cut
+rings at sharp band edges (Gibbs): the overshoot, about 9%, makes a band
+with |corr| above about 0.92 fail the eigenvalue guard. The guard stays
+because no admissible circulant is also exact: one built from the band
 spectrum itself misses the model's cross-covariance by up to 3.9e-5 tau at
 visible lags, and a taper of the lags beyond n - 1 would need a
 positive-definite window equal to 1 on |k| < n, which does not exist.
 
-A path is synthesised in real-output form (Dietrich & Newsam 1997): the
-noise is Hermitian-symmetric, so only the size // 2 + 1 bins of the half
-spectrum are drawn and coloured, and one ``numpy.fft.hfft`` call returns
-both real paths. ``hfft`` is the forward transform of the Hermitian
-extension, the same direction as a full ``fft``, so Cov(x1[a], x2[b]) =
-c12(b - a) for the model's increment cross-covariance c12.
+Both filters act on the size // 2 + 1 bins of the half spectrum: one
+``numpy.fft.rfft`` of two rows of normals and one ``numpy.fft.irfft`` give
+series 1, and Cov(x1[a], x2[b]) = c12(b - a).
 """
 
 from __future__ import annotations
@@ -73,23 +73,27 @@ class PathSample:
 
 @dataclass(frozen=True)
 class CirculantEmbedding:
-    """Precomputed per-frequency factors, reusable across seeds.
+    """The two half-spectrum filters of the regression form, reusable
+    across seeds.
 
-    ``size`` is the circulant length, ``_next_fast_len(2 * n)``; ``clipped``
-    counts the slightly negative eigenvalues set to zero.
+    ``size`` is the circulant length, ``_next_fast_len(2 * n)``. On its
+    size // 2 + 1 half-spectrum bins, ``gain`` filters series 2 into series
+    1 and ``resid`` filters series 1's own noise; ``clipped`` counts the
+    slightly negative eigenvalues set to zero, where ``resid`` is zero.
     """
 
     n: int
     tau: float
     size: int
-    factors: np.ndarray  # (size, 2, 2) complex, A A^H = spectral matrix
+    gain: np.ndarray  # complex, conj(s12) / sqrt(tau)
+    resid: np.ndarray  # real, sqrt(tau - |s12|^2 / tau)
     clipped: int
     min_eigenvalue: float
 
 
 def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> CirculantEmbedding:
-    """Embed the block-Toeplitz target covariance into a circulant and factor
-    each frequency's 2x2 spectral matrix.
+    """Embed the block-Toeplitz target covariance into a circulant and derive
+    the regression filters from its cross spectrum.
 
     The circulant length is ``_next_fast_len(2 * n)``. Its first row holds
     the model's cross-covariance at every circulant lag (k up to size // 2,
@@ -101,13 +105,14 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
     if 2 * n > np.iinfo(np.intp).max:  # unindexable; _next_fast_len would take hours
         raise DataError(f"{too_large} 2n points")
     size = _next_fast_len(2 * n)
-    # Probe the largest array and drop it: numpy refuses a size it cannot
-    # allocate up front, before any work. Keeping the probe as ``factors``
-    # measured about 12 times the minor page faults of an mc run (20k against
-    # 1.7k per 16 replications, Linux/glibc) and 6% less throughput, so
-    # ``factors`` is allocated last.
+    # Probe the largest array, the size-point complex cross spectrum, and
+    # drop it: numpy refuses a size it cannot allocate up front, before the
+    # cross-covariance is tabulated. Under glibc, freeing it also raises
+    # malloc's mmap and trim thresholds to its size, so the draws' arrays,
+    # none larger, come from the heap (n = 15000: a process that only draws
+    # took 405 minor faults per draw without the probe, 202 with it).
     try:
-        np.empty((size, 2, 2), dtype=complex)
+        np.empty(size, dtype=complex)
     except (MemoryError, ValueError):
         raise DataError(f"{too_large} {size} points") from None
     k = np.arange(size)
@@ -137,19 +142,13 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
         )
         lam_minus = np.where(negative, 0.0, lam_minus)
 
-    phase = np.where(mag > 0.0, s12 / np.where(mag > 0.0, mag, 1.0), 1.0)
-    sqrt_plus = np.sqrt(lam_plus / 2.0)
-    sqrt_minus = np.sqrt(lam_minus / 2.0)
-    factors = np.empty((size, 2, 2), dtype=complex)
-    factors[:, 0, 0] = sqrt_plus * phase
-    factors[:, 0, 1] = -sqrt_minus * phase
-    factors[:, 1, 0] = sqrt_plus
-    factors[:, 1, 1] = sqrt_minus
+    half = size // 2 + 1
     return CirculantEmbedding(
         n=n,
         tau=tau,
         size=size,
-        factors=factors,
+        gain=np.conj(s12[:half]) / np.sqrt(tau),
+        resid=np.sqrt(lam_minus[:half] * lam_plus[:half] / tau),
         clipped=clipped,
         min_eigenvalue=min_eig,
     )
@@ -185,24 +184,24 @@ def apply_missing(scheme: ObservationScheme, seed: int) -> tuple[np.ndarray, np.
 
 def _synthesize(embedding: CirculantEmbedding, normals: np.ndarray, n: int) -> np.ndarray:
     """The first n increments of both series, shape (2, n), from real
-    normals of shape (2, size // 2 + 1, 2): real and imaginary parts of the
-    half spectrum's noise, per bin and series.
+    normals of shape (2, size): row 1 is series 2's white noise and row 0
+    series 1's own noise.
 
-    The noise is xi = (g0 + i g1) / sqrt(2) on the interior bins and real
-    (g0) at bin 0 and, for even size, at bin size / 2, so that its Hermitian
-    extension has unit covariance in every bin. The factors of bin size - k
-    are the conjugates of bin k's, so colouring the half spectrum colours the
-    whole extension.
+    Series 2 is sqrt(tau) times row 1. Series 1 is the circular convolution
+    of row 1 with the filter ``gain`` plus that of row 0 with ``resid``,
+    taken on the half spectrum with ``rfft`` and ``irfft``: the normals are
+    real, so the other bins are the conjugates of these.
     """
-    size = embedding.size
-    noise = normals[0] + 1j * normals[1]
-    noise *= np.sqrt(0.5)
-    noise[0] = normals[0, 0]
-    if size % 2 == 0:
-        noise[-1] = normals[0, -1]
-    # C order keeps each series' bins, and so its path, contiguous
-    colored = np.einsum("kij,kj->ik", embedding.factors[: size // 2 + 1], noise, order="C")
-    return np.fft.hfft(colored, size, axis=1)[:, :n] / np.sqrt(size)
+    white = np.fft.rfft(normals, axis=1)
+    # series 1's spectrum, formed in place: each temporary would be another
+    # half-spectrum array for the heap to fault in
+    white[1] *= embedding.gain
+    white[0] *= embedding.resid
+    white[1] += white[0]
+    out = np.empty((2, n))  # one row per series, each C-contiguous
+    out[0] = np.fft.irfft(white[1], embedding.size)[:n]
+    out[1] = np.sqrt(embedding.tau) * normals[1, :n]
+    return out
 
 
 def circulant_embed_sample(
@@ -213,14 +212,13 @@ def circulant_embed_sample(
 ) -> PathSample:
     """Draw one bivariate increment path plus missingness masks.
 
-    The path comes from one draw of size // 2 + 1 complex Gaussians per
-    series on the half spectrum (``_synthesize``): Hermitian-symmetric noise,
-    the real-output form of circulant embedding, coloured by the factored
-    spectral matrices and taken back with one ``hfft``, the forward
-    transform of the Hermitian extension. Its covariance is the target
-    exactly (up to eigenvalue clipping), with Cov(returns1[a], returns2[b])
-    the model's cross-covariance at lag b - a. The masks come from their own
-    streams of the seed (``apply_missing``).
+    The path comes from one draw of 2 x size standard normals
+    (``_synthesize``): returns2 is white noise, and returns1 is returns2
+    filtered through the model's cross spectrum plus independent noise with
+    the residual spectrum, the regression form of circulant embedding. Its
+    covariance is the target exactly (up to eigenvalue clipping), with
+    Cov(returns1[a], returns2[b]) the model's cross-covariance at lag b - a.
+    The masks come from their own streams of the seed (``apply_missing``).
     """
     if embedding is None:
         embedding = build_embedding(model, scheme)
@@ -228,9 +226,7 @@ def circulant_embed_sample(
         raise DataError("embedding was built for a different sampling scheme")
     path_ss, ss1, ss2 = _seed_streams(seed)
     rng = np.random.Generator(np.random.Philox(path_ss))
-    returns = _synthesize(
-        embedding, rng.standard_normal((2, embedding.size // 2 + 1, 2)), scheme.n
-    )
+    returns = _synthesize(embedding, rng.standard_normal((2, embedding.size)), scheme.n)
     mask1, mask2 = _masks(scheme, ss1, ss2)
     returns.setflags(write=False)
     return PathSample(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import leadlag as ll
+from leadlag.simulate import EIGENVALUE_FLOOR, build_embedding
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -25,6 +26,20 @@ TRUE_LAGS = (-1, -1, -2, -2, -3, -5, -7, -10)
 
 def benchmark_spec(n=15000, pi1=0.0, pi2=0.0):
     return {"J": 13, "n": n, "pi1": pi1, "pi2": pi2, "levels": BENCHMARK_LEVELS}
+
+
+def clipping_spec():
+    """A one-band model whose smallest circulant eigenvalue lies just below
+    zero, at -EIGENVALUE_FLOOR / 2 * tau, so the embedding clips it rather
+    than failing. |s12| is linear in R, so R = 0.5's smallest eigenvalue fixes
+    the R that puts it there."""
+
+    def spec(corr):
+        return {"J": 6, "n": 512, "levels": [{"j": 1, "R": corr, "theta_over_tau": -1}]}
+
+    model, scheme = ll.load_model(spec(0.5))
+    ratio = build_embedding(model, scheme).min_eigenvalue / scheme.tau
+    return spec(0.5 * (1 + EIGENVALUE_FLOOR / 2) / (1 - ratio))
 
 
 @pytest.fixture(scope="session")

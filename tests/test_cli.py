@@ -18,7 +18,7 @@ from leadlag import cli, montecarlo
 from leadlag.cli import atomic_output, main, render_report
 from leadlag.filters import FAMILIES, level_gain
 
-from conftest import CONFIGS, benchmark_spec, tick_csv_text
+from conftest import CONFIGS, benchmark_spec, clipping_spec, tick_csv_text
 
 
 def write_model(tmp_path, spec, name="model.json"):
@@ -200,6 +200,13 @@ class TestModelCheck:
         assert "band correlations: max |R| = 0.700000 (admissible <= 1)" in out
         assert "circulant embedding: 30000 points" in out
         assert "0 clipped" in out
+
+    def test_clipped_eigenvalues_are_counted(self, tmp_path, capsys):
+        spec = clipping_spec()
+        clipped = ll.build_embedding(*ll.load_model(spec)).clipped
+        assert clipped > 0
+        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 0
+        assert f" tau, {clipped} clipped" in capsys.readouterr().out
 
     def test_n_too_large_to_embed_is_data_error(self, tmp_path, capsys):
         model_path = write_model(tmp_path, dict(SMALL_SPEC, n=2**40))

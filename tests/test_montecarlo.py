@@ -144,8 +144,12 @@ class TestRunMc:
 
 
 class TestPoolSize:
-    """run_mc starts min(threads, ceil(replications / CHUNKSIZE)) workers and
-    runs in-process when that is one."""
+    """run_mc starts min(threads, ceil(replications / CHUNKSIZE)) workers,
+    sends each ceil(replications / workers) seeds at most, and runs
+    in-process when that is one worker."""
+
+    # (replications, workers) -> seeds per chunk: 5 + 4, 6 + 6 + 5, 8 + 8
+    CHUNKS = {(9, 2): 5, (17, 3): 6, (16, 2): 8}
 
     @pytest.mark.parametrize(
         "threads, replications, workers",
@@ -155,10 +159,11 @@ class TestPoolSize:
         ],
     )
     def test_workers_follow_the_work(self, monkeypatch, threads, replications, workers):
-        started = []
+        started, chunks = [], []
 
         class RecordingPool:
-            """Records the worker count and runs the tasks in this process."""
+            """Records the worker count and chunk size and runs the tasks in
+            this process."""
 
             def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
@@ -171,13 +176,14 @@ class TestPoolSize:
                 montecarlo._WORKER.clear()
 
             def map(self, fn, items, chunksize):
-                assert chunksize == montecarlo.CHUNKSIZE
+                chunks.append(chunksize)
                 return map(fn, items)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
         summary = run_mc(small_config(families=("haar",), threads=threads, replications=replications))
         assert summary.failures == 0
         assert started == ([] if workers is None else [workers])
+        assert chunks == ([] if workers is None else [self.CHUNKS[replications, workers]])
 
     def test_two_worker_pool_writes_the_serial_csv(self, monkeypatch):
         started = []

@@ -93,3 +93,6 @@ def test_traced_run_hooks_record_every_layer(tmp_path):
     }
     assert len(expected) == 16
     assert expected - recorded == set()
+    # tracing.py reads both counts from the embedding it records
+    embeddings = [span[5] for span in tracer.spans if span[0] == "simulate.build_embedding"]
+    assert embeddings == [{"size": 4096, "clipped": 0}]

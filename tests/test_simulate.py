@@ -1,3 +1,4 @@
+import logging
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.fft import next_fast_len
 import leadlag as ll
 from leadlag.errors import DataError, NumericError
 from leadlag.simulate import (
+    EIGENVALUE_FLOOR,
     _next_fast_len,
     _seed_streams,
     _synthesize,
@@ -15,12 +17,24 @@ from leadlag.simulate import (
     circulant_embed_sample,
 )
 
-from conftest import benchmark_spec
+from conftest import benchmark_spec, clipping_spec
 
 
 def spectral_matrices(emb):
-    """Per-frequency A A^H of the embedding's factors, shape (size, 2, 2)."""
-    return emb.factors @ np.conj(np.swapaxes(emb.factors, 1, 2))
+    """Per-frequency spectral matrix of the regression filters g = gain and
+    r = resid, [[|g|^2 + r^2, conj(g) sqrt(tau)], [g sqrt(tau), tau]], on the
+    Hermitian extension of the half spectrum to all size bins; shape
+    (size, 2, 2)."""
+    k = np.arange(emb.size)
+    fold = np.minimum(k, emb.size - k)
+    gain = np.where(k > emb.size // 2, np.conj(emb.gain[fold]), emb.gain[fold])
+    resid = emb.resid[fold]
+    out = np.empty((emb.size, 2, 2), dtype=complex)
+    out[:, 0, 0] = np.abs(gain) ** 2 + resid**2
+    out[:, 0, 1] = np.conj(gain) * np.sqrt(emb.tau)
+    out[:, 1, 0] = gain * np.sqrt(emb.tau)
+    out[:, 1, 1] = emb.tau
+    return out
 
 
 def circulant_row(emb, i, j, lags):
@@ -97,7 +111,7 @@ class TestEmbedding:
         assert emb.clipped == 0
         assert emb.min_eigenvalue > 0.0
 
-    def test_factors_reproduce_spectral_matrices(self):
+    def test_filters_reproduce_spectral_matrices(self):
         model, scheme = ll.load_model(benchmark_spec(n=512))
         emb = build_embedding(model, scheme)
         k = np.arange(emb.size)
@@ -116,6 +130,16 @@ class TestEmbedding:
         )
         with pytest.raises(NumericError, match="invalid circulant embedding"):
             build_embedding(model, scheme)
+
+    def test_eigenvalue_just_below_zero_is_clipped_and_reported(self, caplog):
+        model, scheme = ll.load_model(clipping_spec())
+        with caplog.at_level(logging.WARNING, logger="leadlag.simulate"):
+            emb = build_embedding(model, scheme)
+        assert -EIGENVALUE_FLOOR * scheme.tau < emb.min_eigenvalue < 0.0
+        assert emb.clipped > 0
+        assert f"clipped {emb.clipped} of {emb.size} spectral eigenvalues" in caplog.text
+        sample = circulant_embed_sample(model, scheme, 5, embedding=emb)
+        assert np.isfinite(sample.returns1).all() and np.isfinite(sample.returns2).all()
 
     def test_unprintable_n_named_by_bit_length(self, benchmark_model):
         # more digits than Python converts to text; the message still forms
@@ -207,7 +231,7 @@ class TestSynthesis:
         model, scheme = ll.load_model(benchmark_spec(n=n))
         emb = build_embedding(model, scheme)
         assert emb.size == size
-        shape = (2, size // 2 + 1, 2)
+        shape = (2, size)
         probes = np.eye(np.prod(shape)).reshape(-1, *shape)
         m = np.stack([_synthesize(emb, e, n).ravel() for e in probes], axis=1)
         cov = m @ m.T
@@ -219,15 +243,19 @@ class TestSynthesis:
         target = np.block([[eye, c12], [c12.T, eye]])
         assert np.abs(cov - target).max() <= 1e-12 * scheme.tau
 
-    def test_sample_is_one_draw_of_half_spectrum_normals(self):
+    def test_sample_is_one_draw_of_two_rows_of_normals(self):
         model, scheme = ll.load_model(benchmark_spec(n=512, pi1=0.3, pi2=0.6))
         emb = build_embedding(model, scheme)
         path_ss, _, _ = _seed_streams(11)
         rng = np.random.Generator(np.random.Philox(path_ss))
-        expected = _synthesize(emb, rng.standard_normal((2, emb.size // 2 + 1, 2)), scheme.n)
+        normals = rng.standard_normal((2, emb.size))
+        expected = _synthesize(emb, normals, scheme.n)
         sample = circulant_embed_sample(model, scheme, 11)
         assert np.array_equal(sample.returns1, expected[0])
         assert np.array_equal(sample.returns2, expected[1])
+        # series 2 is the scaled white noise itself, bit for bit
+        white = np.sqrt(scheme.tau) * normals[1, : scheme.n]
+        assert sample.returns2.tobytes() == white.tobytes()
         assert sample.returns1.flags.c_contiguous and sample.returns2.flags.c_contiguous
 
 
