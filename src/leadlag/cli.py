@@ -273,9 +273,9 @@ def _cmd_estimate(args) -> int:
             raise DataError(
                 f"series overlap of {horizon} s leaves no full grid step of {args.tau} s"
             )
+    check_levels_fit(args.family, args.levels, args.maxlag, n)  # before the grid is allocated
     ret1 = align_to_grid(ticks1, t0, args.tau, n)
     ret2 = align_to_grid(ticks2, t0, args.tau, n)
-    check_levels_fit(args.family, args.levels, args.maxlag, n)  # before the grid is allocated
     grid = LagGrid.symmetric(args.maxlag)
     results = estimate_levels(ret1, ret2, args.family, args.levels, grid)
     report = {
@@ -293,12 +293,7 @@ def _cmd_estimate(args) -> int:
                 "runner_up_gap": est.runner_up_gap,
                 "tied": est.tied,
                 "degenerate": est.degenerate,
-                "curve": [
-                    {"l": l, "rho": r, "rho_norm": rn}
-                    for l, r, rn in zip(
-                        curve.lags.tolist(), curve.rho.tolist(), curve.rho_normalized.tolist()
-                    )
-                ],
+                "curve": curve,
             }
             for curve, est in results
         ],
@@ -311,6 +306,10 @@ def _cmd_estimate(args) -> int:
 def render_report(report: dict) -> str:
     """``json.dumps(report, indent=2) + "\\n"``, byte for byte, for an
     ``estimate`` report.
+
+    A level's ``curve`` is either the list of points ``{l, rho, rho_norm}``
+    or a ``CrossCovCurve``, which is written as that list from its
+    ``lags``, ``rho`` and ``rho_normalized`` arrays.
 
     json's indenting encoder runs in pure Python, and nearly all of a
     report is curve points. So json writes the report with each level's
@@ -332,9 +331,14 @@ def render_report(report: dict) -> str:
 _EMPTY_CURVE = re.compile(r'^( *)"curve": \[\]', re.MULTILINE)
 
 
-def _curve_text(points, pad: str) -> str:
+def _curve_text(curve, pad: str) -> str:
     """The JSON array of curve points ``{l, rho, rho_norm}`` after ``pad``."""
-    if not points:
+    if isinstance(curve, list):
+        lags = [p["l"] for p in curve]
+        rho, rho_norm = [p["rho"] for p in curve], [p["rho_norm"] for p in curve]
+    else:
+        lags, rho, rho_norm = curve.lags.tolist(), curve.rho, curve.rho_normalized
+    if not lags:
         return "[]"
     item = pad + "  "
     point = (
@@ -344,15 +348,16 @@ def _curve_text(points, pad: str) -> str:
         + item + '  "rho_norm": %s\n'
         + item + "}"
     )
-    body = ",\n".join(
-        point % (p["l"], _json_float(p["rho"]), _json_float(p["rho_norm"])) for p in points
-    )
+    body = ",\n".join(map(point.__mod__, zip(lags, _json_floats(rho), _json_floats(rho_norm))))
     return "[\n" + body + "\n" + pad + "]"
 
 
-def _json_float(x: float) -> str:
-    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+def _json_floats(values) -> list[str]:
+    """Floats as json writes them: their reprs, or NaN, Infinity, -Infinity."""
+    values = np.asarray(values, dtype=float)
+    if np.isfinite(values).all():
+        return list(map(float.__repr__, values.tolist()))
+    return [float.__repr__(x) if math.isfinite(x) else json.dumps(x) for x in values.tolist()]
 
 
 def _cmd_mc(args) -> int:

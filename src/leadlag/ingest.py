@@ -232,7 +232,12 @@ def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedRe
     Grid point k takes the log of the last price at time <= t0 + k*tau
     (ties: the last tick wins); it counts as observed when at least one tick
     fell in (t0 + (k-1)*tau, t0 + k*tau]. Returns are first differences of
-    the grid values.
+    the grid values. The grid points are the floats t0 + k*tau and must be
+    distinct: a tau below the float spacing near t0 is a DataError.
+
+    Each tick is indexed into the grid, in time linear in the ticks and
+    the grid: its point is guessed as ceil((t - t0)/tau), checked against
+    the grid, and only a missed guess is searched for.
     """
     if n <= 0:
         raise DataError(f"need a positive number of grid steps, got {n}")
@@ -241,19 +246,41 @@ def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedRe
     if tau <= 0:
         raise DataError(f"grid spacing must be positive, got {tau}")
     try:
-        grid = t0 + np.arange(n + 1) * tau
+        # the grid between -inf and +inf: grid[k] is ext[k + 1]
+        with np.errstate(over="ignore"):
+            ext = t0 + np.arange(-1, n + 2) * tau
     except (MemoryError, ValueError):
         raise DataError(f"a grid of n={n:.3g} steps of tau={tau} is too large to allocate") from None
-    idx = np.searchsorted(ticks.timestamps, grid, side="right") - 1
-    if idx[0] < 0:
+    ext[0], ext[-1] = -np.inf, np.inf
+    grid = ext[1:-1]
+    collide = np.flatnonzero(grid[1:] <= grid[:-1])
+    if collide.size:
+        k = int(collide[0])
+        raise DataError(
+            f"grid points collide: t0={t0} and tau={tau} give the same time "
+            f"t0 + k*tau at steps {k} and {k + 1} (tau is below the float spacing there)"
+        )
+    ts = ticks.timestamps
+    # pos is the first grid point at or after each tick, searchsorted(grid, ts)
+    with np.errstate(over="ignore"):
+        pos = np.ceil((ts - t0) / tau)
+    np.clip(pos, 0, n + 1, out=pos)
+    pos = pos.astype(np.intp)
+    # the guess is right when grid[pos - 1] < t <= grid[pos]
+    wrong = np.flatnonzero((ext[pos] >= ts) | (ext[1:][pos] < ts))
+    pos[wrong] = np.searchsorted(grid, ts[wrong], side="left")
+    # counts[k]: ticks in (grid[k-1], grid[k]]; their running sum, less one,
+    # is the last tick at or before grid[k]
+    counts = np.bincount(pos, minlength=n + 2)[: n + 1]
+    if counts[0] == 0:
         raise DataError(
             f"no tick at or before the grid origin t0={t0} "
-            f"(first tick at {ticks.timestamps[0]})"
+            f"(first tick at {ts[0]})"
         )
+    observed = counts > 0
+    idx = np.cumsum(counts, out=counts)
+    idx -= 1
     values = ticks.log_values()[idx]
-    observed = np.empty(n + 1, dtype=bool)
-    observed[0] = True
-    observed[1:] = idx[1:] > idx[:-1]
     return AlignedReturns(
         t0=t0, tau=tau, n=n, returns=np.diff(values), observed=observed
     )

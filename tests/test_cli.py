@@ -437,6 +437,44 @@ class TestEndToEnd:
         assert code == 2
         assert "overlap" in capsys.readouterr().err
 
+    def test_estimate_derived_grid_too_short_fails_before_alignment(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("\n".join(rows) + "\n")
+
+        def align_to_grid(*args):
+            raise AssertionError("ticks aligned before the levels were checked")
+
+        monkeypatch.setattr(cli, "align_to_grid", align_to_grid)
+        out = tmp_path / "r.json"
+        code = main(
+            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"),
+             "--family", "la20", "--levels", "8", "--maxlag", "2", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "la20 level 8 with grid half-width 2" in err and "n=59" in err
+        assert "max feasible level" in err
+        assert not out.exists()
+
+    def test_estimate_colliding_grid_is_data_error(self, tmp_path, capsys):
+        rows = ["timestamp,price"] + [f"{1.7e9 + t!r},{100.0 + t}" for t in range(3)]
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("\n".join(rows) + "\n")
+        out = tmp_path / "r.json"
+        code = main(
+            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"),
+             "--family", "haar", "--levels", "1", "--maxlag", "2",
+             "--t0", "1.7e9", "--tau", "1e-7", "--n", "5000", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "grid points collide" in err and "tau=1e-07" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "bad_row, needle",
         [("2.0,nan", "non-finite price at row 3"), ("nan,100.5", "non-finite timestamp at row 3")],
@@ -909,6 +947,55 @@ class TestReportWriter:
             ],
         }
         assert raw == (json.dumps(old, indent=2) + "\n").encode()
+
+
+def array_fed(report):
+    """``report`` with each level's list of curve points as a CrossCovCurve."""
+    return dict(
+        report,
+        levels=[
+            dict(
+                level,
+                curve=ll.CrossCovCurve(
+                    level=level["j"],
+                    tau=1.0,
+                    lags=np.array([p["l"] for p in level["curve"]], dtype=np.int64),
+                    rho=np.array([p["rho"] for p in level["curve"]], dtype=float),
+                    rho_normalized=np.array([p["rho_norm"] for p in level["curve"]], dtype=float),
+                    divisor=1.0,
+                ),
+            )
+            for level in report["levels"]
+        ],
+    )
+
+
+class TestArrayFedReport:
+    @given(report=estimate_reports())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_json_dumps_of_the_points(self, report):
+        assert render_report(array_fed(report)) == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("rho_norm", [math.nan, math.inf, -math.inf, 0.5])
+    def test_edge_floats(self, rho_norm):
+        points = [
+            {"l": -2, "rho": -0.0, "rho_norm": 0.0},
+            {"l": -1, "rho": 5e-324, "rho_norm": -5e-324},
+            {"l": 0, "rho": 1e308, "rho_norm": rho_norm},
+            {"l": 1, "rho": -1.7976931348623157e308, "rho_norm": 2.225e-308},
+        ]
+        report = {
+            "schema_version": 1, "family": "haar", "tau": 0.1, "t0": 1.7e9, "n": 9,
+            "levels": [
+                {"j": 1, "theta_hat_steps": 0, "theta_hat_seconds": 0.0, "peak": 1e308,
+                 "runner_up_gap": 0.0, "tied": False, "degenerate": False, "curve": points},
+                {"j": 2, "theta_hat_steps": 0, "theta_hat_seconds": 0.0, "peak": 0.0,
+                 "runner_up_gap": 0.0, "tied": False, "degenerate": True, "curve": []},
+            ],
+        }
+        text = render_report(array_fed(report))
+        assert text == json.dumps(report, indent=2) + "\n"
+        assert '"rho": -0.0,' in text and '"rho": 5e-324,' in text
 
 
 GRID_FLOATS = st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300))

@@ -322,6 +322,85 @@ class TestAlignToGrid:
         assert np.array_equal(aligned.returns, np.diff(values))
 
 
+def searchsorted_oracle(ticks, t0, tau, n):
+    """(returns, observed) of previous-tick alignment by one binary search
+    of every grid point in the ticks, or None when no tick is at or before
+    the origin."""
+    grid = t0 + np.arange(n + 1) * tau
+    idx = np.searchsorted(ticks.timestamps, grid, side="right") - 1
+    if idx[0] < 0:
+        return None
+    observed = np.concatenate(([True], idx[1:] > idx[:-1]))
+    return np.diff(ticks.log_values()[idx]), observed
+
+
+# (t0, tau): binary tau, where ceil((t - t0)/tau) is exact on the grid, and
+# decimal tau and epoch-scale origins, where it misses by one for some ticks
+ALIGN_GRIDS = ((0.0, 1.0), (0.0, 0.1), (0.3, 1e-3), (1.7e9, 2.0**-14), (1.7e9, 1e-3), (-2.5, 0.1))
+
+
+@st.composite
+def aligned_ticks(draw):
+    """A grid and ticks on its points, one float either side of them,
+    anywhere in and around it, and repeated."""
+    t0, tau = draw(st.sampled_from(ALIGN_GRIDS))
+    n = draw(st.integers(1, 60))
+    steps = st.integers(-3, n + 3)
+    times = [t0 + k * tau for k in draw(st.lists(steps, max_size=40))]
+    times += [
+        float(np.nextafter(t0 + k * tau, side * np.inf))
+        for k, side in draw(st.lists(st.tuples(steps, st.sampled_from((-1, 1))), max_size=20))
+    ]
+    times += [
+        t0 + x * tau for x in draw(st.lists(st.floats(-3.0, n + 3.0), max_size=40))
+    ]
+    if draw(st.booleans()):
+        times.append(t0)
+    if not times:
+        times = [t0]
+    times += draw(st.lists(st.sampled_from(times), max_size=10))
+    times.sort()
+    prices = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(times), max_size=len(times)))
+    return TickSeries(np.array(times), np.array(prices), scale="log_price"), t0, tau, n
+
+
+class TestExactAlignment:
+    @given(case=aligned_ticks())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_searchsorted_of_the_grid(self, case):
+        ticks, t0, tau, n = case
+        expected = searchsorted_oracle(ticks, t0, tau, n)
+        if expected is None:
+            with pytest.raises(DataError, match="no tick at or before the grid origin"):
+                align_to_grid(ticks, t0, tau, n)
+            return
+        aligned = align_to_grid(ticks, t0, tau, n)
+        assert aligned.returns.tobytes() == expected[0].tobytes()
+        assert aligned.observed.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("t0, tau", [(0.0, 0.1), (0.0, 1e-3), (1.7e9, 1e-3)])
+    def test_on_grid_ticks_land_on_their_points_where_the_guess_misses(self, t0, tau):
+        n = 2000
+        grid = t0 + np.arange(n + 1) * tau
+        assert np.any(np.ceil((grid - t0) / tau) != np.arange(n + 1))
+        ticks = TickSeries(grid, np.arange(n + 1.0), scale="log_price")
+        aligned = align_to_grid(ticks, t0, tau, n)
+        assert aligned.observed.all()
+        assert np.array_equal(aligned.returns, np.ones(n))
+
+    def test_colliding_grid_points_are_a_data_error(self):
+        t0, tau, n = 1.7e9, 1e-7, 5000
+        grid = t0 + np.arange(n + 1) * tau
+        assert len(np.unique(grid)) < n + 1
+        k = int(np.flatnonzero(grid[1:] <= grid[:-1])[0])
+        ticks = TickSeries(np.array([t0, t0 + 1.0]), np.array([1.0, 2.0]))
+        with pytest.raises(DataError, match="grid points collide") as info:
+            align_to_grid(ticks, t0, tau, n)
+        message = str(info.value)
+        assert f"t0={t0!r}" in message and f"tau={tau!r}" in message
+        assert f"steps {k} and {k + 1}" in message
+
+
 class TestReturnsFromSample:
     def test_zero_masks_reproduce_increments(self):
         rng = np.random.default_rng(0)
