@@ -3,14 +3,14 @@
 Library layout:
 
 - ``filters``: Daubechies filter bank and gain functions
-- ``model``: multi-scale cross-spectral model and its loader
+- ``model``: multi-scale cross-spectral model, loader and increment covariance
 - ``simulate``: circulant-embedding path generator with missingness
-- ``ingest``: tick ingestion and previous-tick grid alignment
+- ``ingest``: previous-tick grid alignment of ticks and simulated masks
 - ``estimator``: non-decimated wavelet cross-covariance and lag estimates
 - ``montecarlo``: replicated experiments with median/MAD summaries
 - ``cli``: the ``leadlag`` command
-- ``theory``: the estimator's large-sample limit (``limit_constant``) and
-  its kernels, the numeric oracles of the tests
+- ``theory``: the estimator's limit (``limit_constant``), its kernels and
+  the model's cross-spectral density, the numeric oracles of the tests
 
 numpy is the only runtime dependency. ``leadlag.theory`` also needs scipy,
 and ``import leadlag`` does not load it.
@@ -27,7 +27,7 @@ from .model import (
     increment_cross_cov,
     load_model,
 )
-from .simulate import PathSample, apply_missing, build_embedding, circulant_embed_sample
+from .simulate import PathSample, build_embedding, circulant_embed_sample
 from .ingest import AlignedReturns, TickSeries, align_to_grid, read_csv, returns_from_sample
 from .estimator import (
     CrossCovCurve,
@@ -62,7 +62,6 @@ __all__ = [
     "UsageError",
     "WaveletCoeffs",
     "align_to_grid",
-    "apply_missing",
     "base_filter",
     "build_embedding",
     "cascade",

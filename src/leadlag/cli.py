@@ -307,9 +307,9 @@ def render_report(report: dict) -> str:
     """``json.dumps(report, indent=2) + "\\n"``, byte for byte, for an
     ``estimate`` report.
 
-    A level's ``curve`` is either the list of points ``{l, rho, rho_norm}``
-    or a ``CrossCovCurve``, which is written as that list from its
-    ``lags``, ``rho`` and ``rho_normalized`` arrays.
+    A level's ``curve`` is a ``CrossCovCurve``, written as the list of
+    points ``{l, rho, rho_norm}`` from its ``lags``, ``rho`` and
+    ``rho_normalized`` arrays.
 
     json's indenting encoder runs in pure Python, and nearly all of a
     report is curve points. So json writes the report with each level's
@@ -332,12 +332,9 @@ _EMPTY_CURVE = re.compile(r'^( *)"curve": \[\]', re.MULTILINE)
 
 
 def _curve_text(curve, pad: str) -> str:
-    """The JSON array of curve points ``{l, rho, rho_norm}`` after ``pad``."""
-    if isinstance(curve, list):
-        lags = [p["l"] for p in curve]
-        rho, rho_norm = [p["rho"] for p in curve], [p["rho_norm"] for p in curve]
-    else:
-        lags, rho, rho_norm = curve.lags.tolist(), curve.rho, curve.rho_normalized
+    """The JSON array of a ``CrossCovCurve``'s points ``{l, rho, rho_norm}``
+    after ``pad``."""
+    lags, rho, rho_norm = curve.lags.tolist(), curve.rho, curve.rho_normalized
     if not lags:
         return "[]"
     item = pad + "  "
@@ -368,6 +365,8 @@ def _cmd_mc(args) -> int:
             threads = int(env)
         except ValueError:
             raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
+        if threads < 1:
+            raise UsageError(f"{THREADS_ENV_VAR} must be >= 1, got {threads}")
     check_writable(args.out)
     config = load_mc_config(
         args.config, replications=args.reps, master_seed=args.seed, threads=threads

@@ -324,6 +324,8 @@ def hry_lag(ret1: AlignedReturns, ret2: AlignedReturns, grid: LagGrid) -> LagEst
     r1, r2 = ret1.returns, ret2.returns
     if len(r1) != len(r2):
         raise DataError(f"return series differ in length: {len(r1)} vs {len(r2)}")
+    if ret1.tau != ret2.tau:
+        raise DataError(f"grid spacings differ: {ret1.tau} vs {ret2.tau}")
     return _lag_estimate(0, grid.lags, _lagged_sums(r1, r2, grid.lags), ret1.tau)
 
 

@@ -1,9 +1,9 @@
 """Tick ingestion and previous-tick alignment onto a regular grid.
 
-Raw ticks (or simulated paths with missingness) become grid-aligned return
-series: the value at grid point k is the last observation at or before it,
-so intervals without a fresh observation contribute a zero return and the
-next observed point aggregates everything since the previous one.
+Raw ticks, and the observed grid points of simulated paths, become
+grid-aligned return series by one rule: the value at grid point k is the
+last observation at or before it, so intervals without a fresh observation
+contribute a zero return and the next observed point aggregates the gap.
 """
 
 from __future__ import annotations
@@ -219,11 +219,18 @@ def _tick_series(path, times, prices, scale) -> TickSeries:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def previous_tick_fill(values: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Carry the last observed value forward; index 0 must be observed."""
-    idx = np.where(observed, np.arange(len(values)), 0)
-    np.maximum.accumulate(idx, out=idx)
-    return values[idx]
+def _previous_tick(values: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Previous-tick returns over grid points 0..n and their observed flags,
+    from ``values`` in time order and ``pos``, the first grid point at or
+    after each (n + 1 past the grid). The caller checks point 0 is observed.
+    """
+    # counts[k]: observations at grid point k; their running sum, less one,
+    # is the last observation at or before grid point k
+    counts = np.bincount(pos, minlength=n + 2)[: n + 1]
+    observed = counts > 0
+    idx = np.cumsum(counts, out=counts)
+    idx -= 1
+    return np.diff(values[idx]), observed
 
 
 def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedReturns:
@@ -269,28 +276,21 @@ def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedRe
     # the guess is right when grid[pos - 1] < t <= grid[pos]
     wrong = np.flatnonzero((ext[pos] >= ts) | (ext[1:][pos] < ts))
     pos[wrong] = np.searchsorted(grid, ts[wrong], side="left")
-    # counts[k]: ticks in (grid[k-1], grid[k]]; their running sum, less one,
-    # is the last tick at or before grid[k]
-    counts = np.bincount(pos, minlength=n + 2)[: n + 1]
-    if counts[0] == 0:
+    returns, observed = _previous_tick(ticks.log_values(), pos, n)
+    if not observed[0]:
         raise DataError(
             f"no tick at or before the grid origin t0={t0} "
             f"(first tick at {ts[0]})"
         )
-    observed = counts > 0
-    idx = np.cumsum(counts, out=counts)
-    idx -= 1
-    values = ticks.log_values()[idx]
-    return AlignedReturns(
-        t0=t0, tau=tau, n=n, returns=np.diff(values), observed=observed
-    )
+    return AlignedReturns(t0=t0, tau=tau, n=n, returns=returns, observed=observed)
 
 
 def returns_from_sample(
     sample: PathSample, scheme: ObservationScheme
 ) -> tuple[AlignedReturns, AlignedReturns]:
     """Turn simulated increments plus missingness masks into the pseudo
-    returns an observer of the masked grid would reconstruct."""
+    returns an observer of the masked grid would reconstruct: the observed
+    grid points are ticks, aligned by the rule of ``align_to_grid``."""
     n = scheme.n
     out = []
     for returns, mask in (
@@ -305,12 +305,10 @@ def returns_from_sample(
         if mask[0]:
             raise DataError("grid origin cannot be missing")
         levels = np.concatenate(([0.0], np.cumsum(returns)))
-        observed = ~np.asarray(mask, dtype=bool)
-        filled = previous_tick_fill(levels, observed)
+        points = np.flatnonzero(~np.asarray(mask, dtype=bool))
+        pseudo, observed = _previous_tick(levels[points], points, n)
         out.append(
-            AlignedReturns(
-                t0=0.0, tau=scheme.tau, n=n, returns=np.diff(filled), observed=observed
-            )
+            AlignedReturns(t0=0.0, tau=scheme.tau, n=n, returns=pseudo, observed=observed)
         )
     return out[0], out[1]
 

@@ -2,9 +2,10 @@
 
 Each dyadic frequency band carries a correlation strength and a time lag;
 level 1 is the finest band resolvable on the sampling grid. The module
-holds the model, its sampling scheme and their loader, the cross-spectral
-density and the increment cross-covariance the simulator draws from. The
-estimator's large-sample limit lives in ``leadlag.theory``.
+holds the model, its sampling scheme and their loader, and the increment
+cross-covariance the simulator draws from. The model's cross-spectral
+density and the estimator's large-sample limit, the oracles of the tests,
+live in ``leadlag.theory``.
 """
 
 from __future__ import annotations
@@ -217,36 +218,6 @@ def lp_wavelet(s):
     indicator of the octave (pi, 2 pi]."""
     s = np.asarray(s, dtype=float)
     return 2.0 * np.sinc(2.0 * s) - np.sinc(s)
-
-
-def cross_spectral_density(model: SpectralModel, lam):
-    """Evaluate the piecewise cross-spectral density at angular frequency lam.
-
-    Frequencies are in radians per model time unit; the level-j component
-    occupies +-(2^m pi, 2^(m+1) pi] with m = J - j + 1. Returns 0 outside
-    all bands (lam = 0 included).
-    """
-    lam = np.asarray(lam, dtype=float)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    out = np.zeros(lam.shape, dtype=complex)
-    mag = np.abs(lam)
-    nz = mag > 0
-    if np.any(nz):
-        ratio = mag[nz] / math.pi
-        edge = np.log2(ratio)
-        m = np.floor(edge).astype(int)
-        on_edge = 2.0**m * math.pi == mag[nz]
-        m = np.where(on_edge, m - 1, m)  # bands are open at the inner edge
-        level = model.finest_level - m + 1
-        vals = np.zeros(level.shape, dtype=complex)
-        for c in model.components:
-            sel = level == c.level
-            if np.any(sel):
-                theta = c.lag_steps * model.tau
-                vals[sel] = c.corr * np.exp(-1j * theta * lam[nz][sel])
-        out[nz] = vals
-    return out[0] if scalar else out
 
 
 def increment_cross_cov(model: SpectralModel, lag, tau: float | None = None):

@@ -62,9 +62,9 @@ class MCConfig:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise DataError(f"need at least one replication, got {self.replications}")
+            raise DataError(f"MC config key 'replications' must be >= 1, got {self.replications}")
         if self.threads < 1:
-            raise DataError(f"thread count must be >= 1, got {self.threads}")
+            raise DataError(f"MC config key 'threads' must be >= 1, got {self.threads}")
         if self.j_max < 1:
             raise DataError(f"MC config key 'j_max' must be >= 1, got {self.j_max}")
         if self.grid_half_width < 0:

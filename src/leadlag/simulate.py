@@ -172,16 +172,6 @@ def _masks(scheme: ObservationScheme, ss1, ss2) -> tuple[np.ndarray, np.ndarray]
     return masks[0], masks[1]
 
 
-def apply_missing(scheme: ObservationScheme, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Independent Bernoulli missingness masks for the two series.
-
-    Streams are derived from the same seed tree as the path noise, so masks
-    drawn standalone agree with the ones inside circulant_embed_sample.
-    """
-    _, ss1, ss2 = _seed_streams(seed)
-    return _masks(scheme, ss1, ss2)
-
-
 def _synthesize(embedding: CirculantEmbedding, normals: np.ndarray, n: int) -> np.ndarray:
     """The first n increments of both series, shape (2, n), from real
     normals of shape (2, size): row 1 is series 2's white noise and row 0
@@ -218,7 +208,8 @@ def circulant_embed_sample(
     the residual spectrum, the regression form of circulant embedding. Its
     covariance is the target exactly (up to eigenvalue clipping), with
     Cov(returns1[a], returns2[b]) the model's cross-covariance at lag b - a.
-    The masks come from their own streams of the seed (``apply_missing``).
+    The masks come from their own streams of the seed, one Bernoulli draw
+    per grid point after the origin.
     """
     if embedding is None:
         embedding = build_embedding(model, scheme)

@@ -2,9 +2,11 @@
 
 The closed-form kernels of the estimator's large-sample limit
 (discretization kernel, interpolation kernel, volatility weight) and the
-limit constant itself, evaluated by adaptive quadrature. The tests use
-them as numeric oracles; the estimation pipeline does not. This is the one
-module that needs scipy, and ``import leadlag`` does not load it.
+limit constant itself, evaluated by adaptive quadrature, plus the model's
+piecewise cross-spectral density, which the simulator's circulant cross
+spectrum approaches inside each band. The tests use them as numeric
+oracles; the estimation pipeline does not. This is the one module that
+needs scipy, and ``import leadlag`` does not load it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DataError, NumericError
+from .model import SpectralModel
 
 
 def lp_scaling(s):
@@ -44,6 +47,39 @@ def interpolation_kernel(lam, pi1: float, pi2: float):
     z = np.exp(1j * np.atleast_1d(lam))
     out = (1.0 - pi1) * (1.0 - pi2) / ((1.0 - pi1 * z) * (1.0 - pi2 * np.conj(z)))
     return complex(out[0]) if scalar else out
+
+
+def cross_spectral_density(model: SpectralModel, lam):
+    """Evaluate the piecewise cross-spectral density at angular frequency lam.
+
+    Frequencies are in radians per model time unit; the level-j component
+    occupies +-(2^m pi, 2^(m+1) pi] with m = J - j + 1. Returns 0 outside
+    all bands (lam = 0 included).
+
+    The simulator's spectral oracle: inside each band, the circulant cross
+    spectrum of ``leadlag.simulate.build_embedding`` over tau approaches it.
+    """
+    lam = np.asarray(lam, dtype=float)
+    scalar = lam.ndim == 0
+    lam = np.atleast_1d(lam)
+    out = np.zeros(lam.shape, dtype=complex)
+    mag = np.abs(lam)
+    nz = mag > 0
+    if np.any(nz):
+        ratio = mag[nz] / math.pi
+        edge = np.log2(ratio)
+        m = np.floor(edge).astype(int)
+        on_edge = 2.0**m * math.pi == mag[nz]
+        m = np.where(on_edge, m - 1, m)  # bands are open at the inner edge
+        level = model.finest_level - m + 1
+        vals = np.zeros(level.shape, dtype=complex)
+        for c in model.components:
+            sel = level == c.level
+            if np.any(sel):
+                theta = c.lag_steps * model.tau
+                vals[sel] = c.corr * np.exp(-1j * theta * lam[nz][sel])
+        out[nz] = vals
+    return out[0] if scalar else out
 
 
 def sigma_weight(theta: float, sigma1, sigma2, horizon: float, t: float | None = None) -> float:

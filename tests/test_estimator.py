@@ -390,6 +390,21 @@ class TestHry:
             hry_lag(r, r, LagGrid.symmetric(5))
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda r1, r2, grid: hry_lag(r1, r2, grid),
+        lambda r1, r2, grid: estimate_levels(r1, r2, "haar", 1, grid),
+    ],
+    ids=["hry_lag", "estimate_levels"],
+)
+def test_unequal_grid_spacings_rejected(estimate):
+    # a lag in steps of one series' grid means nothing on the other's
+    x = np.random.default_rng(17).standard_normal(60)
+    with pytest.raises(DataError, match="grid spacings differ: 1.0 vs 2.0"):
+        estimate(aligned(x, tau=1.0), aligned(x, tau=2.0), LagGrid.symmetric(2))
+
+
 class TestEstimateLevels:
     def test_single_level_equals_direct_run(self):
         rng = np.random.default_rng(14)

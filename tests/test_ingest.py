@@ -14,7 +14,6 @@ from leadlag.ingest import (
     AlignedReturns,
     TickSeries,
     align_to_grid,
-    previous_tick_fill,
     read_csv,
     returns_from_sample,
 )
@@ -475,11 +474,6 @@ class TestReturnsFromSample:
 
 
 class TestAlignedContainer:
-    def test_previous_tick_fill(self):
-        vals = np.array([1.0, 2.0, 3.0, 4.0])
-        obs = np.array([True, False, True, False])
-        assert np.allclose(previous_tick_fill(vals, obs), [1.0, 1.0, 3.0, 3.0])
-
     def test_origin_must_be_observed(self):
         with pytest.raises(DataError, match="origin"):
             AlignedReturns(

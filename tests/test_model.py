@@ -9,11 +9,11 @@ import leadlag as ll
 from leadlag.errors import DataError
 from leadlag.model import (
     check_lags_in_grid,
-    cross_spectral_density,
     increment_cross_cov,
     lp_wavelet,
 )
 from leadlag.theory import (
+    cross_spectral_density,
     discretization_kernel,
     interpolation_kernel,
     limit_constant,

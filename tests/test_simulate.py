@@ -7,12 +7,12 @@ from scipy.fft import next_fast_len
 
 import leadlag as ll
 from leadlag.errors import DataError, NumericError
+from leadlag.theory import cross_spectral_density
 from leadlag.simulate import (
     EIGENVALUE_FLOOR,
     _next_fast_len,
     _seed_streams,
     _synthesize,
-    apply_missing,
     build_embedding,
     circulant_embed_sample,
 )
@@ -121,6 +121,25 @@ class TestEmbedding:
         assert np.allclose(prod[:, 0, 0].real, scheme.tau, atol=1e-18)
         assert np.allclose(prod[:, 1, 1].real, scheme.tau, atol=1e-18)
         assert np.allclose(prod[:, 0, 1], s12, atol=1e-18)
+
+    def test_cross_spectrum_matches_model_density_inside_each_band(self, benchmark_model):
+        # s12 = conj(gain) sqrt(tau) at bin k is the cross spectrum at
+        # lam = 2 pi k / size per grid step; over tau it approaches the
+        # model's density at lam / model.tau. A band's edges ring (Gibbs, up
+        # to 0.25 at level 3), so only the middle half of each band is held
+        # to the tolerance.
+        model, scheme = benchmark_model
+        emb = build_embedding(model, scheme)
+        s12 = np.conj(emb.gain) * np.sqrt(scheme.tau)
+        lam = 2.0 * np.pi * np.arange(len(s12)) / emb.size
+        density = cross_spectral_density(model, lam / model.tau)
+        for level in range(1, 9):
+            lo, hi = np.pi / 2.0**level, np.pi / 2.0 ** (level - 1)
+            quarter = (hi - lo) / 4.0
+            middle = (lam > lo + quarter) & (lam < hi - quarter)
+            assert middle.any()
+            err = np.abs(s12[middle] / scheme.tau - density[middle]).max()
+            assert err < 5e-3, f"level {level}: {err:.3e}"
 
     def test_saturated_correlation_fails_loudly(self):
         # |corr| = 1 with a kernel cut at size // 2 overshoots the variance
@@ -260,40 +279,35 @@ class TestSynthesis:
 
 
 class TestMissingness:
+    @staticmethod
+    def masks(n, pi1, pi2, seed):
+        model, scheme = ll.load_model(benchmark_spec(n=n, pi1=pi1, pi2=pi2))
+        sample = circulant_embed_sample(model, scheme, seed)
+        return sample.mask1, sample.mask2
+
     def test_zero_probability_all_observed(self):
-        scheme = ll.ObservationScheme(tau=1.0, n=100, pi1=0.0, pi2=0.0)
-        m1, m2 = apply_missing(scheme, seed=0)
+        m1, m2 = self.masks(100, 0.0, 0.0, seed=0)
         assert not m1.any() and not m2.any()
         assert len(m1) == 101
 
     def test_origin_always_observed(self):
-        scheme = ll.ObservationScheme(tau=1.0, n=50, pi1=0.9, pi2=0.9)
+        model, scheme = ll.load_model(benchmark_spec(n=50, pi1=0.9, pi2=0.9))
+        emb = build_embedding(model, scheme)
         for seed in range(10):
-            m1, m2 = apply_missing(scheme, seed)
-            assert not m1[0] and not m2[0]
+            sample = circulant_embed_sample(model, scheme, seed, embedding=emb)
+            assert not sample.mask1[0] and not sample.mask2[0]
 
     def test_half_probability_concentrates(self):
-        scheme = ll.ObservationScheme(tau=1.0, n=15000, pi1=0.5, pi2=0.5)
-        m1, m2 = apply_missing(scheme, seed=3)
+        m1, m2 = self.masks(15000, 0.5, 0.5, seed=3)
         assert m1[1:].mean() == pytest.approx(0.5, abs=0.02)
         assert m2[1:].mean() == pytest.approx(0.5, abs=0.02)
 
     def test_streams_uncorrelated(self):
-        scheme = ll.ObservationScheme(tau=1.0, n=15000, pi1=0.5, pi2=0.5)
-        m1, m2 = apply_missing(scheme, seed=4)
+        m1, m2 = self.masks(15000, 0.5, 0.5, seed=4)
         corr = np.corrcoef(m1[1:], m2[1:])[0, 1]
         assert abs(corr) < 0.03
 
-    def test_masks_match_sampled_path(self):
-        model, scheme = ll.load_model(benchmark_spec(n=256, pi1=0.4, pi2=0.2))
-        sample = circulant_embed_sample(model, scheme, seed=9)
-        m1, m2 = apply_missing(scheme, seed=9)
-        assert np.array_equal(sample.mask1, m1)
-        assert np.array_equal(sample.mask2, m2)
-
     def test_negative_seed_is_data_error(self):
         model, scheme = ll.load_model(benchmark_spec(n=256, pi1=0.4, pi2=0.2))
-        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
-            apply_missing(scheme, -1)
         with pytest.raises(DataError, match="seed must be >= 0, got -1"):
             circulant_embed_sample(model, scheme, -1)
