@@ -273,7 +273,7 @@ def _cmd_estimate(args) -> int:
             raise DataError(
                 f"series overlap of {horizon} s leaves no full grid step of {args.tau} s"
             )
-    check_levels_fit(args.family, args.levels, args.maxlag, n)  # before the grid is allocated
+        check_levels_fit(args.family, args.levels, args.maxlag, n)  # before the grid is allocated
     ret1 = align_to_grid(ticks1, t0, args.tau, n)
     ret2 = align_to_grid(ticks2, t0, args.tau, n)
     grid = LagGrid.symmetric(args.maxlag)

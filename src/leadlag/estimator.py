@@ -2,9 +2,9 @@
 
 Pipeline per level: band-pass filter the two return series (non-decimated
 transform, boundary coefficients dropped), slide one set of coefficients
-against the other over a lag grid, normalize the curve, and take the lag
-with the largest absolute value. A single-scale baseline on the raw returns
-serves as comparison.
+against the other over the dense lag grid -H..H, normalize the curve, and
+take the lag with the largest absolute value. A single-scale baseline on the
+raw returns serves as comparison.
 
 The band-pass is the MODWT pyramid (Percival & Walden 2000, ch. 5): level j
 filters the level j-1 smooth with the length-L base filters, taps spaced
@@ -25,12 +25,14 @@ constructor, and transform lengths from a cached ``_next_fast_len``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, NumericError
 from .filters import LevelFilter, base_filter, cascade, cascade_length
 from .ingest import AlignedReturns
+from .model import json_integer
 from .simulate import _next_fast_len
 
 
@@ -53,33 +55,25 @@ class WaveletCoeffs:
 
 @dataclass(frozen=True)
 class LagGrid:
-    """Symmetric, strictly increasing integer lag grid."""
+    """The dense lag grid -H, ..., H, compared and hashed by its half-width H."""
 
-    lags: np.ndarray
+    half_width: int
 
     def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=int)
-        if lags.ndim != 1 or len(lags) == 0:
-            raise DataError("lag grid must be a nonempty vector")
-        if np.any(np.diff(lags) <= 0):
-            raise DataError("lag grid must be strictly increasing")
-        if not np.array_equal(lags, -lags[::-1]):
-            raise DataError("lag grid must be symmetric around zero")
-        lags.setflags(write=False)
-        object.__setattr__(self, "lags", lags)
+        half = json_integer(self.half_width, "grid half-width")
+        if half < 0:
+            raise DataError(f"grid half-width must be >= 0, got {half}")
+        object.__setattr__(self, "half_width", half)
 
     @classmethod
     def symmetric(cls, half_width: int) -> "LagGrid":
-        if half_width < 0:
-            raise DataError(f"grid half-width must be >= 0, got {half_width}")
-        return cls(np.arange(-half_width, half_width + 1))
+        return cls(half_width)
 
-    @property
-    def half_width(self) -> int:
-        return int(self.lags[-1])
-
-    def __len__(self) -> int:
-        return len(self.lags)
+    @cached_property
+    def lags(self) -> np.ndarray:
+        lags = np.arange(-self.half_width, self.half_width + 1)
+        lags.setflags(write=False)
+        return lags
 
 
 @dataclass(frozen=True)
@@ -189,32 +183,37 @@ def _check_pair(w1: WaveletCoeffs, w2: WaveletCoeffs) -> None:
         raise DataError("coefficient series have different shapes")
 
 
-def _lagged_sums(x1: np.ndarray, x2: np.ndarray, lags: np.ndarray) -> np.ndarray:
-    """sum_k x1[k] * x2[k + l] over the overlapping positions, for each lag l.
+def _check_returns_pair(ret1: AlignedReturns, ret2: AlignedReturns) -> None:
+    if ret1.n != ret2.n:
+        raise DataError(f"return series differ in length: {ret1.n} vs {ret2.n}")
+    if ret1.tau != ret2.tau:
+        raise DataError(f"grid spacings differ: {ret1.tau} vs {ret2.tau}")
+
+
+def _lagged_sums(x1: np.ndarray, x2: np.ndarray, half: int) -> np.ndarray:
+    """sum_k x1[k] * x2[k + l] over the overlapping positions, for l = -H..H.
 
     A sectioned (overlap-save) FFT cross-correlation serves the whole grid
-    (Stockham 1966). With H the largest |l|, x1 is cut into sections of B
-    values, and each is correlated with the B + 2H values of x2 (zero past
-    either end) that its lags reach. The transforms are B + 2H points, sized
-    by the grid: the 5-smooth length at least min(m + 2H, max(1024, 16H)),
-    so a short series is one section. The sections' cross spectra are summed
-    and one inverse transform gives lag l at index l + H; wrap-around only
-    ever meets a section's zero padding. Sections are transformed in groups
-    of at most 2^16 transform points, so at day scale (m = 2^17, H = 300)
-    the peak memory stays below that of one transform of the whole series.
-    The partial last section joins the last group, whose rows alone are
-    built zero-filled, so a series that fits one group (m = 15000 at +-60:
-    17 sections of 1024 points) costs one transform per series. The sum
-    adds the same rows in the same order as transforming that section alone
-    would: its cross spectrum is added on its own, after the whole sections
-    of its group, so the sums equal those of a separate last group bit for
-    bit.
+    (Stockham 1966). With H = half, x1 is cut into sections of B values, and
+    each is correlated with the B + 2H values of x2 (zero past either end)
+    that its lags reach. The transforms are B + 2H points, sized by the grid:
+    the 5-smooth length at least min(m + 2H, max(1024, 16H)), so a short
+    series is one section. The sections' cross spectra are summed, and the
+    first 2H + 1 values of one inverse transform are the sums, lag l at index
+    l + H; wrap-around only ever meets a section's zero padding. Sections are
+    transformed in groups of at most 2^16 transform points, so at day scale
+    (m = 2^17, H = 300) the peak memory stays below that of one transform of
+    the whole series. The partial last section joins the last group, whose
+    rows alone are built zero-filled, so a series that fits one group
+    (m = 15000 at +-60: 17 sections of 1024 points) costs one transform per
+    series. The sum adds the same rows in the same order as transforming
+    that section alone would: its cross spectrum is added on its own, after
+    the whole sections of its group, so the sums equal those of a separate
+    last group bit for bit.
     """
     m = len(x1)
-    widest = int(lags[np.argmax(np.abs(lags))])
-    half = abs(widest)
     if half >= m:
-        raise DataError(f"empty summation range at lag {widest}: only {m} values")
+        raise DataError(f"empty summation range at lag {-half}: only {m} values")
     size = _next_fast_len(min(m + 2 * half, max(1024, 16 * half)))
     block = size - 2 * half
     full, rest = divmod(m, block)
@@ -242,7 +241,7 @@ def _lagged_sums(x1: np.ndarray, x2: np.ndarray, lags: np.ndarray) -> np.ndarray
             spectrum += cross[:whole].sum(axis=0)
         if whole < count:  # added on its own, the order of a separate last group
             spectrum += cross[-1]
-    return np.fft.irfft(spectrum, size)[lags + half]
+    return np.fft.irfft(spectrum, size)[: 2 * half + 1]
 
 
 def cross_cov_curve(
@@ -256,7 +255,7 @@ def cross_cov_curve(
     """
     _check_pair(w1, w2)
     count = len(w1.values)
-    sums = _lagged_sums(w1.values, w2.values, grid.lags)
+    sums = _lagged_sums(w1.values, w2.values, grid.half_width)
     rho = sums / (tau * (count - np.abs(grid.lags)))
     # einsum's own loop, not BLAS: a forked mc worker must start no BLAS threads
     energy1 = float(np.einsum("i,i", w1.values, w1.values))
@@ -289,10 +288,7 @@ def _lag_estimate(
         lag = int(candidates[0])
     else:
         lag = int(min(candidates, key=lambda l: (abs(int(l)), int(l))))
-    if len(magnitude) > 1:
-        gap = peak - float(magnitude[lags != lag].max())
-    else:
-        gap = peak
+    gap = peak - float(magnitude[lags != lag].max(initial=0.0))  # on one lag, the peak
     return LagEstimate(
         level=level,
         lag=lag,
@@ -321,12 +317,9 @@ def hry_lag(ret1: AlignedReturns, ret2: AlignedReturns, grid: LagGrid) -> LagEst
     pi = 0.5, 1.9x at (pi1, pi2) = (0.2, 0.6)), while the two argmaxes
     agreed in 60 of 60 replications at both.
     """
-    r1, r2 = ret1.returns, ret2.returns
-    if len(r1) != len(r2):
-        raise DataError(f"return series differ in length: {len(r1)} vs {len(r2)}")
-    if ret1.tau != ret2.tau:
-        raise DataError(f"grid spacings differ: {ret1.tau} vs {ret2.tau}")
-    return _lag_estimate(0, grid.lags, _lagged_sums(r1, r2, grid.lags), ret1.tau)
+    _check_returns_pair(ret1, ret2)
+    sums = _lagged_sums(ret1.returns, ret2.returns, grid.half_width)
+    return _lag_estimate(0, grid.lags, sums, ret1.tau)
 
 
 def max_feasible_level(family: str, n: int) -> int:
@@ -359,10 +352,7 @@ def estimate_levels(
     grid: LagGrid,
 ) -> list[tuple[CrossCovCurve, LagEstimate]]:
     """Run the filter-curve-argmax pipeline for levels 1..j_max."""
-    if ret1.n != ret2.n:
-        raise DataError(f"return series differ in length: {ret1.n} vs {ret2.n}")
-    if ret1.tau != ret2.tau:
-        raise DataError(f"grid spacings differ: {ret1.tau} vs {ret2.tau}")
+    _check_returns_pair(ret1, ret2)
     if j_max < 1:
         raise DataError(f"need at least one level, got j_max={j_max}")
     check_levels_fit(family, j_max, grid.half_width, ret1.n)

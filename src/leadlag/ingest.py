@@ -239,8 +239,8 @@ def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedRe
     Grid point k takes the log of the last price at time <= t0 + k*tau
     (ties: the last tick wins); it counts as observed when at least one tick
     fell in (t0 + (k-1)*tau, t0 + k*tau]. Returns are first differences of
-    the grid values. The grid points are the floats t0 + k*tau and must be
-    distinct: a tau below the float spacing near t0 is a DataError.
+    the grid values. The grid points, the floats t0 + k*tau, must be finite
+    and distinct (tau above the float spacing near t0), else a DataError.
 
     Each tick is indexed into the grid, in time linear in the ticks and
     the grid: its point is guessed as ceil((t - t0)/tau), checked against
@@ -260,6 +260,8 @@ def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedRe
         raise DataError(f"a grid of n={n:.3g} steps of tau={tau} is too large to allocate") from None
     ext[0], ext[-1] = -np.inf, np.inf
     grid = ext[1:-1]
+    if not np.isfinite(grid[-1]):  # the points only grow, so the last is the largest
+        raise DataError(f"grid overflows: t0 + n*tau is inf for t0={t0}, tau={tau}, n={n}")
     collide = np.flatnonzero(grid[1:] <= grid[:-1])
     if collide.size:
         k = int(collide[0])

@@ -188,6 +188,8 @@ def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
             steps = number("theta_over_tau", entry["theta_over_tau"], where)
         elif "theta_seconds" in entry:
             steps = number("theta_seconds", entry["theta_seconds"], where) / scheme.tau
+            if not math.isfinite(steps):
+                raise DataError(f"model key 'theta_seconds'{where} is {steps} grid steps, not finite")
         else:
             steps = 0.0
         components.append(

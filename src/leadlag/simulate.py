@@ -117,12 +117,15 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
         raise DataError(f"{too_large} {size} points") from None
     k = np.arange(size)
     lags = np.where(k <= size // 2, k, k - size)
-    s12 = np.fft.fft(increment_cross_cov(model, lags, tau=tau))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite spectrum is refused below
+        s12 = np.fft.fft(increment_cross_cov(model, lags, tau=tau))
 
     mag = np.abs(s12)
     lam_minus = tau - mag
     lam_plus = tau + mag
     min_eig = float(lam_minus.min())
+    if not np.isfinite(min_eig):  # NaN would pass the comparison below
+        raise NumericError("invalid circulant embedding: the model's cross spectrum is not finite")
     if min_eig < -EIGENVALUE_FLOOR * tau:
         raise NumericError(
             f"invalid circulant embedding: eigenvalue {min_eig:.6e} below "

@@ -136,6 +136,12 @@ class TestSimulate:
         assert not (tmp_path / "x.csv").exists()
 
 
+# the band kernel at 1e308 steps overflows to NaN, so the cross spectrum does too
+NAN_SPECTRUM_SPEC = {"J": 3, "n": 16, "levels": [{"j": 1, "R": 0.5, "theta_over_tau": 1e308}]}
+INF_STEPS_SPEC = {"J": 3, "n": 16, "tau": 1e-320, "levels": [{"j": 1, "R": 0.5, "theta_seconds": 1.0}]}
+INF_STEPS_MESSAGE = "model key 'theta_seconds' in levels[0] is inf grid steps, not finite"
+
+
 class TestModelCheck:
     def test_valid_model(self, tmp_path, capsys):
         model_path = write_model(tmp_path, SMALL_SPEC)
@@ -263,6 +269,35 @@ class TestModelCheck:
         assert f"model key {path[-1]!r}{where} must be" in err
         assert "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    @pytest.mark.parametrize(
+        "command, spec, code, needle",
+        [
+            ("model-check", NAN_SPECTRUM_SPEC, 3, "the model's cross spectrum is not finite"),
+            ("simulate", NAN_SPECTRUM_SPEC, 3, "the model's cross spectrum is not finite"),
+            # mc's lag-grid check refuses the lag of 1e308 steps before any embedding
+            ("mc", NAN_SPECTRUM_SPEC, 2, "outside the search grid"),
+            ("model-check", INF_STEPS_SPEC, 2, INF_STEPS_MESSAGE),
+            ("simulate", INF_STEPS_SPEC, 2, INF_STEPS_MESSAGE),
+            ("mc", INF_STEPS_SPEC, 2, INF_STEPS_MESSAGE),
+        ],
+        ids=[f"{c}-{m}" for m in ("nan-spectrum", "inf-steps") for c in ("model-check", "simulate", "mc")],
+    )
+    def test_non_finite_model_is_refused(self, tmp_path, capsys, command, spec, code, needle):
+        if command == "mc":
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"model": spec, "families": ["haar"], "j_max": 1, "l_max": 2}))
+            argv = ["mc", "--config", str(path), "--out", str(tmp_path / "o.csv")]
+        else:
+            argv = [command, "--model", write_model(tmp_path, spec)]
+            if command == "simulate":
+                argv += ["--out", str(tmp_path / "o.csv"), "--ticks1", str(tmp_path / "t1.csv")]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert needle in captured.err
+        assert "Traceback" not in captured.err
+        assert "model ok" not in captured.out
+        assert os.listdir(tmp_path) == [os.path.basename(argv[2])]  # the input file only
 
     @pytest.mark.parametrize(
         "path, key",
@@ -477,6 +512,37 @@ class TestEndToEnd:
         assert "grid points collide" in err and "tau=1e-07" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_estimate_overflowing_grid_is_data_error(self, tmp_path, capsys):
+        # the points past step 17 overflow to +inf, where they would collide
+        (tmp_path / "a.csv").write_text("timestamp,price\n0,1\n1,2\n")
+        out = tmp_path / "r.json"
+        code = main(
+            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "a.csv"),
+             "--family", "haar", "--levels", "1", "--maxlag", "0",
+             "--t0", "0", "--tau", "1e307", "--n", "30", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "grid overflows" in err and "collide" not in err
+        assert "t0=0.0" in err and "tau=1e+307" in err and "n=30" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_estimate_given_n_checks_the_levels_once(self, tmp_path, monkeypatch):
+        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text("\n".join(rows) + "\n")
+        calls = []
+        check = cli.check_levels_fit
+        monkeypatch.setattr(cli, "check_levels_fit", lambda *a: calls.append(a) or check(*a))
+        code = main(
+            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"),
+             "--family", "haar", "--levels", "2", "--maxlag", "3", "--n", "50",
+             "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 0
+        assert calls == [("haar", 2, 3, 50)]
 
     @pytest.mark.parametrize(
         "bad_row, needle",
@@ -1099,6 +1165,26 @@ class TestImport:
             and node.name not in used
         ]
         assert unused == []
+
+    def test_every_imported_name_is_used_in_its_module(self):
+        # __init__ imports to re-export. montecarlo keeps base_filter, which
+        # it does not call: perfbench/tracing.py hooks it as a module attribute.
+        src = pathlib.Path(ll.__file__).parent
+        unused = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {
+                alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names
+            }
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
+        assert unused == ["montecarlo.base_filter"]
 
     def test_version_matches_pyproject(self, capsys):
         tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11

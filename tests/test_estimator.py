@@ -284,13 +284,20 @@ class TestLagGrid:
         assert list(grid.lags) == [-3, -2, -1, 0, 1, 2, 3]
         assert grid.half_width == 3
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(DataError, match="symmetric"):
-            LagGrid(np.array([-2, 0, 1]))
+    def test_compares_and_hashes_by_half_width(self):
+        assert LagGrid.symmetric(3) == LagGrid(3)
+        assert hash(LagGrid.symmetric(3)) == hash(LagGrid(3))
+        assert LagGrid(3) != LagGrid(4)
+        assert LagGrid(np.int64(3)) == LagGrid(3)
 
-    def test_non_increasing_rejected(self):
-        with pytest.raises(DataError, match="increasing"):
-            LagGrid(np.array([1, 0, -1]))
+    def test_lags_are_read_only(self):
+        with pytest.raises(ValueError):
+            LagGrid(2).lags[0] = 0
+
+    @pytest.mark.parametrize("half_width", [-1, 2.5, True], ids=repr)
+    def test_bad_half_width_rejected(self, half_width):
+        with pytest.raises(DataError, match=f"half-width .* got {half_width!r}$"):
+            LagGrid(half_width)
 
 
 class TestEstimateLag:
@@ -310,6 +317,15 @@ class TestEstimateLag:
         assert est.theta_seconds == pytest.approx(-1.5)
         assert not est.tied and not est.degenerate
         assert est.runner_up_gap > 0.0
+
+    @pytest.mark.parametrize(
+        "lags, rho, gap",
+        [([0], [-0.75], 0.75), ([-1, 0, 1], [0.25, -0.75, 0.125], 0.5)],
+        ids=["one-lag", "three-lags"],
+    )
+    def test_runner_up_gap(self, lags, rho, gap):
+        est = estimate_lag(self.make_curve(lags, rho))
+        assert (est.lag, est.peak_value, est.runner_up_gap) == (0, 0.75, gap)
 
     def test_all_zero_curve_degenerate(self):
         est = estimate_lag(self.make_curve(np.arange(-2, 3), np.zeros(5)))
@@ -524,11 +540,10 @@ def section_length(half_width):
     return _next_fast_len(max(1024, 16 * half_width)) - 2 * half_width
 
 
-def grouped_lagged_sums(x1, x2, lags):
+def grouped_lagged_sums(x1, x2, half):
     """The sectioned kernel with its partial last section transformed as a
     group of its own: the order of sums that ``_lagged_sums`` must keep."""
     m = len(x1)
-    half = int(np.max(np.abs(lags)))
     size = _next_fast_len(min(m + 2 * half, max(1024, 16 * half)))
     block = size - 2 * half
     full, rest = divmod(m, block)
@@ -552,13 +567,15 @@ def grouped_lagged_sums(x1, x2, lags):
         np.conjugate(cross, out=cross)
         cross *= np.fft.rfft(windows[first : first + len(rows)])
         spectrum += cross.sum(axis=0)
-    return np.fft.irfft(spectrum, size)[lags + half]
+    return np.fft.irfft(spectrum, size)[: 2 * half + 1]
 
 
 class TestLaggedSums:
     def check(self, m, lags, seed=0):
+        # reads the given lags, dense or not, from the sums over -H..H
         x1, x2 = np.random.default_rng(seed).standard_normal((2, m))
-        got = _lagged_sums(x1, x2, np.asarray(lags))
+        half = max(map(abs, lags))
+        got = _lagged_sums(x1, x2, half)[np.asarray(lags) + half]
         want = direct_lagged_sums(x1, x2, lags)
         bound = 1e-12 * np.linalg.norm(x1) * np.linalg.norm(x2)
         assert np.max(np.abs(got - want)) <= bound
@@ -605,10 +622,9 @@ class TestLaggedSums:
         # a group that follows others
         m = data.draw(st.one_of(st.integers(1, 6000), st.integers(60000, 140000)), label="m")
         half = data.draw(st.integers(0, min(m - 1, 400)), label="H")
-        lags = np.arange(-half, half + 1)
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         x1, x2 = np.random.default_rng(seed).standard_normal((2, m))
-        assert np.array_equal(_lagged_sums(x1, x2, lags), grouped_lagged_sums(x1, x2, lags))
+        assert np.array_equal(_lagged_sums(x1, x2, half), grouped_lagged_sums(x1, x2, half))
 
 
 class TestLagKernelShape:
@@ -649,15 +665,14 @@ class TestLagKernelShape:
 
         monkeypatch.setattr(np.fft, "rfft", count_rfft)
         x1, x2 = np.random.default_rng(10).standard_normal((2, m))
-        _lagged_sums(x1, x2, LagGrid.symmetric(half_width).lags)
+        _lagged_sums(x1, x2, half_width)
         assert len(calls) == transforms
 
     def test_peak_memory_at_day_scale(self):
         x1, x2 = np.random.default_rng(9).standard_normal((2, 131072))
-        lags = LagGrid.symmetric(300).lags
         tracemalloc.start()
         try:
-            _lagged_sums(x1, x2, lags)
+            _lagged_sums(x1, x2, 300)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -399,6 +399,14 @@ class TestExactAlignment:
         assert f"t0={t0!r}" in message and f"tau={tau!r}" in message
         assert f"steps {k} and {k + 1}" in message
 
+    def test_overflowing_grid_is_a_data_error(self):
+        # t0 + 2*tau is past the float range; the other points are finite
+        ticks = TickSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        with pytest.raises(DataError, match="grid overflows") as info:
+            align_to_grid(ticks, 0.0, 1e308, 2)
+        message = str(info.value)
+        assert "t0=0.0" in message and "tau=1e+308" in message and "n=2" in message
+
 
 class TestReturnsFromSample:
     def test_zero_masks_reproduce_increments(self):
