@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, LeadLagError, NumericError, UsageError
-from .estimator import LagGrid, check_levels_fit, estimate_levels
+from .estimator import LagGrid, check_levels_fit, estimate_levels, modwt
 from .filters import FAMILIES, base_filter, cascade, empirical_gain, level_gain
 from .ingest import align_to_grid, read_csv
 from .model import check_lags_in_grid, load_model
@@ -182,6 +182,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _cascade_taps(level_filter) -> np.ndarray:
+    """The level-j cascade's L_j taps: the pyramid's unit-impulse response."""
+    impulse = np.zeros(2 * level_filter.length - 1)
+    impulse[level_filter.length - 1] = 1.0
+    return modwt(impulse, level_filter).values
+
+
 def _cmd_gain(args) -> int:
     if args.level < 1:
         raise UsageError(f"--level must be >= 1, got {args.level}")
@@ -200,13 +207,33 @@ def _cmd_gain(args) -> int:
     except (MemoryError, ValueError):
         raise DataError(f"--points {args.points} is too large to allocate") from None
     theory = level_gain(args.level, base.length, lams)
-    empirical = empirical_gain(filt.coefficients, lams)
+    empirical = empirical_gain(_cascade_taps(filt), lams)
     with atomic_output(args.out) as fh:
         fh.write("# leadlag-gain schema_version=1\n")
         fh.write("lambda,H_jL,empirical_gain\n")
         for lam, t, e in zip(lams, theory, empirical):
             fh.write(f"{float(lam)!r},{float(t)!r},{float(e)!r}\n")
     return 0
+
+
+def _tick_lines(series: int, returns, mask, tau: float) -> list[str]:
+    """A simulated tick CSV's lines: one tick per observed grid point k,
+    priced at exp of the returns summed to k. Raises NumericError on a
+    price that is not a finite float of at least the smallest normal one."""
+    levels = np.concatenate(([0.0], np.cumsum(returns)))
+    lines = ["timestamp,price\n"]
+    for k in np.flatnonzero(~mask).tolist():
+        try:
+            price = math.exp(levels[k])
+        except OverflowError:
+            price = math.inf
+        if not sys.float_info.min <= price < math.inf:
+            raise NumericError(
+                f"series {series}: tick price exp({float(levels[k])!r}) at grid "
+                f"point {k} is outside the normal float range"
+            )
+        lines.append(f"{float(k * tau)!r},{price!r}\n")
+    return lines
 
 
 def _cmd_simulate(args) -> int:
@@ -216,6 +243,14 @@ def _cmd_simulate(args) -> int:
         check_writable(path)
     model, scheme = load_model(args.model)
     sample = circulant_embed_sample(model, scheme, args.seed)
+    ticks = [
+        (path, _tick_lines(series, returns, mask, scheme.tau))
+        for series, path, returns, mask in (
+            (1, args.ticks1, sample.returns1, sample.mask1),
+            (2, args.ticks2, sample.returns2, sample.mask2),
+        )
+        if path is not None
+    ]
     with atomic_output(args.out) as fh:
         fh.write("# leadlag-path schema_version=1\n")
         fh.write("k,r1,r2,miss1,miss2\n")
@@ -224,18 +259,9 @@ def _cmd_simulate(args) -> int:
                 f"{k},{float(sample.returns1[k])!r},{float(sample.returns2[k])!r},"
                 f"{int(sample.mask1[k + 1])},{int(sample.mask2[k + 1])}\n"
             )
-    for path, returns, mask in (
-        (args.ticks1, sample.returns1, sample.mask1),
-        (args.ticks2, sample.returns2, sample.mask2),
-    ):
-        if path is None:
-            continue
-        levels = np.concatenate(([0.0], np.cumsum(returns)))
+    for path, lines in ticks:
         with atomic_output(path) as fh:
-            fh.write("timestamp,price\n")
-            for k in range(scheme.n + 1):
-                if not mask[k]:
-                    fh.write(f"{float(k * scheme.tau)!r},{math.exp(levels[k])!r}\n")
+            fh.writelines(lines)
     return 0
 
 

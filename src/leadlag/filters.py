@@ -9,14 +9,12 @@ gain function is the arbiter for their correctness, see tests.
 The estimator filters with the MODWT pyramid (``estimator.modwt``): level j
 applies the length-L base filters, taps spaced 2^(j-1) apart, to the level
 j-1 smooth, so a ``LevelFilter`` names a (family, level) pair and does not
-hold the level-j cascade. Its ``coefficients``, all (2^j - 1)(L - 1) + 1
-taps, are built on first read, for ``leadlag gain`` and the tests.
+hold the level-j cascade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb, pi
 
 import numpy as np
@@ -95,27 +93,6 @@ class LevelFilter:
     def length(self) -> int:
         return cascade_length(self.base.length, self.level)
 
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """The cascade's taps, by upsample-convolve recursion.
-
-        Level 1 is the base wavelet filter. Each further level convolves the
-        2^i-upsampled scaling filter into the low-pass stack and applies the
-        2^(j-1)-upsampled wavelet filter on top, so the squared gain equals
-        H(2^(j-1) lambda) * prod_i G(2^i lambda).
-        """
-        base, level = self.base, self.level
-        if level == 1:
-            coef = np.array(base.wavelet)
-        else:
-            low = np.array(base.scaling)
-            for i in range(1, level - 1):
-                low = np.convolve(_upsample(base.scaling, 2**i), low)
-            coef = np.convolve(_upsample(base.wavelet, 2 ** (level - 1)), low)
-        assert len(coef) == self.length
-        coef.setflags(write=False)
-        return coef
-
 
 def cascade_length(base_length: int, level: int) -> int:
     """Length of the level-j cascade filter: (2^j - 1)(L - 1) + 1."""
@@ -142,12 +119,6 @@ def base_filter(family: str) -> BaseFilterPair:
     g.setflags(write=False)
     h.setflags(write=False)
     return BaseFilterPair(family=key, wavelet=h, scaling=g)
-
-
-def _upsample(x: np.ndarray, step: int) -> np.ndarray:
-    out = np.zeros(step * (len(x) - 1) + 1)
-    out[::step] = x
-    return out
 
 
 def cascade(base: BaseFilterPair, level: int) -> LevelFilter:

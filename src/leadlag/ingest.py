@@ -118,7 +118,7 @@ def read_csv(path, scale: str = "raw_price") -> TickSeries:
     try:
         # absolute, so that DataSource cannot read the name as a URL
         name = os.path.abspath(os.fsdecode(path))
-        with open(name, "r", encoding="utf-8", newline="") as fh:
+        with open(name, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             t_col, p_col = _header_columns(reader, path)
             skip = reader.line_num
@@ -187,7 +187,7 @@ def _read_rows(path, scale: str = "raw_price") -> TickSeries:
     """The row parser behind ``read_csv``: one ``float()`` per field, so
     an error names the data row it found."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     times, prices = [], []

@@ -240,16 +240,14 @@ def increment_cross_cov(model: SpectralModel, lag, tau: float | None = None):
     are pinned to flat-spectrum paths, and D-weighting would cut the level-1
     band correlation to 0.61 times its value.
     """
-    tau_c = model.tau
     if tau is None:
-        tau = tau_c
+        tau = model.tau
     lag = np.asarray(lag, dtype=float)
     scalar = lag.ndim == 0
     lag = np.atleast_1d(lag)
     out = np.zeros(lag.shape)
     for c in model.components:
-        m = model.finest_level - c.level + 1
-        beta = 2.0**m * tau_c  # dimensionless band scale, <= 1/2
+        beta = 2.0**-c.level  # band scale 2^(J-j+1) tau_c, <= 1/2
         out += beta * c.corr * lp_wavelet(beta * (lag - c.lag_steps))
     out *= tau
     return float(out[0]) if scalar else out

@@ -73,11 +73,13 @@ class MCConfig:
             raise DataError(f"MC config key 'master_seed' must be >= 0, got {self.master_seed}")
         if not self.families:
             raise DataError("MC config key 'families' must name at least one filter family")
-        for family in self.families:
+        for i, family in enumerate(self.families):
             if family not in FAMILIES:
                 raise DataError(
                     f"unknown filter family {family!r}; known: {', '.join(FAMILIES)}"
                 )
+            if family in self.families[:i]:
+                raise DataError(f"MC config key 'families' names {family!r} more than once")
             check_levels_fit(family, self.j_max, self.grid_half_width, self.scheme.n)
         check_lags_in_grid(self.model, self.grid_half_width)
 

@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -42,6 +43,32 @@ def clipping_spec():
     return spec(0.5 * (1 + EIGENVALUE_FLOOR / 2) / (1 - ratio))
 
 
+def convolved_cascade_taps(level_filter):
+    """The level-j cascade's taps by upsample-convolve recursion, an oracle
+    independent of the MODWT pyramid.
+
+    Level 1 is the base wavelet filter. Each further level convolves the
+    2^i-upsampled scaling filter into the low-pass stack and applies the
+    2^(j-1)-upsampled wavelet filter on top, so the squared gain equals
+    H(2^(j-1) lambda) * prod_i G(2^i lambda).
+    """
+
+    def upsample(x, step):
+        out = np.zeros(step * (len(x) - 1) + 1)
+        out[::step] = x
+        return out
+
+    base, level = level_filter.base, level_filter.level
+    if level == 1:
+        return np.array(base.wavelet)
+    low = np.array(base.scaling)
+    for i in range(1, level - 1):
+        low = np.convolve(upsample(base.scaling, 2**i), low)
+    taps = np.convolve(upsample(base.wavelet, 2 ** (level - 1)), low)
+    assert len(taps) == level_filter.length
+    return taps
+
+
 @pytest.fixture(scope="session")
 def benchmark_model():
     return ll.load_model(benchmark_spec())
@@ -66,7 +93,8 @@ def _number_text(x, style):
 @st.composite
 def tick_csv_text(draw, plain=False, max_rows=25):
     """Text of a tick CSV: a header naming timestamp and price among other
-    columns, in any order, then rows of increasing timestamps in [0, 210].
+    columns, in any order, then rows of increasing timestamps in [0, 210],
+    the whole after an optional UTF-8 byte-order mark.
 
     With ``plain`` the file is one that np.loadtxt can read: numbers,
     blank lines and leading '#' lines only. Otherwise it may also hold
@@ -80,6 +108,7 @@ def tick_csv_text(draw, plain=False, max_rows=25):
         header = names
     else:
         header = [draw(st.sampled_from((n, n.upper(), f" {n} ", f'"{n}"'))) for n in names]
+    bom = draw(st.sampled_from(("", "\ufeff")))
     lines = draw(st.lists(st.sampled_from(("# made by a tool", "#", "")), max_size=2))
     lines.append(",".join(header))
     count = draw(st.integers(1 if plain else 0, max_rows))
@@ -111,4 +140,4 @@ def tick_csv_text(draw, plain=False, max_rows=25):
     filler = ("",) if plain else INTERLEAVED_LINES
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(len(lines) - count, len(lines))), draw(st.sampled_from(filler)))
-    return end.join(lines) + draw(st.sampled_from((end, "")))
+    return bom + end.join(lines) + draw(st.sampled_from((end, "")))

@@ -135,11 +135,33 @@ class TestSimulate:
         assert "embedding" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "seed, flag, needle",
+        [
+            (2, "--ticks1", "series 1: tick price exp(-724.6882920886079) at grid point 26"),
+            (3, "--ticks1", "series 1: tick price exp(799.8945070541911) at grid point 40"),
+            (2, "--ticks2", "series 2: tick price exp(757.0902356224851) at grid point 81"),
+            (3, "--ticks2", "series 2: tick price exp(-771.2855901471598) at grid point 22"),
+        ],
+        ids=["underflow-1", "overflow-1", "overflow-2", "underflow-2"],
+    )
+    def test_tick_price_outside_float_range_exits_numeric(self, tmp_path, capsys, seed, flag, needle):
+        # a random walk of variance 1e4 per step leaves exp's range within a few dozen steps
+        spec = {"J": 3, "tau": 10000.0, "n": 1000, "levels": [{"j": 1, "R": 0.5}]}
+        argv = ["simulate", "--model", write_model(tmp_path, spec), "--seed", str(seed)]
+        code = main(argv + ["--out", str(tmp_path / "o.csv"), flag, str(tmp_path / "t.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"numeric error: {needle} is outside the normal float range" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["model.json"]
+
 
 # the band kernel at 1e308 steps overflows to NaN, so the cross spectrum does too
 NAN_SPECTRUM_SPEC = {"J": 3, "n": 16, "levels": [{"j": 1, "R": 0.5, "theta_over_tau": 1e308}]}
 INF_STEPS_SPEC = {"J": 3, "n": 16, "tau": 1e-320, "levels": [{"j": 1, "R": 0.5, "theta_seconds": 1.0}]}
 INF_STEPS_MESSAGE = "model key 'theta_seconds' in levels[0] is inf grid steps, not finite"
+DEEP_SPEC = {"J": 2000, "tau": 1.0, "n": 16, "levels": [{"j": 1, "R": 0.5, "theta_over_tau": -1}]}
 
 
 class TestModelCheck:
@@ -298,6 +320,31 @@ class TestModelCheck:
         assert "Traceback" not in captured.err
         assert "model ok" not in captured.out
         assert os.listdir(tmp_path) == [os.path.basename(argv[2])]  # the input file only
+
+    @pytest.mark.parametrize("command", ["model-check", "simulate", "mc"])
+    def test_deep_model_runs_as_a_shallow_one(self, tmp_path, capsys, command):
+        # band j's scale is 2^-j for any J; 2^(J-j+1) alone overflows at J >= 1024
+        outputs = []
+        for J in (2000, 3):
+            work = tmp_path / str(J)
+            work.mkdir()
+            spec = dict(DEEP_SPEC, J=J)
+            if command == "mc":
+                path = work / "config.json"
+                path.write_text(json.dumps({"model": spec, "families": ["haar"], "j_max": 1, "l_max": 2}))
+                argv = ["mc", "--config", str(path), "--reps", "3", "--threads", "1"]
+            else:
+                argv = [command, "--model", write_model(work, spec)]
+            if command != "model-check":
+                argv += ["--out", str(work / "o.csv")]
+            if command == "simulate":
+                argv += ["--seed", "4", "--ticks1", str(work / "t1.csv")]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            files = [(work / name).read_bytes() for name in ("o.csv", "t1.csv") if (work / name).exists()]
+            outputs.append((captured.out.replace(f"J={J},", "J,"), files))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "path, key",
@@ -645,6 +692,7 @@ class TestEndToEnd:
             ("include_hry", 0, "must be true or false"),
             ("families", "la20", "must be a list of family names"),
             ("families", ["haar", 8], "must be a list of family names"),
+            ("families", ["haar", "haar"], "names 'haar' more than once"),
         ],
     )
     def test_mc_wrongly_typed_config_value_is_data_error(
@@ -1185,6 +1233,19 @@ class TestImport:
             used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             unused += [f"{path.stem}.{name}" for name in sorted(imported - used)]
         assert unused == ["montecarlo.base_filter"]
+
+    def test_package_filters_only_through_the_pyramid(self):
+        # one filtering algorithm: no convolution or correlation helper
+        # besides estimator._dilated_valid and the lag kernel's transforms
+        src = pathlib.Path(ll.__file__).parent
+        calls = [
+            f"{path.stem}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in ("convolve", "correlate")
+            or isinstance(node, ast.alias) and node.name in ("convolve", "correlate")
+        ]
+        assert calls == []
 
     def test_version_matches_pyproject(self, capsys):
         tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11

@@ -196,11 +196,15 @@ class TestFastIngest:
             "timestamp,price\n1.0," + " " * 200000 + "2.0\n",
             "timestamp,price,note\n1.0,2.0," + "x" * 131072 + "\n",
             "timestamp,price,note\n1.0,2.0," + "x" * 131073 + "\n",
+            "\ufefftimestamp,price\n1.0,2.0\n3.0,4.0\n",
+            "\ufeff# note\nTimestamp,price\n1.0,2.0\n",
+            "\ufeff\ufefftimestamp,price\n1.0,2.0\n",
         ],
         ids=[
             "comment-row-in-unused-column", "quoted-comma", "quoted-newline", "x1c-prefix",
             "x1f-suffix", "underscore", "whitespace-line", "unicode-space", "bare-cr",
             "long-unused-field", "long-padded-number", "field-at-limit", "field-over-limit",
+            "byte-order-mark", "byte-order-mark-comment", "two-byte-order-marks",
         ],
     )
     def test_matches_row_parser_on_loadtxt_traps(self, tmp_path, text):
@@ -219,6 +223,17 @@ class TestFastIngest:
         outcome = parse_outcome(read_csv, p, "raw_price")
         assert outcome[0] == "ok"
         assert outcome == parse_outcome(ingest._read_rows, p, "raw_price")
+
+    @pytest.mark.parametrize("head", ["", "# made by a spreadsheet\n"], ids=["header", "comment"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, head):
+        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF
+        p = tmp_path / "ticks.csv"
+        p.write_bytes(("\ufeff" + head + "timestamp,price\n1.0,2.0\n3.0,4.0\n").encode("utf-8"))
+        with mock.patch.object(ingest, "_read_rows", side_effect=AssertionError("row parser ran")):
+            ticks = read_csv(p)
+        assert ticks.timestamps.tolist() == [1.0, 3.0]
+        assert ticks.prices.tolist() == [2.0, 4.0]
+        assert parse_outcome(ingest._read_rows, p, "raw_price") == parse_outcome(read_csv, p, "raw_price")
 
     def test_bytes_path_takes_the_fast_path(self, tmp_path):
         p = tmp_path / "ticks.csv"

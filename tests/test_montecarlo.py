@@ -120,6 +120,10 @@ class TestRunMc:
         with pytest.raises(DataError, match="unknown filter family 'la9'"):
             small_config(families=("haar", "la9"))
 
+    def test_repeated_family_rejected(self):
+        with pytest.raises(DataError, match="MC config key 'families' names 'haar' more than once"):
+            small_config(families=("haar", "la8", "haar"))
+
     def test_expected_errors_count_as_failures(self, monkeypatch):
         real = montecarlo.run_replication
         first = replication_seeds(5, 1)[0]
