@@ -9,7 +9,10 @@ contribute a zero return and the next observed point aggregates the gap.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +108,10 @@ _ROW_PARSER_CHARS = '#"\x1c\x1d\x1e\x1f'
 # file by these suffixes; such a file goes to the row parser.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
+# The line ends of a text file opened with newline="", which the csv module
+# reads and counts in ``line_num``.
+_LINE_END = re.compile(rb"\r\n?|\n")
+
 
 def read_csv(path, scale: str = "raw_price") -> TickSeries:
     """Parse a tick CSV with header columns ``timestamp`` and ``price``.
@@ -118,21 +125,12 @@ def read_csv(path, scale: str = "raw_price") -> TickSeries:
     try:
         # absolute, so that DataSource cannot read the name as a URL
         name = os.path.abspath(os.fsdecode(path))
-        with open(name, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            t_col, p_col = _header_columns(reader, path)
-            skip = reader.line_num
-            body = fh.read()
+        plain = _plain_layout(name, path)
     except (OSError, UnicodeDecodeError, csv.Error, DataError):
         return _read_rows(path, scale)
-    if (
-        not body
-        or body.isspace()
-        or any(c in body for c in _ROW_PARSER_CHARS)
-        or _may_hold_long_field(body)
-        or name.endswith(_COMPRESSED_SUFFIXES)
-    ):
+    if plain is None or name.endswith(_COMPRESSED_SUFFIXES):
         return _read_rows(path, scale)
+    t_col, p_col, skip = plain
     try:
         values = np.loadtxt(
             name,
@@ -150,17 +148,44 @@ def read_csv(path, scale: str = "raw_price") -> TickSeries:
     return _tick_series(path, values[:, 0].copy(), values[:, 1].copy(), scale)
 
 
-def _may_hold_long_field(body: str) -> bool:
-    """Whether a field of ``body`` (quote-free CSV) may be longer than the
+def _plain_layout(name: str, path) -> tuple[int, int, int] | None:
+    """The timestamp and price columns and the header's line count, or
+    None when the rows after the header must go to the row parser.
+
+    The file is read once as bytes, and only the header lines are decoded;
+    an ASCII body is scanned as bytes, and any other body is decoded first.
+    The file's bytes are freed on return, before np.loadtxt reads it.
+    """
+    with open(name, "rb") as fh:
+        data = fh.read()
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    t_col, p_col = _header_columns(reader, path)
+    skip = reader.line_num
+    ends = [end.end() for end in itertools.islice(_LINE_END.finditer(data), skip)]
+    body = data[ends[-1] :] if len(ends) == skip else b""
+    if not body.isascii():
+        body = body.decode("utf-8")
+    return None if _needs_row_parser(body) else (t_col, p_col, skip)
+
+
+def _needs_row_parser(body: str | bytes) -> bool:
+    """Whether the rows after the header, as text or as ASCII bytes, are
+    blank or hold what the row parser reads differently from np.loadtxt:
+    one of ``_ROW_PARSER_CHARS``, or a field that may be longer than the
     csv module's field size limit, which the row parser enforces and
     np.loadtxt does not.
 
     Such a field covers a whole aligned block of half the limit, so a
     separator in every block rules it out: a few ``find`` calls.
     """
+    chars, seps = _ROW_PARSER_CHARS, ",\n\r"
+    if isinstance(body, bytes):  # iterating bytes gives ints, which `in` and find take
+        chars, seps = chars.encode(), seps.encode()
+    if not body or body.isspace() or any(c in body for c in chars):
+        return True
     block = max(1, csv.field_size_limit() // 2)
     return any(
-        all(body.find(sep, start, start + block) < 0 for sep in ",\n\r")
+        all(body.find(sep, start, start + block) < 0 for sep in seps)
         for start in range(0, len(body) - block + 1, block)
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, int_text
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,22 @@ class SpectralModel:
 
     @property
     def tau(self) -> float:
-        """Grid spacing in model time units, 2^(-J-1)."""
-        return 2.0 ** -(self.finest_level + 1)
+        """Grid spacing in model time units, 2^(-J-1); a DataError from
+        J = 1074 on, where it underflows to 0."""
+        return _default_tau(self.finest_level)
 
     def active_levels(self) -> list[int]:
         return sorted(c.level for c in self.components if c.corr != 0.0)
+
+
+def _default_tau(J: int) -> float:
+    tau = math.ldexp(1.0, -(J + 1))  # 2.0 ** -(J + 1), and 0.0 where J overflows a float
+    if tau == 0.0:
+        raise DataError(
+            f"{int_text('J', J)} makes the default grid spacing tau = 2^-(J+1) "
+            "underflow to 0; give tau"
+        )
+    return tau
 
 
 @dataclass(frozen=True)
@@ -170,7 +181,7 @@ def load_model(source) -> tuple[SpectralModel, ObservationScheme]:
     if J < 1:  # checked before 2^(-J-1), which overflows for J far below 1
         raise DataError(f"finest level must be >= 1, got {J}")
     scheme = ObservationScheme(
-        tau=number("tau", raw["tau"]) if "tau" in raw else 2.0 ** -(J + 1),
+        tau=number("tau", raw["tau"]) if "tau" in raw else _default_tau(J),
         n=json_integer(raw.get("n", 1), "model key 'n'"),
         pi1=number("pi1", raw.get("pi1", 0.0)),
         pi2=number("pi2", raw.get("pi2", 0.0)),

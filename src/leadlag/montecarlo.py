@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,6 +215,9 @@ def run_mc(config: MCConfig) -> MCSummary:
     init = (config, build_embedding(config.model, config.scheme))
     workers = min(config.threads, -(-config.replications // CHUNKSIZE))
     if workers > 1:
+        # imported here: multiprocessing loads only when a pool starts
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=init
         ) as pool:

@@ -162,6 +162,9 @@ NAN_SPECTRUM_SPEC = {"J": 3, "n": 16, "levels": [{"j": 1, "R": 0.5, "theta_over_
 INF_STEPS_SPEC = {"J": 3, "n": 16, "tau": 1e-320, "levels": [{"j": 1, "R": 0.5, "theta_seconds": 1.0}]}
 INF_STEPS_MESSAGE = "model key 'theta_seconds' in levels[0] is inf grid steps, not finite"
 DEEP_SPEC = {"J": 2000, "tau": 1.0, "n": 16, "levels": [{"j": 1, "R": 0.5, "theta_over_tau": -1}]}
+# the default tau, 2^-(J+1), underflows to 0 from J = 1074 on
+ZERO_TAU_SPEC = {key: value for key, value in DEEP_SPEC.items() if key != "tau"}
+ZERO_TAU_MESSAGE = "J=2000 makes the default grid spacing tau = 2^-(J+1) underflow to 0; give tau"
 
 
 class TestModelCheck:
@@ -302,8 +305,15 @@ class TestModelCheck:
             ("model-check", INF_STEPS_SPEC, 2, INF_STEPS_MESSAGE),
             ("simulate", INF_STEPS_SPEC, 2, INF_STEPS_MESSAGE),
             ("mc", INF_STEPS_SPEC, 2, INF_STEPS_MESSAGE),
+            ("model-check", ZERO_TAU_SPEC, 2, ZERO_TAU_MESSAGE),
+            ("simulate", ZERO_TAU_SPEC, 2, ZERO_TAU_MESSAGE),
+            ("mc", ZERO_TAU_SPEC, 2, ZERO_TAU_MESSAGE),
         ],
-        ids=[f"{c}-{m}" for m in ("nan-spectrum", "inf-steps") for c in ("model-check", "simulate", "mc")],
+        ids=[
+            f"{c}-{m}"
+            for m in ("nan-spectrum", "inf-steps", "zero-tau")
+            for c in ("model-check", "simulate", "mc")
+        ],
     )
     def test_non_finite_model_is_refused(self, tmp_path, capsys, command, spec, code, needle):
         if command == "mc":
@@ -1181,6 +1191,18 @@ class TestImport:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
+        # run_mc imports the pool only when it starts one
+        probe = (
+            "import sys, leadlag.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("module", ["leadlag", "leadlag.cli"])
     def test_import_loads_no_scipy_module(self, module):

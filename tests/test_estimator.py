@@ -9,6 +9,7 @@ import leadlag as ll
 from leadlag.errors import DataError, NumericError
 from leadlag.estimator import (
     LagGrid,
+    _dilated_valid,
     _lagged_sums,
     cross_cov_curve,
     estimate_lag,
@@ -59,6 +60,13 @@ def eq17_cross_cov(w1, w2, lag, tau, n, filter_length):
         for k in range(first, n + lag):
             total += w1[k - lag - first] * w2[k - first]
     return total / (tau * count)
+
+
+def single_call_step(x, taps, step):
+    """One pyramid step as one einsum over every output: the valid
+    convolution with the taps spaced ``step`` apart, unblocked."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (len(taps) - 1) * step + 1)[:, ::step]
+    return np.einsum("kp,p->k", windows, taps[::-1], order="F")
 
 
 def aligned(values, tau=1.0):
@@ -159,6 +167,37 @@ class TestModwt:
         f = cascade(base_filter("haar"), 1)
         w = modwt(aligned([1.0, 2.0, 4.0]), f)
         assert len(w.values) == 2
+
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n=st.one_of(st.sampled_from((65536, 65555, 70001, 2**17)), st.integers(2**16 - 64, 2**17)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_blocked_steps_equal_single_call_steps(self, family, n, seed):
+        # from 2^16 outputs on a step runs in blocks; each coefficient must
+        # keep the bits of the one-call step, on both sides of the threshold
+        x = np.random.default_rng(seed).standard_normal(n)
+        base = base_filter(family)
+        smooth, chained = x, x
+        for level in range(1, 9):
+            step = 2 ** (level - 1)
+            chained = modwt(chained, cascade(base, level))
+            assert chained.values.tobytes() == single_call_step(smooth, base.wavelet, step).tobytes()
+            smooth = single_call_step(smooth, base.scaling, step)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("step", [2, 3, 1023, 1024, 1025, 2048, 4096])
+    def test_wide_blocked_steps_equal_single_call_steps(self, family, step):
+        # steps at and above the block size, at 2^16 - 1 outputs (one call),
+        # 2^16 (whole blocks only), 2^16 + 1 and 2^17 + 5 (a partial block)
+        base = base_filter(family)
+        rng = np.random.default_rng(step)
+        for outputs in (2**16 - 1, 2**16, 2**16 + 1, 2**17 + 5):
+            x = rng.standard_normal(outputs + (base.length - 1) * step)
+            for taps in (base.scaling, base.wavelet):
+                want = single_call_step(x, taps, step)
+                assert _dilated_valid(x, taps, step).tobytes() == want.tobytes()
 
     def test_read_only_strided_input_equals_contiguous_copy(self):
         x = np.random.default_rng(24).standard_normal(3000)

@@ -101,6 +101,18 @@ class TestIncrementCrossCov:
         expected = 2.0 ** (J - j + 1) * tau**2 * r
         assert increment_cross_cov(model, steps) == pytest.approx(expected, rel=1e-12)
 
+    def test_underflowing_default_tau_is_data_error(self):
+        # 2^-(J+1) is 0.0 from J = 1074 on; an explicit tau still works
+        model = ll.SpectralModel(1100, (ll.ScaleComponent(level=1, corr=0.5, lag_steps=-1.0),))
+        with pytest.raises(DataError, match=r"^J=1100 makes the default grid spacing .* give tau$"):
+            increment_cross_cov(model, [0.0, 1.0])
+        shallow = ll.SpectralModel(3, model.components)
+        assert np.array_equal(
+            increment_cross_cov(model, [0.0, 1.0], tau=0.5),
+            increment_cross_cov(shallow, [0.0, 1.0], tau=0.5),
+        )
+        assert ll.SpectralModel(1073, model.components).tau == 2.0**-1074
+
     def test_all_zero_correlations(self):
         model, _ = ll.load_model({"J": 5, "levels": [{"j": 1, "R": 0.0}]})
         lags = np.arange(-50, 51)

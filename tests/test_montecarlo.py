@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import os
 import time
@@ -183,7 +184,7 @@ class TestPoolSize:
                 chunks.append(chunksize)
                 return map(fn, items)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         summary = run_mc(small_config(families=("haar",), threads=threads, replications=replications))
         assert summary.failures == 0
         assert started == ([] if workers is None else [workers])
@@ -197,7 +198,7 @@ class TestPoolSize:
                 started.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         texts = []
         for threads in (1, 2):
             out = io.StringIO()
