@@ -204,10 +204,10 @@ def _cmd_gain(args) -> int:
     filt = cascade(base, args.level)
     try:
         lams = np.linspace(0.0, math.pi, args.points)
+        empirical = empirical_gain(_cascade_taps(filt), args.points)
     except (MemoryError, ValueError):
         raise DataError(f"--points {args.points} is too large to allocate") from None
     theory = level_gain(args.level, base.length, lams)
-    empirical = empirical_gain(_cascade_taps(filt), lams)
     with atomic_output(args.out) as fh:
         fh.write("# leadlag-gain schema_version=1\n")
         fh.write("lambda,H_jL,empirical_gain\n")

@@ -10,7 +10,8 @@ The band-pass is the MODWT pyramid (Percival & Walden 2000, ch. 5): level j
 filters the level j-1 smooth with the length-L base filters, taps spaced
 2^(j-1) apart, so a level costs O(L n) instead of the O(L_j n) of a
 convolution with the whole level-j cascade. Each level's coefficients carry
-the smooth they were filtered from, and the next level continues from it.
+the smooth they were filtered from, and the next level continues from it;
+a return series that a caller could still write is copied first.
 A step with at least 2^16 outputs (day scale, not mc scale) runs in blocks
 of 1024 outputs that stay in cache while einsum adds the taps; the values
 are those of one call bit for bit.
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .filters import LevelFilter, base_filter, cascade, cascade_length
-from .ingest import AlignedReturns
+from .ingest import AlignedReturns, _frozen
 from .model import json_integer
 from .simulate import _next_fast_len
 
@@ -109,12 +110,6 @@ class LagEstimate:
     degenerate: bool
 
 
-def _as_returns(returns) -> np.ndarray:
-    if isinstance(returns, AlignedReturns):
-        return returns.returns
-    return np.asarray(returns, dtype=float)
-
-
 # A step with at least _BLOCKED_FROM outputs runs in blocks of _BLOCK
 # outputs, whose input and output stay in the L1 cache while einsum adds one
 # tap after another. Blocked over one-call time, steps 2-128, la20 / la8 /
@@ -183,14 +178,12 @@ def modwt(source, level_filter: LevelFilter) -> WaveletCoeffs:
             )
         n, smooth, done = source.n, source.smooth, source.level - 1
     else:
-        smooth = _as_returns(source)
+        # the smooth outlives this call, so it must be an array that no
+        # caller can write; one that owns its data is also contiguous, as
+        # the pyramid's strided views need
+        smooth = _frozen(source.returns if isinstance(source, AlignedReturns) else source)
         if smooth.ndim != 1:
             raise DataError(f"return series must be one-dimensional, got shape {smooth.shape}")
-        # the smooth outlives this call, so a caller's writable array is
-        # copied; the pyramid's strided views need a contiguous one
-        if smooth.flags.writeable or not smooth.flags.c_contiguous:
-            smooth = np.array(smooth, order="C")
-            smooth.setflags(write=False)
         n, done = len(smooth), 0
     L = level_filter.length
     if n < L:

@@ -9,7 +9,8 @@ gain function is the arbiter for their correctness, see tests.
 The estimator filters with the MODWT pyramid (``estimator.modwt``): level j
 applies the length-L base filters, taps spaced 2^(j-1) apart, to the level
 j-1 smooth, so a ``LevelFilter`` names a (family, level) pair and does not
-hold the level-j cascade.
+hold the level-j cascade. ``empirical_gain`` transforms taps on the uniform
+grid over [0, pi] that ``leadlag gain`` tabulates, by one FFT.
 """
 
 from __future__ import annotations
@@ -160,15 +161,15 @@ def level_gain(level: int, length: int, lam) -> np.ndarray:
     return out
 
 
-def empirical_gain(coefficients, lam) -> np.ndarray:
-    """|DFT|^2 of a filter evaluated at arbitrary angular frequencies."""
-    coef = np.asarray(coefficients, dtype=float)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    taps = np.arange(len(coef))
-    out = np.empty(len(lam))
-    # block the frequency axis so the phase matrix stays a few MB
-    step = max(1, (1 << 22) // max(len(coef), 1))
-    for i in range(0, len(lam), step):
-        phases = np.exp(-1j * np.outer(lam[i : i + step], taps))
-        out[i : i + step] = np.abs(phases @ coef) ** 2
-    return out
+def empirical_gain(coefficients, points: int) -> np.ndarray:
+    """|DFT|^2 of a filter at the ``points`` angular frequencies
+    lam_k = pi k / (points - 1), k = 0..points - 1.
+
+    At these frequencies the DFT has period N = 2(points - 1) in the tap
+    index, so the taps folded modulo N give it unchanged: one rfft.
+    """
+    if points < 2:
+        raise ValueError(f"need at least 2 points, got {points}")
+    size = 2 * (points - 1)
+    folded = np.bincount(np.arange(len(coefficients)) % size, weights=coefficients, minlength=size)
+    return np.abs(np.fft.rfft(folded)) ** 2

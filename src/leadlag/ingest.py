@@ -4,6 +4,8 @@ Raw ticks, and the observed grid points of simulated paths, become
 grid-aligned return series by one rule: the value at grid point k is the
 last observation at or before it, so intervals without a fresh observation
 contribute a zero return and the next observed point aggregates the gap.
+A tick CSV's body is scanned as bytes. ``TickSeries`` and ``AlignedReturns``
+hold read-only arrays that own their data, copying any other input.
 """
 
 from __future__ import annotations
@@ -24,6 +26,16 @@ from .simulate import PathSample
 PRICE_SCALES = ("raw_price", "log_price")
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array that owns its data: such an array is
+    kept, any other (which a caller could write) is copied."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class TickSeries:
     """Irregular observations: nondecreasing timestamps, matching prices."""
@@ -33,8 +45,8 @@ class TickSeries:
     scale: str = "raw_price"
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        px = np.asarray(self.prices, dtype=float)
+        ts = _frozen(self.timestamps)
+        px = _frozen(self.prices)
         if ts.shape != px.shape or ts.ndim != 1:
             raise DataError(
                 f"timestamps and prices must be equal-length vectors, "
@@ -54,8 +66,6 @@ class TickSeries:
         if self.scale == "raw_price" and np.any(px <= 0):
             row = int(np.argmax(px <= 0)) + 1
             raise DataError(f"non-positive price at row {row}")
-        ts.setflags(write=False)
-        px.setflags(write=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "prices", px)
 
@@ -84,8 +94,8 @@ class AlignedReturns:
     observed: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.returns, dtype=float)
-        o = np.asarray(self.observed, dtype=bool)
+        r = _frozen(self.returns)
+        o = _frozen(self.observed, bool)
         if len(r) != self.n or len(o) != self.n + 1:
             raise DataError(
                 f"need {self.n} returns and {self.n + 1} flags, "
@@ -93,8 +103,6 @@ class AlignedReturns:
             )
         if not o[0]:
             raise DataError("grid origin must be observed")
-        r.setflags(write=False)
-        o.setflags(write=False)
         object.__setattr__(self, "returns", r)
         object.__setattr__(self, "observed", o)
 
@@ -102,7 +110,7 @@ class AlignedReturns:
 # Characters that send the rows after the header to the row parser: it
 # skips a row whose first field starts with '#' and reads '"' as quoting,
 # and float() rejects \x1c-\x1f around a number where np.loadtxt strips them.
-_ROW_PARSER_CHARS = '#"\x1c\x1d\x1e\x1f'
+_ROW_PARSER_CHARS = b'#"\x1c\x1d\x1e\x1f'
 
 # np.loadtxt opens a path through numpy's DataSource, which decompresses a
 # file by these suffixes; such a file goes to the row parser.
@@ -133,19 +141,13 @@ def read_csv(path, scale: str = "raw_price") -> TickSeries:
     t_col, p_col, skip = plain
     try:
         values = np.loadtxt(
-            name,
-            delimiter=",",
-            usecols=(t_col, p_col),
-            skiprows=skip,
-            comments=None,
-            dtype=float,
-            ndmin=2,
-            encoding="utf-8",
+            name, delimiter=",", usecols=(t_col, p_col), skiprows=skip, comments=None,
+            ndmin=2, encoding="utf-8",
         )
     except Exception:
         # the row parser is the reference; it raises its own messages
         return _read_rows(path, scale)
-    return _tick_series(path, values[:, 0].copy(), values[:, 1].copy(), scale)
+    return _tick_series(path, values[:, 0], values[:, 1], scale)
 
 
 def _plain_layout(name: str, path) -> tuple[int, int, int] | None:
@@ -153,8 +155,8 @@ def _plain_layout(name: str, path) -> tuple[int, int, int] | None:
     None when the rows after the header must go to the row parser.
 
     The file is read once as bytes, and only the header lines are decoded;
-    an ASCII body is scanned as bytes, and any other body is decoded first.
-    The file's bytes are freed on return, before np.loadtxt reads it.
+    the body is scanned as bytes. The file's bytes are freed on return,
+    before np.loadtxt reads it.
     """
     with open(name, "rb") as fh:
         data = fh.read()
@@ -163,29 +165,25 @@ def _plain_layout(name: str, path) -> tuple[int, int, int] | None:
     skip = reader.line_num
     ends = [end.end() for end in itertools.islice(_LINE_END.finditer(data), skip)]
     body = data[ends[-1] :] if len(ends) == skip else b""
-    if not body.isascii():
-        body = body.decode("utf-8")
     return None if _needs_row_parser(body) else (t_col, p_col, skip)
 
 
-def _needs_row_parser(body: str | bytes) -> bool:
-    """Whether the rows after the header, as text or as ASCII bytes, are
-    blank or hold what the row parser reads differently from np.loadtxt:
-    one of ``_ROW_PARSER_CHARS``, or a field that may be longer than the
-    csv module's field size limit, which the row parser enforces and
-    np.loadtxt does not.
+def _needs_row_parser(body: bytes) -> bool:
+    """Whether the bytes after the header are blank (other whitespace fails
+    in np.loadtxt) or hold what the row parser reads differently from it:
+    one of ``_ROW_PARSER_CHARS``, which UTF-8 never puts inside a multibyte
+    character, or a field that may be longer than the csv module's field
+    size limit, which the row parser enforces and np.loadtxt does not.
 
-    Such a field covers a whole aligned block of half the limit, so a
-    separator in every block rules it out: a few ``find`` calls.
+    Such a field, over the limit in bytes if in characters, covers a whole
+    aligned block of half the limit, so a separator in every block rules
+    it out: a few ``find`` calls.
     """
-    chars, seps = _ROW_PARSER_CHARS, ",\n\r"
-    if isinstance(body, bytes):  # iterating bytes gives ints, which `in` and find take
-        chars, seps = chars.encode(), seps.encode()
-    if not body or body.isspace() or any(c in body for c in chars):
+    if not body or body.isspace() or any(c in body for c in _ROW_PARSER_CHARS):
         return True
     block = max(1, csv.field_size_limit() // 2)
     return any(
-        all(body.find(sep, start, start + block) < 0 for sep in seps)
+        all(body.find(sep, start, start + block) < 0 for sep in b",\n\r")
         for start in range(0, len(body) - block + 1, block)
     )
 
@@ -246,8 +244,8 @@ def _tick_series(path, times, prices, scale) -> TickSeries:
 
 def _previous_tick(values: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Previous-tick returns over grid points 0..n and their observed flags,
-    from ``values`` in time order and ``pos``, the first grid point at or
-    after each (n + 1 past the grid). The caller checks point 0 is observed.
+    read-only, from ``values`` in time order and ``pos``, the first grid
+    point at or after each (n + 1 past the grid). The caller checks point 0.
     """
     # counts[k]: observations at grid point k; their running sum, less one,
     # is the last observation at or before grid point k
@@ -255,7 +253,10 @@ def _previous_tick(values: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndar
     observed = counts > 0
     idx = np.cumsum(counts, out=counts)
     idx -= 1
-    return np.diff(values[idx]), observed
+    returns = np.diff(values[idx])
+    returns.setflags(write=False)
+    observed.setflags(write=False)
+    return returns, observed
 
 
 def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedReturns:

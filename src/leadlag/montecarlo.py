@@ -248,15 +248,15 @@ def run_mc(config: MCConfig) -> MCSummary:
     )
 
 
-def load_mc_config(source, **overrides) -> MCConfig:
+def load_mc_config(source, *, replications=None, master_seed=None, threads=None) -> MCConfig:
     """Build an MCConfig from a parsed mapping or a JSON file path.
 
     Recognized fields are MC_CONFIG_KEYS; model (an inline object) or
     model_path is required, and any other key is a DataError. So is a value
     of the wrong JSON type: j_max, l_max, replications, master_seed and
     threads are integers, include_hry is a boolean and families a list of
-    names, and schema_version must be 1. Keyword overrides (replications,
-    master_seed, threads) take precedence when not None. A setting that
+    names, and schema_version must be 1. The keyword-only replications,
+    master_seed and threads take precedence when not None. A setting that
     neither gives keeps MCConfig's default.
     """
     raw = json_object(source, "MC config")
@@ -274,6 +274,7 @@ def load_mc_config(source, **overrides) -> MCConfig:
         raise DataError("MC config needs 'model' or 'model_path'")
     model, scheme = load_model(model_source)
 
+    overrides = {"replications": replications, "master_seed": master_seed, "threads": threads}
     settings = {}
     for key, name in INTEGER_SETTINGS.items():
         # the file's value is checked even where an override replaces it

@@ -117,7 +117,7 @@ class TestFilterGainOracle:
                 filt = cascade(base, level)
                 err = np.max(
                     np.abs(
-                        empirical_gain(_cascade_taps(filt), lams)
+                        empirical_gain(_cascade_taps(filt), len(lams))
                         - level_gain(level, base.length, lams)
                     )
                 )

@@ -92,18 +92,19 @@ class TestParsing:
 class TestGain:
     def test_csv_matches_closed_form(self, tmp_path):
         out = tmp_path / "gain.csv"
-        assert main(
-            ["gain", "--family", "la20", "--level", "3", "--points", "1024", "--out", str(out)]
-        ) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("# leadlag-gain")
-        assert lines[1] == "lambda,H_jL,empirical_gain"
-        rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
-        assert rows.shape == (1024, 3)
-        assert rows[0, 0] == 0.0
-        assert rows[-1, 0] == pytest.approx(math.pi)
-        assert np.allclose(rows[:, 1], level_gain(3, 20, rows[:, 0]), atol=1e-12)
-        assert np.max(np.abs(rows[:, 1] - rows[:, 2])) < 1e-10
+        for points in (1024, 2, 257):
+            assert main(
+                ["gain", "--family", "la20", "--level", "3", "--points", str(points), "--out", str(out)]
+            ) == 0
+            lines = out.read_text().strip().splitlines()
+            assert lines[0].startswith("# leadlag-gain")
+            assert lines[1] == "lambda,H_jL,empirical_gain"
+            rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+            assert rows.shape == (points, 3)
+            assert rows[0, 0] == 0.0
+            assert rows[-1, 0] == pytest.approx(math.pi)
+            assert np.allclose(rows[:, 1], level_gain(3, 20, rows[:, 0]), atol=1e-12)
+            assert np.max(np.abs(rows[:, 1] - rows[:, 2])) < 1e-10, f"--points {points}"
 
 
 class TestSimulate:
@@ -1266,6 +1267,21 @@ class TestImport:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and node.attr in ("convolve", "correlate")
             or isinstance(node, ast.alias) and node.name in ("convolve", "correlate")
+        ]
+        assert calls == []
+
+    def test_package_makes_no_matrix_product(self):
+        # forked mc workers then start no BLAS threads: numpy's dot, matmul,
+        # inner, vdot, tensordot and linalg are the calls that reach BLAS
+        src = pathlib.Path(ll.__file__).parent
+        names = ("dot", "matmul", "inner", "vdot", "tensordot", "linalg")
+        calls = [
+            f"{path.stem}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.alias) and node.name.split(".")[-1] in names
+            or isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
         ]
         assert calls == []
 

@@ -159,6 +159,16 @@ class TestModwt:
         x[:] = 0.0
         assert np.array_equal(modwt(w1, cascade(base, 2)).values, want)
 
+    def test_read_only_view_of_a_writable_array_is_not_shared(self):
+        x = np.random.default_rng(26).standard_normal(200)
+        view = x[:]
+        view.setflags(write=False)
+        base = base_filter("la8")
+        w1 = modwt(view, cascade(base, 1))
+        want = modwt(x.copy(), cascade(base, 2)).values
+        x[:] = 0.0
+        assert np.array_equal(modwt(w1, cascade(base, 2)).values, want)
+
     def test_two_dimensional_series_rejected(self):
         with pytest.raises(DataError, match="one-dimensional"):
             modwt(np.zeros((40, 2)), cascade(base_filter("haar"), 2))

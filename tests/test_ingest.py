@@ -199,18 +199,35 @@ class TestFastIngest:
             "\ufefftimestamp,price\n1.0,2.0\n3.0,4.0\n",
             "\ufeff# note\nTimestamp,price\n1.0,2.0\n",
             "\ufeff\ufefftimestamp,price\n1.0,2.0\n",
+            "timestamp,price\n\u3000\n",
+            "timestamp,price\n\xa0\xa0\n",
+            "timestamp,price\n\x85\n",
+            "timestamp,price\n\u2028\n",
+            "timestamp,price\n\u3000\xa0\x85\u2028 \n",
+            # the invalid byte lies past the header decoder's first read
+            b"timestamp,price\n" + b"1.0,2.0\n" * 2000 + b"3.0,\xff4.0\n",
+            b"timestamp,price,note\n" + b"1.0,2.0,a\n" * 2000 + b"3.0,4.0,\xff\n",
+            "timestamp,price,note\n1.0,2.0,caf\xe9\n3.0,4.0,\u65e5\u672c\n",
+            # the field crosses byte 2^16 of the body, half the csv module's limit
+            "timestamp,price,note\n1.0,2.0," + "\xe9" * 40000 + "\n3.0,4.0,y\n",
+            # under the limit in characters, over it in bytes
+            "timestamp,price,note\n1.0,2.0," + "\u65e5" * 50000 + "\n3.0,4.0,y\n",
         ],
         ids=[
             "comment-row-in-unused-column", "quoted-comma", "quoted-newline", "x1c-prefix",
             "x1f-suffix", "underscore", "whitespace-line", "unicode-space", "bare-cr",
             "long-unused-field", "long-padded-number", "field-at-limit", "field-over-limit",
             "byte-order-mark", "byte-order-mark-comment", "two-byte-order-marks",
+            "only-ideographic-space", "only-no-break-space", "only-next-line",
+            "only-line-separator", "only-unicode-whitespace", "invalid-utf8-price",
+            "invalid-utf8-unused-field", "non-ascii-field", "multibyte-field-across-block",
+            "multibyte-field-over-limit-in-bytes",
         ],
     )
     def test_matches_row_parser_on_loadtxt_traps(self, tmp_path, text):
         # files that np.loadtxt alone would read differently from the row parser
         p = tmp_path / "ticks.csv"
-        p.write_bytes(text.encode("utf-8"))
+        p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         assert parse_outcome(read_csv, p, "raw_price") == parse_outcome(
             ingest._read_rows, p, "raw_price"
         )
@@ -275,6 +292,61 @@ class TestFastIngest:
             fast = read_csv(ticks)
         assert fast.timestamps.tobytes() == rows.timestamps.tobytes()
         assert fast.prices.tobytes() == rows.prices.tobytes()
+
+
+class TestArraysAreNotShared:
+    """TickSeries and AlignedReturns hold arrays that no caller can write:
+    a caller's array stays writable, and a later write to it is not seen."""
+
+    def test_tick_series_leaves_the_callers_arrays_writable(self):
+        ts, px = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+        ticks = TickSeries(ts, px)
+        ts[0], px[0] = -1.0, 9.0
+        assert ticks.timestamps.tolist() == [0.0, 1.0]
+        assert ticks.prices.tolist() == [2.0, 3.0]
+        assert not (ticks.timestamps.flags.writeable or ticks.prices.flags.writeable)
+
+    @pytest.mark.parametrize("writeable", [True, False], ids=["view", "read-only-view"])
+    def test_aligned_returns_do_not_alias_a_writable_base(self, writeable):
+        r, o = np.array([0.5, -0.5]), np.ones(3, bool)
+        view = r[:]
+        view.setflags(write=writeable)
+        aligned = AlignedReturns(t0=0.0, tau=1.0, n=2, returns=view, observed=o)
+        r[0] = 7.0
+        o[1] = False
+        assert aligned.returns.tolist() == [0.5, -0.5]
+        assert aligned.observed.tolist() == [True, True, True]
+        assert not (aligned.returns.flags.writeable or aligned.observed.flags.writeable)
+
+    def test_owned_read_only_arrays_are_kept(self):
+        r, o = np.array([0.5, -0.5]), np.ones(3, bool)
+        r.setflags(write=False)
+        o.setflags(write=False)
+        aligned = AlignedReturns(t0=0.0, tau=1.0, n=2, returns=r, observed=o)
+        assert aligned.returns is r and aligned.observed is o
+
+    def test_alignment_hands_over_its_arrays_without_a_copy(self):
+        made, real = [], ingest._previous_tick
+
+        def previous_tick(*args):
+            made.append(real(*args))
+            return made[-1]
+
+        ticks = TickSeries([0.0, 1.5, 2.0], [1.0, 2.0, 3.0])
+        sample = make_sample(np.ones((2, 3)), np.zeros(4, bool), np.zeros(4, bool))
+        scheme = ll.ObservationScheme(tau=1.0, n=3)
+        with mock.patch.object(ingest, "_previous_tick", previous_tick):
+            got = [align_to_grid(ticks, 0.0, 1.0, 3), *returns_from_sample(sample, scheme)]
+        assert len(made) == 3
+        for aligned, (returns, observed) in zip(got, made):
+            assert aligned.returns is returns and aligned.observed is observed
+
+    def test_read_csv_columns_own_their_data(self, tmp_path):
+        p = tmp_path / "ticks.csv"
+        p.write_text("timestamp,price\n1.0,2.0\n3.0,4.0\n")
+        ticks = read_csv(p)
+        for values in (ticks.timestamps, ticks.prices):
+            assert values.flags.owndata and not values.flags.writeable
 
 
 class TestAlignToGrid:

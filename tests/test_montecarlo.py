@@ -224,6 +224,16 @@ class TestConfigLoading:
         assert config.families == ("haar",)
         assert config.grid_half_width == 12
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"replication": 3}, {"thread": 1}, {"seed": 4}, {"j_max": 2}, {"l_max": 5}],
+        ids=["replication", "thread", "seed", "j_max", "l_max"],
+    )
+    def test_unknown_override_is_type_error(self, overrides):
+        # a misspelt keyword used to be dropped, leaving the file's setting
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            load_mc_config({"model": benchmark_spec(n=1200)}, **overrides)
+
     def test_file_round_trip(self, tmp_path):
         import json
 
