@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 usage error, 2 bad data or configuration,
 3 numerical failure, or an ``mc`` summary marked invalid (more than 5% of
-its replications failed; the summary is still written). All file outputs
-are written atomically (temp file in the target directory, then rename),
-so failures leave no partial files.
+its replications failed; the summary is still written). Each command
+opens its outputs with ``atomic_output`` before it reads any input, so a bad
+output path is exit 2 before the work. An output is a hidden temp file in
+its target directory until the command succeeds, so failures leave no
+partial files.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import re
 import sys
 import tempfile
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -39,32 +42,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def check_writable(path) -> None:
-    """Fail fast on an unusable output path, before any computation."""
-    if path in (None, "-"):
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise DataError(f"output directory does not exist: {directory}")
-    if not os.access(directory, os.W_OK):
-        raise DataError(f"output directory is not writable: {directory}")
-
-
 @contextlib.contextmanager
 def atomic_output(path):
-    """Yield a text handle whose content reaches ``path`` only on success."""
+    """Yield a text handle whose content reaches ``path`` only on success,
+    or stdout for None or "-". The one output check: raises DataError,
+    naming the path, where no file can be made at ``path``."""
     if path in (None, "-"):
         yield sys.stdout
         return
+    if not path or path.endswith((os.sep, os.altsep or os.sep)):
+        raise DataError(f"output path {path!r} names no file")
+    if os.path.isdir(path):
+        raise DataError(f"output path {path!r} is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".leadlag-", suffix=".tmp")
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"output directory {directory} of {path!r}: {exc.strerror}") from exc
     try:
         with io.open(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise DataError(f"cannot write {path!r}: {exc.strerror}") from exc
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -199,16 +200,15 @@ def _cmd_gain(args) -> int:
         )
     if args.points < 2:
         raise UsageError(f"--points must be >= 2, got {args.points}")
-    check_writable(args.out)
-    base = base_filter(args.family)
-    filt = cascade(base, args.level)
-    try:
-        lams = np.linspace(0.0, math.pi, args.points)
-        empirical = empirical_gain(_cascade_taps(filt), args.points)
-    except (MemoryError, ValueError):
-        raise DataError(f"--points {args.points} is too large to allocate") from None
-    theory = level_gain(args.level, base.length, lams)
     with atomic_output(args.out) as fh:
+        base = base_filter(args.family)
+        filt = cascade(base, args.level)
+        try:
+            lams = np.linspace(0.0, math.pi, args.points)
+            empirical = empirical_gain(_cascade_taps(filt), args.points)
+        except (MemoryError, ValueError):
+            raise DataError(f"--points {args.points} is too large to allocate") from None
+        theory = level_gain(args.level, base.length, lams)
         fh.write("# leadlag-gain schema_version=1\n")
         fh.write("lambda,H_jL,empirical_gain\n")
         for lam, t, e in zip(lams, theory, empirical):
@@ -216,12 +216,12 @@ def _cmd_gain(args) -> int:
     return 0
 
 
-def _tick_lines(series: int, returns, mask, tau: float) -> list[str]:
+def _tick_lines(series: int, returns, mask, tau: float) -> Iterator[str]:
     """A simulated tick CSV's lines: one tick per observed grid point k,
     priced at exp of the returns summed to k. Raises NumericError on a
     price that is not a finite float of at least the smallest normal one."""
     levels = np.concatenate(([0.0], np.cumsum(returns)))
-    lines = ["timestamp,price\n"]
+    yield "timestamp,price\n"
     for k in np.flatnonzero(~mask).tolist():
         try:
             price = math.exp(levels[k])
@@ -232,26 +232,22 @@ def _tick_lines(series: int, returns, mask, tau: float) -> list[str]:
                 f"series {series}: tick price exp({float(levels[k])!r}) at grid "
                 f"point {k} is outside the normal float range"
             )
-        lines.append(f"{float(k * tau)!r},{price!r}\n")
-    return lines
+        yield f"{float(k * tau)!r},{price!r}\n"
 
 
 def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    for path in (args.out, args.ticks1, args.ticks2):
-        check_writable(path)
-    model, scheme = load_model(args.model)
-    sample = circulant_embed_sample(model, scheme, args.seed)
-    ticks = [
-        (path, _tick_lines(series, returns, mask, scheme.tau))
-        for series, path, returns, mask in (
-            (1, args.ticks1, sample.returns1, sample.mask1),
-            (2, args.ticks2, sample.returns2, sample.mask2),
-        )
-        if path is not None
-    ]
-    with atomic_output(args.out) as fh:
+    # one stack: a failure anywhere discards every output's temp file
+    with contextlib.ExitStack() as outputs:
+        fh = outputs.enter_context(atomic_output(args.out))
+        ticks = [
+            (series, outputs.enter_context(atomic_output(path)))
+            for series, path in ((1, args.ticks1), (2, args.ticks2))
+            if path is not None
+        ]
+        model, scheme = load_model(args.model)
+        sample = circulant_embed_sample(model, scheme, args.seed)
         fh.write("# leadlag-path schema_version=1\n")
         fh.write("k,r1,r2,miss1,miss2\n")
         for k in range(scheme.n):
@@ -259,9 +255,9 @@ def _cmd_simulate(args) -> int:
                 f"{k},{float(sample.returns1[k])!r},{float(sample.returns2[k])!r},"
                 f"{int(sample.mask1[k + 1])},{int(sample.mask2[k + 1])}\n"
             )
-    for path, lines in ticks:
-        with atomic_output(path) as fh:
-            fh.writelines(lines)
+        series_data = {1: (sample.returns1, sample.mask1), 2: (sample.returns2, sample.mask2)}
+        for series, tick_fh in ticks:
+            tick_fh.writelines(_tick_lines(series, *series_data[series], scheme.tau))
     return 0
 
 
@@ -280,51 +276,50 @@ def _cmd_estimate(args) -> int:
             check_levels_fit(args.family, args.levels, args.maxlag, args.n)
         except DataError as exc:
             raise UsageError(f"--levels/--maxlag too large for --n: {exc}") from None
-    check_writable(args.out)
-    ticks1 = read_csv(args.in1, scale=args.scale)
-    ticks2 = read_csv(args.in2, scale=args.scale)
-    t0 = args.t0
-    if t0 is None:
-        t0 = max(ticks1.timestamps[0], ticks2.timestamps[0])
-    n = args.n
-    if n is None:
-        horizon = min(ticks1.timestamps[-1], ticks2.timestamps[-1]) - t0
-        steps = float(horizon) / args.tau
-        if not math.isfinite(steps):
-            raise DataError(
-                f"series overlap of {horizon} s holds too many grid steps of {args.tau} s"
-            )
-        n = int(math.floor(steps))
-        if n <= 0:
-            raise DataError(
-                f"series overlap of {horizon} s leaves no full grid step of {args.tau} s"
-            )
-        check_levels_fit(args.family, args.levels, args.maxlag, n)  # before the grid is allocated
-    ret1 = align_to_grid(ticks1, t0, args.tau, n)
-    ret2 = align_to_grid(ticks2, t0, args.tau, n)
-    grid = LagGrid.symmetric(args.maxlag)
-    results = estimate_levels(ret1, ret2, args.family, args.levels, grid)
-    report = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "family": args.family,
-        "tau": args.tau,
-        "t0": t0,
-        "n": n,
-        "levels": [
-            {
-                "j": est.level,
-                "theta_hat_steps": est.lag,
-                "theta_hat_seconds": est.theta_seconds,
-                "peak": est.peak_value,
-                "runner_up_gap": est.runner_up_gap,
-                "tied": est.tied,
-                "degenerate": est.degenerate,
-                "curve": curve,
-            }
-            for curve, est in results
-        ],
-    }
     with atomic_output(args.out) as fh:
+        ticks1 = read_csv(args.in1, scale=args.scale)
+        ticks2 = read_csv(args.in2, scale=args.scale)
+        t0 = args.t0
+        if t0 is None:
+            t0 = max(ticks1.timestamps[0], ticks2.timestamps[0])
+        n = args.n
+        if n is None:
+            horizon = min(ticks1.timestamps[-1], ticks2.timestamps[-1]) - t0
+            steps = float(horizon) / args.tau
+            if not math.isfinite(steps):
+                raise DataError(
+                    f"series overlap of {horizon} s holds too many grid steps of {args.tau} s"
+                )
+            n = int(math.floor(steps))
+            if n <= 0:
+                raise DataError(
+                    f"series overlap of {horizon} s leaves no full grid step of {args.tau} s"
+                )
+            check_levels_fit(args.family, args.levels, args.maxlag, n)  # before allocating the grid
+        ret1 = align_to_grid(ticks1, t0, args.tau, n)
+        ret2 = align_to_grid(ticks2, t0, args.tau, n)
+        grid = LagGrid.symmetric(args.maxlag)
+        results = estimate_levels(ret1, ret2, args.family, args.levels, grid)
+        report = {
+            "schema_version": REPORT_SCHEMA_VERSION,
+            "family": args.family,
+            "tau": args.tau,
+            "t0": t0,
+            "n": n,
+            "levels": [
+                {
+                    "j": est.level,
+                    "theta_hat_steps": est.lag,
+                    "theta_hat_seconds": est.theta_seconds,
+                    "peak": est.peak_value,
+                    "runner_up_gap": est.runner_up_gap,
+                    "tied": est.tied,
+                    "degenerate": est.degenerate,
+                    "curve": curve,
+                }
+                for curve, est in results
+            ],
+        }
         fh.write(render_report(report))
     return 0
 
@@ -393,12 +388,11 @@ def _cmd_mc(args) -> int:
             raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
         if threads < 1:
             raise UsageError(f"{THREADS_ENV_VAR} must be >= 1, got {threads}")
-    check_writable(args.out)
-    config = load_mc_config(
-        args.config, replications=args.reps, master_seed=args.seed, threads=threads
-    )
-    summary = run_mc(config)
     with atomic_output(args.out) as fh:
+        config = load_mc_config(
+            args.config, replications=args.reps, master_seed=args.seed, threads=threads
+        )
+        summary = run_mc(config)
         write_summary_csv(summary, fh)
     if not summary.valid:
         print(

@@ -242,7 +242,10 @@ def run_mc(config: MCConfig) -> MCSummary:
         if config.include_hry:
             hry_lags.append(res["hry"])
     if failures == config.replications:
-        raise DataError("every replication failed")
+        raise DataError(
+            f"every replication failed; the first, replication 0 (seed {seeds[0]}), "
+            f"raised {results[0]['error']}"
+        )
     return summarize(
         lags_by_family, hry_lags, replications=config.replications, failures=failures
     )
@@ -302,17 +305,18 @@ def load_mc_config(source, *, replications=None, master_seed=None, threads=None)
 
 def write_summary_csv(summary: MCSummary, fh) -> None:
     """Table-style CSV: one median and one MAD row per family, columns by
-    level, plus a single-valued baseline row replicated across columns."""
+    level, plus a single-valued baseline row replicated across columns.
+    Lags and MADs are whole grid steps and are written as integers."""
     fh.write(f"# leadlag-mc-summary schema_version={SUMMARY_SCHEMA_VERSION}\n")
     cols = ",".join(f"j{j}" for j in range(1, summary.j_max + 1))
     fh.write(f"family,statistic,{cols}\n")
     for family in summary.families:
-        med = ",".join(f"{v:g}" for v in summary.medians[family])
-        mad = ",".join(f"{v:g}" for v in summary.mads[family])
+        med = ",".join(str(int(v)) for v in summary.medians[family])
+        mad = ",".join(str(int(v)) for v in summary.mads[family])
         fh.write(f"{family},median,{med}\n")
         fh.write(f"{family},mad,{mad}\n")
     if summary.hry_median is not None:
-        med = ",".join(f"{summary.hry_median:g}" for _ in range(summary.j_max))
-        mad = ",".join(f"{summary.hry_mad:g}" for _ in range(summary.j_max))
+        med = ",".join([str(int(summary.hry_median))] * summary.j_max)
+        mad = ",".join([str(int(summary.hry_mad))] * summary.j_max)
         fh.write(f"hry,median,{med}\n")
         fh.write(f"hry,mad,{mad}\n")

@@ -745,6 +745,27 @@ class TestEndToEnd:
         assert lines[0] == "# leadlag-mc-summary schema_version=1"
         assert lines[2].startswith("haar,median,")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mc_every_replication_failed_names_the_first(self, tmp_path, capsys, monkeypatch, threads):
+        def failing(*args, **kwargs):
+            raise ll.DataError("injected failure")
+
+        monkeypatch.setattr(montecarlo, "run_replication", failing)
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps({"model": benchmark_spec(n=1200), "j_max": 1, "l_max": 12}))
+        out = tmp_path / "o.csv"
+        code = main(
+            ["mc", "--config", str(config_path), "--reps", "16", "--seed", "5",
+             "--threads", threads, "--out", str(out)]
+        )
+        assert code == 2
+        seed = montecarlo.replication_seeds(5, 16)[0]
+        assert capsys.readouterr().err == (
+            f"data error: every replication failed; the first, replication 0 (seed {seed}), "
+            "raised DataError: injected failure\n"
+        )
+        assert os.listdir(tmp_path) == ["mc.json"]
+
     def test_mc_smoke_two_replications(self, tmp_path):
         config = {
             "model": benchmark_spec(n=1200),
@@ -1184,6 +1205,21 @@ class TestEstimateProperty:
             assert len(report["levels"]) >= 1
 
 
+def opens_for_writing(call) -> bool:
+    """Whether an ast.Call is an ``open`` or ``fdopen`` whose mode writes,
+    appends or creates, or is not a string literal."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name not in ("open", "fdopen"):
+        return False
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[1:2]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+        or bool(set(mode.value) & set("wax+"))
+        for mode in modes
+    )
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         probe = "import sys, leadlag.cli; print('scipy.signal' in sys.modules)"
@@ -1285,6 +1321,34 @@ class TestImport:
         ]
         assert calls == []
 
+    def test_only_atomic_output_writes_files(self):
+        # one output path: only cli.atomic_output creates, renames or removes
+        # a file or opens one for writing; every other open() reads
+        src = pathlib.Path(ll.__file__).parent
+        file_ops = ("mkstemp", "replace", "rename", "unlink", "remove")
+        found = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = {
+                id(node)
+                for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef) and (path.stem, func.name) == ("cli", "atomic_output")
+                for node in ast.walk(func)
+            }
+            found += [
+                f"{path.stem}:{node.lineno}"
+                for node in ast.walk(tree)
+                if id(node) not in allowed
+                and (
+                    isinstance(node, ast.Attribute) and node.attr in file_ops
+                    and isinstance(node.value, ast.Name) and node.value.id in ("os", "tempfile")
+                    or isinstance(node, ast.ImportFrom) and node.module in ("os", "tempfile")
+                    and any(alias.name in file_ops for alias in node.names)
+                    or isinstance(node, ast.Call) and opens_for_writing(node)
+                )
+            ]
+        assert found == []
+
     def test_version_matches_pyproject(self, capsys):
         tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
         pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -1335,3 +1399,80 @@ class TestAtomicOutput:
         with atomic_output(str(target)) as fh:
             fh.write("new content\n")
         assert target.read_text() == "new content\n"
+
+    def test_target_made_a_directory_during_the_work_is_data_error(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(ll.DataError, match="cannot write"):
+            with atomic_output(str(target)) as fh:
+                fh.write("content\n")
+                target.mkdir()
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert os.listdir(target) == []
+
+
+def snapshot(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+# each command's output flags, with the call that starts its work
+OUTPUT_FLAGS = [
+    ("gain", "--out", "base_filter"),
+    ("estimate", "--out", "read_csv"),
+    ("mc", "--out", "run_mc"),
+    ("simulate", "--out", "load_model"),
+    ("simulate", "--ticks1", "load_model"),
+    ("simulate", "--ticks2", "load_model"),
+]
+
+
+class TestBadOutputPath:
+    """Every output is opened before the work: a path that cannot be an
+    output file is exit 2, naming it, with no input read and no file left
+    (for simulate, none of its path and tick files)."""
+
+    @pytest.fixture
+    def work(self, tmp_path, monkeypatch):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        (inputs / "model.json").write_text(json.dumps(dict(SMALL_SPEC, n=64)))
+        (inputs / "mc.json").write_text(json.dumps({"model": benchmark_spec(n=1200), "j_max": 1}))
+        ticks = "timestamp,price\n" + "".join(f"{t}.0,{100 + t % 3}.0\n" for t in range(64))
+        (inputs / "a.csv").write_text(ticks)
+        (inputs / "b.csv").write_text(ticks)
+        work = tmp_path / "work"
+        (work / "existing").mkdir(parents=True)
+        monkeypatch.chdir(work)  # the bad paths are relative to it; "" resolves into tmp_path
+        return tmp_path
+
+    @staticmethod
+    def argv(root, command, flag, bad):
+        inputs, work = root / "in", root / "work"
+        argv = {
+            "gain": ["gain", "--family", "haar", "--level", "2"],
+            "estimate": ["estimate", "--in1", str(inputs / "a.csv"), "--in2", str(inputs / "b.csv"),
+                         "--levels", "1", "--maxlag", "2"],
+            "mc": ["mc", "--config", str(inputs / "mc.json"), "--reps", "1", "--threads", "1"],
+            "simulate": ["simulate", "--model", str(inputs / "model.json"),
+                         "--out", str(work / "path.csv"), "--ticks1", str(work / "t1.csv"),
+                         "--ticks2", str(work / "t2.csv")],
+        }[command]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = bad
+        else:
+            argv += [flag, bad]
+        return argv
+
+    @pytest.mark.parametrize("bad", ["existing", "new" + os.sep, ""], ids=["directory", "separator", "empty"])
+    @pytest.mark.parametrize("command, flag, first_call", OUTPUT_FLAGS, ids=lambda v: v)
+    def test_exits_2_before_the_work(self, work, capsys, monkeypatch, command, flag, first_call, bad):
+        calls = []
+        real = getattr(cli, first_call)
+        monkeypatch.setattr(cli, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        before = snapshot(work)
+        code = main(self.argv(work, command, flag, bad))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"data error: output path {bad!r}" in err
+        assert "Traceback" not in err
+        assert calls == []
+        assert snapshot(work) == before

@@ -306,3 +306,19 @@ class TestSummaryCsv:
         assert lines[3] == "haar,mad,0,0"
         assert lines[4] == "hry,median,-1,-1"
         assert lines[5] == "hry,mad,0,0"
+
+    def test_lags_of_a_million_steps_or_more_are_written_whole(self):
+        # '{:g}' would round these to six significant digits (-1.23457e+06)
+        summary = summarize(
+            {"haar": [[-1234567, 3], [-1234569, 3], [-1234570, 5]]},
+            [2000001, 2000002, 2000003],
+            replications=3,
+        )
+        fh = io.StringIO()
+        write_summary_csv(summary, fh)
+        assert fh.getvalue().splitlines()[2:] == [
+            "haar,median,-1234569,3",
+            "haar,mad,1,0",
+            "hry,median,2000002,2000002",
+            "hry,mad,1,1",
+        ]
