@@ -4,22 +4,21 @@ Exit codes: 0 success, 1 usage error, 2 bad data or configuration,
 3 numerical failure, or an ``mc`` summary marked invalid (more than 5% of
 its replications failed; the summary is still written). Each command
 opens its outputs with ``atomic_output`` before it reads any input, so a bad
-output path is exit 2 before the work. An output is a hidden temp file in
-its target directory until the command succeeds, so failures leave no
-partial files.
+output path, such as an existing directory or FIFO, is exit 2 before the
+work. An output is a hidden temp file beside its target (a symlink's
+target) until the command succeeds, so failures leave no partial files.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import math
 import os
 import re
+import shutil
 import sys
-import tempfile
 from collections.abc import Iterator
 
 import numpy as np
@@ -46,24 +45,30 @@ class _Parser(argparse.ArgumentParser):
 def atomic_output(path):
     """Yield a text handle whose content reaches ``path`` only on success,
     or stdout for None or "-". The one output check: raises DataError,
-    naming the path, where no file can be made at ``path``."""
+    naming the path, where no file can be made at ``path``. The file lands
+    as ``open(path, "w")`` would leave it: a symlink's target is written,
+    a new file takes the umask and a replaced one keeps its mode."""
     if path in (None, "-"):
         yield sys.stdout
         return
     if not path or path.endswith((os.sep, os.altsep or os.sep)):
         raise DataError(f"output path {path!r} names no file")
-    if os.path.isdir(path):
-        raise DataError(f"output path {path!r} is a directory")
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path)
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise DataError(f"output path {path!r} is not a regular file")
+    directory = os.path.dirname(target)
+    tmp = os.path.join(directory, f".leadlag-{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".leadlag-", suffix=".tmp")
+        fh = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"output directory {directory} of {path!r}: {exc.strerror}") from exc
     try:
-        with io.open(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
+        with contextlib.suppress(FileNotFoundError):  # a new file keeps open()'s mode
+            shutil.copymode(target, tmp)
         try:
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except OSError as exc:
             raise DataError(f"cannot write {path!r}: {exc.strerror}") from exc
     except BaseException:
@@ -246,6 +251,13 @@ def _cmd_simulate(args) -> int:
             for series, path in ((1, args.ticks1), (2, args.ticks2))
             if path is not None
         ]
+        # outputs on one file would each be renamed onto it, and only the last kept
+        seen = {}
+        for flag, path in ("--out", args.out), ("--ticks1", args.ticks1), ("--ticks2", args.ticks2):
+            if path not in (None, "-"):
+                other = seen.setdefault(os.path.realpath(path), flag)
+                if other != flag:
+                    raise DataError(f"output path {path!r} of {flag} is also the file of {other}")
         model, scheme = load_model(args.model)
         sample = circulant_embed_sample(model, scheme, args.seed)
         fh.write("# leadlag-path schema_version=1\n")

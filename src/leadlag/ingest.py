@@ -128,15 +128,19 @@ def read_csv(path, scale: str = "raw_price") -> TickSeries:
     error messages. A well-formed file (plain numeric rows after the
     header) is parsed by one vectorised ``np.loadtxt`` call; any other
     file, and any file that call fails on, is parsed row by row. Both give
-    the same values and the same error messages.
+    the same values and the same error messages. A path that is not a
+    regular file, such as a pipe or a process substitution, is read once,
+    by the row parser.
     """
     try:
         # absolute, so that DataSource cannot read the name as a URL
         name = os.path.abspath(os.fsdecode(path))
-        plain = _plain_layout(name, path)
+        # np.loadtxt reads the file again by name; a pipe reads only once
+        regular = os.path.isfile(name) and not name.endswith(_COMPRESSED_SUFFIXES)
+        plain = regular and _plain_layout(name, path)
     except (OSError, UnicodeDecodeError, csv.Error, DataError):
         return _read_rows(path, scale)
-    if plain is None or name.endswith(_COMPRESSED_SUFFIXES):
+    if not plain:
         return _read_rows(path, scale)
     t_col, p_col, skip = plain
     try:

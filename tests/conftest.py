@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import os
 import pathlib
 
 import numpy as np
@@ -141,3 +143,16 @@ def tick_csv_text(draw, plain=False, max_rows=25):
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(len(lines) - count, len(lines))), draw(st.sampled_from(filler)))
     return bom + end.join(lines) + draw(st.sampled_from((end, "")))
+
+
+@contextlib.contextmanager
+def pipe_path(data: bytes):
+    """A /dev/fd path to the read end of a pipe that holds ``data`` and is
+    closed for writing; ``data`` must fit the pipe's buffer (64 KiB)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)

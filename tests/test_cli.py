@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from leadlag import cli, montecarlo
 from leadlag.cli import atomic_output, main, render_report
 from leadlag.filters import FAMILIES, level_gain
 
-from conftest import CONFIGS, benchmark_spec, clipping_spec, tick_csv_text
+from conftest import CONFIGS, benchmark_spec, clipping_spec, pipe_path, tick_csv_text
 
 
 def write_model(tmp_path, spec, name="model.json"):
@@ -488,6 +489,22 @@ class TestEndToEnd:
             assert len(lvl["curve"]) == 21
             norms = [abs(pt["rho_norm"]) for pt in lvl["curve"]]
             assert max(norms) <= 1.0 + 1e-9
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_estimate_reads_pipes_as_the_files(self, tmp_path):
+        model_path = write_model(tmp_path, dict(SMALL_SPEC, n=512))
+        ticks = [tmp_path / "t1.csv", tmp_path / "t2.csv"]
+        assert main(
+            ["simulate", "--model", model_path, "--seed", "4", "--out", str(tmp_path / "path.csv"),
+             "--ticks1", str(ticks[0]), "--ticks2", str(ticks[1])]
+        ) == 0
+        argv = ["estimate", "--family", "haar", "--levels", "3", "--maxlag", "5",
+                "--tau", repr(2.0**-14), "--t0", "0.0", "--n", "512"]
+        assert main(argv + ["--in1", str(ticks[0]), "--in2", str(ticks[1]),
+                            "--out", str(tmp_path / "files.json")]) == 0
+        with pipe_path(ticks[0].read_bytes()) as in1, pipe_path(ticks[1].read_bytes()) as in2:
+            assert main(argv + ["--in1", in1, "--in2", in2, "--out", str(tmp_path / "pipes.json")]) == 0
+        assert (tmp_path / "pipes.json").read_bytes() == (tmp_path / "files.json").read_bytes()
 
     def test_estimate_derives_grid_from_data(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -1474,5 +1491,90 @@ class TestBadOutputPath:
         assert code == 2, err
         assert f"data error: output path {bad!r}" in err
         assert "Traceback" not in err
+        assert calls == []
+        assert snapshot(work) == before
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+@pytest.mark.usefixtures("umask_022")
+@pytest.mark.parametrize("command, flag, first_call", OUTPUT_FLAGS, ids=lambda v: v)
+class TestOutputLandsAsOpenWould:
+    """Each output lands as ``open(path, "w")`` would leave it: a new file
+    takes 0666 less the umask, a replaced one keeps its mode, a symlink
+    keeps pointing at its target, which is rewritten, and an existing path
+    that is not a regular file is refused before the work."""
+
+    work = TestBadOutputPath.work
+
+    @staticmethod
+    def run(root, command, flag, path):
+        assert main(TestBadOutputPath.argv(root, command, flag, path)) == 0
+
+    def test_new_output_takes_the_umask(self, work, command, flag, first_call):
+        self.run(work, command, flag, "new.csv")
+        assert stat.S_IMODE(os.stat(work / "work" / "new.csv").st_mode) == 0o644
+
+    def test_replaced_output_keeps_its_mode(self, work, command, flag, first_call):
+        out = work / "work" / "old.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        self.run(work, command, flag, "old.csv")
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+        assert out.read_text() != "old\n"
+
+    def test_symlink_keeps_the_link_and_rewrites_its_target(self, work, command, flag, first_call):
+        target = work / "in" / "target.csv"
+        target.write_text("old\n")
+        link = work / "work" / "link.csv"
+        link.symlink_to(target)
+        self.run(work, command, flag, "link.csv")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() != "old\n"
+        assert not any(p.name.startswith(".leadlag-") for p in work.rglob("*"))
+
+    def test_fifo_is_exit_2_before_the_work(self, work, capsys, monkeypatch, command, flag, first_call):
+        os.mkfifo(work / "work" / "fifo")
+        calls = []
+        real = getattr(cli, first_call)
+        monkeypatch.setattr(cli, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        before = snapshot(work)
+        code = main(TestBadOutputPath.argv(work, command, flag, "fifo"))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "data error: output path 'fifo' is not a regular file" in err
+        assert calls == []
+        assert snapshot(work) == before
+        assert stat.S_ISFIFO(os.stat(work / "work" / "fifo").st_mode)
+
+
+class TestSimulateOutputsAreDistinct:
+    """Two simulate outputs on one file would each be renamed onto it and
+    only the last kept: exit 2 before the work, naming both flags."""
+
+    work = TestBadOutputPath.work
+
+    @pytest.mark.parametrize(
+        "flag, path, first",
+        [("--ticks1", "path.csv", "--out"), ("--ticks2", "t1.csv", "--ticks1"),
+         ("--ticks2", "link.csv", "--out")],
+        ids=["out-ticks1", "ticks1-ticks2", "symlink"],
+    )
+    def test_exits_2_before_the_work(self, work, capsys, monkeypatch, flag, path, first):
+        (work / "work" / "link.csv").symlink_to("path.csv")
+        calls = []
+        monkeypatch.setattr(cli, "load_model", lambda *a, **kw: calls.append(a))
+        before = snapshot(work)
+        code = main(TestBadOutputPath.argv(work, "simulate", flag, path))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"data error: output path {path!r} of {flag} is also the file of {first}" in err
         assert calls == []
         assert snapshot(work) == before

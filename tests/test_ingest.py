@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 from unittest import mock
 
@@ -19,7 +20,7 @@ from leadlag.ingest import (
 )
 from leadlag.simulate import PathSample
 
-from conftest import benchmark_spec, tick_csv_text
+from conftest import benchmark_spec, pipe_path, tick_csv_text
 
 
 def chi_weighted_returns(increments, missing):
@@ -292,6 +293,20 @@ class TestFastIngest:
             fast = read_csv(ticks)
         assert fast.timestamps.tobytes() == rows.timestamps.tobytes()
         assert fast.prices.tobytes() == rows.prices.tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_reads_as_the_file_by_name(self, tmp_path):
+        # np.loadtxt would open the pipe a second time and find it drained
+        text = "timestamp,price\n" + "".join(f"{t}.5,{100 + t % 7}.25\n" for t in range(200))
+        p = tmp_path / "ticks.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pipe_path(text.encode()) as name:
+                piped = read_csv(name)
+        by_name = read_csv(p)
+        assert piped.timestamps.tobytes() == by_name.timestamps.tobytes()
+        assert piped.prices.tobytes() == by_name.prices.tobytes()
 
 
 class TestArraysAreNotShared:

@@ -4,9 +4,12 @@ and the traced benchmark run's hooks record every layer."""
 import importlib.util
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 import leadlag as ll
 from leadlag import cli
@@ -37,6 +40,17 @@ def test_run_benchmark_table(tmp_path):
             "# leadlag-mc-summary schema_version=1",
             "family,statistic,j1,j2,j3,j4,j5,j6,j7,j8",
         ]
+
+
+def test_gen_la_filters_reproduces_the_embedded_la8(tmp_path):
+    # the script is the record of how the least-asymmetric roots were
+    # chosen; L = 20 matches too, but its root search takes about 14 s
+    pytest.importorskip("mpmath")
+    proc = run_script("gen_la_filters.py", "8", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    source = pathlib.Path(ll.__file__).with_name("filters.py").read_text(encoding="utf-8")
+    embedded = re.search(r"^_LA8_SCALING = \(\n.*?^\)\n", source, flags=re.MULTILINE | re.DOTALL)
+    assert embedded.group(0) in proc.stdout
 
 
 def test_demo_pipeline(tmp_path):
