@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 usage error, 2 bad data or configuration,
 3 numerical failure, or an ``mc`` summary marked invalid (more than 5% of
 its replications failed; the summary is still written). Each command
 opens its outputs with ``atomic_output`` before it reads any input, so a bad
-output path, such as an existing directory or FIFO, is exit 2 before the
-work. An output is a hidden temp file beside its target (a symlink's
-target) until the command succeeds, so failures leave no partial files.
+output path, such as an existing directory, FIFO or hard-linked file, is
+exit 2 before the work. An output is a hidden temp file beside its target
+(a symlink's target) until the command succeeds, so failures leave no
+partial files.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .montecarlo import load_mc_config, run_mc, write_summary_csv
 from .simulate import build_embedding, circulant_embed_sample
 
 REPORT_SCHEMA_VERSION = 1
-THREADS_ENV_VAR = "LEADLAG_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,15 +47,19 @@ def atomic_output(path):
     or stdout for None or "-". The one output check: raises DataError,
     naming the path, where no file can be made at ``path``. The file lands
     as ``open(path, "w")`` would leave it: a symlink's target is written,
-    a new file takes the umask and a replaced one keeps its mode."""
+    a new file takes the umask and a replaced one keeps its mode. A file
+    with other hard links is refused: the rename would split its names."""
     if path in (None, "-"):
         yield sys.stdout
         return
     if not path or path.endswith((os.sep, os.altsep or os.sep)):
         raise DataError(f"output path {path!r} names no file")
     target = os.path.realpath(path)
-    if os.path.lexists(target) and not os.path.isfile(target):
-        raise DataError(f"output path {path!r} is not a regular file")
+    if os.path.lexists(target):
+        if not os.path.isfile(target):
+            raise DataError(f"output path {path!r} is not a regular file")
+        if os.stat(target).st_nlink > 1:
+            raise DataError(f"output path {path!r} has other hard links")
     directory = os.path.dirname(target)
     tmp = os.path.join(directory, f".leadlag-{os.urandom(8).hex()}.tmp")
     try:
@@ -164,10 +168,7 @@ def build_parser() -> _Parser:
         "--threads",
         type=int,
         default=None,
-        help=(
-            f"worker processes (default: the config's threads key, else all "
-            f"cores; env {THREADS_ENV_VAR} overrides)"
-        ),
+        help="worker processes (default: the config's threads key, else all cores)",
     )
     p.add_argument("--out", required=True, help="output summary CSV")
 
@@ -391,18 +392,9 @@ def _json_floats(values) -> list[str]:
 
 
 def _cmd_mc(args) -> int:
-    threads = args.threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-        if threads < 1:
-            raise UsageError(f"{THREADS_ENV_VAR} must be >= 1, got {threads}")
     with atomic_output(args.out) as fh:
         config = load_mc_config(
-            args.config, replications=args.reps, master_seed=args.seed, threads=threads
+            args.config, replications=args.reps, master_seed=args.seed, threads=args.threads
         )
         summary = run_mc(config)
         write_summary_csv(summary, fh)
@@ -430,7 +422,7 @@ def _cmd_model_check(args) -> int:
     print(f"band correlations: max |R| = {max_corr:.6f} (admissible <= 1)")
     print(
         f"circulant embedding: {embedding.size} points, smallest eigenvalue "
-        f"{embedding.min_eigenvalue / scheme.tau:.6f} tau, {embedding.clipped} clipped"
+        f"{embedding.min_eigenvalue / scheme.tau:.6g} tau, {embedding.clipped} clipped"
     )
     return 0
 

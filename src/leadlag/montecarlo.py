@@ -254,17 +254,19 @@ def run_mc(config: MCConfig) -> MCSummary:
 def load_mc_config(source, *, replications=None, master_seed=None, threads=None) -> MCConfig:
     """Build an MCConfig from a parsed mapping or a JSON file path.
 
-    Recognized fields are MC_CONFIG_KEYS; model (an inline object) or
-    model_path is required, and any other key is a DataError. So is a value
-    of the wrong JSON type: j_max, l_max, replications, master_seed and
-    threads are integers, include_hry is a boolean and families a list of
-    names, and schema_version must be 1. The keyword-only replications,
+    Recognized fields are MC_CONFIG_KEYS; exactly one of model (an inline
+    object) and model_path is required, and any other key is a DataError.
+    So is a value of the wrong JSON type: j_max, l_max, replications,
+    master_seed and threads are integers, include_hry is a boolean and
+    families a list of names, and schema_version must be 1. The keyword-only replications,
     master_seed and threads take precedence when not None. A setting that
     neither gives keeps MCConfig's default.
     """
     raw = json_object(source, "MC config")
     check_keys(raw, MC_CONFIG_KEYS, "MC config")
     check_schema_version(raw, "MC config")
+    if "model" in raw and "model_path" in raw:
+        raise DataError("MC config names both 'model' and 'model_path'; give one")
     if "model" in raw:
         model_source = raw["model"]
         if not isinstance(model_source, Mapping):

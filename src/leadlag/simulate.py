@@ -24,15 +24,12 @@ series 1, and Cov(x1[a], x2[b]) = c12(b - a).
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError, int_text
 from .model import ObservationScheme, SpectralModel, increment_cross_cov
-
-logger = logging.getLogger(__name__)
 
 # eigenvalues this far below zero (relative to tau) abort; closer ones clip
 EIGENVALUE_FLOOR = 1e-8
@@ -135,14 +132,6 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
     negative = lam_minus < 0.0
     clipped = int(np.count_nonzero(negative))
     if clipped:
-        logger.warning(
-            "clipped %d of %d spectral eigenvalues to zero (most negative %.3e, "
-            "relative %.3e)",
-            clipped,
-            size,
-            min_eig,
-            min_eig / tau,
-        )
         lam_minus = np.where(negative, 0.0, lam_minus)
 
     half = size // 2 + 1

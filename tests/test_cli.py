@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -241,6 +242,24 @@ class TestModelCheck:
         assert clipped > 0
         assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 0
         assert f" tau, {clipped} clipped" in capsys.readouterr().out
+
+    def test_clip_is_reported_once_and_readably(self, tmp_path):
+        # a subprocess: pytest's log capture hides a logged record in-process
+        spec = clipping_spec()
+        emb = ll.build_embedding(*ll.load_model(spec))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "leadlag.cli", "model-check", "--model", write_model(tmp_path, spec)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        line = proc.stdout.splitlines()[-1]
+        assert re.fullmatch(
+            rf"circulant embedding: 1024 points, smallest eigenvalue -\d(\.\d+)?e-\d+ tau, "
+            rf"{emb.clipped} clipped",
+            line,
+        ), line
 
     def test_n_too_large_to_embed_is_data_error(self, tmp_path, capsys):
         model_path = write_model(tmp_path, dict(SMALL_SPEC, n=2**40))
@@ -801,37 +820,32 @@ class TestEndToEnd:
         assert lines[2].startswith("haar,median,")
         assert lines[4].startswith("hry,median,")
 
-    def test_threads_env_override_invalid(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LEADLAG_THREADS", "many")
+    def test_mc_config_naming_model_and_model_path_is_data_error(self, tmp_path, capsys):
+        config = {"model": benchmark_spec(n=1200), "model_path": str(CONFIGS / "benchmark_model.json")}
         config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps({"model": benchmark_spec(n=1200)}))
-        code = main(["mc", "--config", str(config_path), "--reps", "1", "--out", str(tmp_path / "o.csv")])
-        assert code == 1
-        assert "LEADLAG_THREADS" in capsys.readouterr().err
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        assert main(["mc", "--config", str(config_path), "--reps", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: MC config names both 'model' and 'model_path'" in err
+        assert os.listdir(tmp_path) == ["mc.json"]
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_threads_env_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("LEADLAG_THREADS", value)
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps({"model": benchmark_spec(n=1200)}))
-        code = main(["mc", "--config", str(config_path), "--reps", "1", "--out", str(tmp_path / "o.csv")])
-        assert code == 1
-        assert f"LEADLAG_THREADS must be >= 1, got {value}" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["mc.json"]
-
-    def test_threads_env_override_applies(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LEADLAG_THREADS", "1")
+    def test_leadlag_threads_in_environment_is_ignored(self, tmp_path, monkeypatch):
+        # the worker count comes from --threads or the config alone
         config = {
             "model": benchmark_spec(n=1200),
             "families": ["haar"],
             "j_max": 1,
             "l_max": 12,
+            "threads": 1,
         }
         config_path = tmp_path / "mc.json"
         config_path.write_text(json.dumps(config))
-        out = tmp_path / "o.csv"
-        assert main(["mc", "--config", str(config_path), "--reps", "1", "--out", str(out)]) == 0
-        assert out.exists()
+        argv = ["mc", "--config", str(config_path), "--reps", "2", "--out"]
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        monkeypatch.setenv("LEADLAG_THREADS", "many")
+        assert main(argv + [str(tmp_path / "env.csv")]) == 0
+        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 class TestSchemaVersion:
@@ -866,7 +880,6 @@ class TestMcEmbedding:
         config_path.write_text(json.dumps(config))
         out = tmp_path / "o.csv"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        env.pop("LEADLAG_THREADS", None)
         proc = subprocess.run(
             [sys.executable, "-m", "leadlag.cli", "mc", "--config", str(config_path),
              "--threads", threads, "--out", str(out)],
@@ -916,7 +929,6 @@ class TestTooLargeToAllocate:
             write_model(tmp_path, dict(SMALL_SPEC, n=n), name="in.json")
             argv = ["simulate", "--model", str(tmp_path / "in.json")]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        env.pop("LEADLAG_THREADS", None)
         proc = subprocess.run(
             [sys.executable, "-m", "leadlag.cli", *argv, "--out", str(tmp_path / "out.csv")],
             env=env, capture_output=True, text=True, timeout=30,
@@ -934,7 +946,6 @@ class TestTooLargeToAllocate:
         (tmp_path / "in.json").write_text(json.dumps(config))
         argv = ["mc", "--config", str(tmp_path / "in.json"), "--reps", reps, "--threads", threads]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        env.pop("LEADLAG_THREADS", None)
         proc = subprocess.run(
             [sys.executable, "-m", "leadlag.cli", *argv, "--out", str(tmp_path / "out.csv")],
             env=env, capture_output=True, text=True, timeout=30,
@@ -971,20 +982,12 @@ class TestTooLargeToAllocate:
 
 class TestMcDesign:
     @pytest.mark.parametrize(
-        "file_threads, flag, env, expected",
-        [
-            (3, None, None, 3),
-            (None, None, None, 6),
-            (3, "2", None, 2),
-            (3, None, "4", 4),
-            (3, "2", "5", 5),
-        ],
-        ids=["config-key", "all-cores", "flag-over-key", "env-over-key", "env-over-flag"],
+        "file_threads, flag, expected",
+        [(3, None, 3), (None, None, 6), (3, "2", 2)],
+        ids=["config-key", "all-cores", "flag-over-key"],
     )
-    def test_mc_thread_count_precedence(
-        self, tmp_path, monkeypatch, file_threads, flag, env, expected
-    ):
-        # --threads or LEADLAG_THREADS, then the config's threads key, then every core
+    def test_mc_thread_count_precedence(self, tmp_path, monkeypatch, file_threads, flag, expected):
+        # --threads, then the config's threads key, then every core
         seen = []
         real = cli.run_mc
 
@@ -994,10 +997,6 @@ class TestMcDesign:
 
         monkeypatch.setattr(cli, "run_mc", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        if env is None:
-            monkeypatch.delenv("LEADLAG_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("LEADLAG_THREADS", env)
         config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
         if file_threads is not None:
             config["threads"] = file_threads
@@ -1338,6 +1337,33 @@ class TestImport:
         ]
         assert calls == []
 
+    def test_package_logs_nothing_and_reads_no_environment(self):
+        # a command's flags and files are its only inputs, stdout and stderr
+        # its only reports: no logging records, no environment variables
+        src = pathlib.Path(ll.__file__).parent
+        env_names = ("environ", "environb", "getenv", "putenv")
+        found = [
+            f"{path.stem}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "logging" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "logging"
+            or isinstance(node, ast.Attribute) and node.attr in env_names
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in env_names for alias in node.names)
+        ]
+        assert found == []
+
+    def test_cli_import_leaves_logging_unloaded(self):
+        probe = "import sys, leadlag.cli; print('logging' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_only_atomic_output_writes_files(self):
         # one output path: only cli.atomic_output creates, renames or removes
         # a file or opens one for writing; every other open() reads
@@ -1510,7 +1536,8 @@ class TestOutputLandsAsOpenWould:
     """Each output lands as ``open(path, "w")`` would leave it: a new file
     takes 0666 less the umask, a replaced one keeps its mode, a symlink
     keeps pointing at its target, which is rewritten, and an existing path
-    that is not a regular file is refused before the work."""
+    that is not a regular file, or has other hard links, is refused before
+    the work."""
 
     work = TestBadOutputPath.work
 
@@ -1553,6 +1580,24 @@ class TestOutputLandsAsOpenWould:
         assert calls == []
         assert snapshot(work) == before
         assert stat.S_ISFIFO(os.stat(work / "work" / "fifo").st_mode)
+
+    def test_hard_link_is_exit_2_before_the_work(self, work, capsys, monkeypatch, command, flag, first_call):
+        # replacing one name would leave the other on the old content
+        out, hard = work / "work" / "out.csv", work / "work" / "hard.csv"
+        out.write_text("old\n")
+        os.link(out, hard)
+        calls = []
+        real = getattr(cli, first_call)
+        monkeypatch.setattr(cli, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        before = snapshot(work)
+        code = main(TestBadOutputPath.argv(work, command, flag, "out.csv"))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "data error: output path 'out.csv' has other hard links" in err
+        assert calls == []
+        assert snapshot(work) == before
+        assert out.read_text() == hard.read_text() == "old\n"
+        assert os.path.samefile(out, hard)
 
 
 class TestSimulateOutputsAreDistinct:

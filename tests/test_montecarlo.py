@@ -274,6 +274,17 @@ class TestConfigLoading:
             load_mc_config(raw)
         assert needle in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "model_path",
+        [str(CONFIGS / "benchmark_model.json"), "/nonexistent/other.json"],
+        ids=["existing", "missing"],
+    )
+    def test_model_and_model_path_together_rejected(self, model_path):
+        # neither key silently wins over the other
+        with pytest.raises(DataError) as exc:
+            load_mc_config({"model": benchmark_spec(), "model_path": model_path})
+        assert "'model' and 'model_path'" in str(exc.value)
+
     def test_defaults_are_mcconfig_defaults(self, monkeypatch):
         # the worker count defaults to the core count, in a file as in MCConfig
         monkeypatch.setattr(os, "cpu_count", lambda: 6)

@@ -20,7 +20,6 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 def run_script(name, *args, cwd):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-    env.pop("LEADLAG_THREADS", None)
     return subprocess.run(
         [sys.executable, os.path.join(SCRIPTS, name), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
