@@ -8,6 +8,7 @@ second series leads.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -57,9 +58,8 @@ def main():
                 "--out", report,
             ]
         )
-        import json
-
-        data = json.loads(open(report).read())
+        with open(report, encoding="utf-8") as fh:
+            data = json.load(fh)
         print("\nestimated lead-lag times (grid steps):")
         for lvl in data["levels"]:
             print(

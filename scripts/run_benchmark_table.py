@@ -2,7 +2,7 @@
 """Run the benchmark Monte Carlo in both missingness scenarios.
 
 Produces one summary CSV per scenario (lower median and MAD of the
-estimated lags, in grid steps) next to --outdir, mirroring the package's
+estimated lags, in grid steps) in --outdir, mirroring the package's
 acceptance experiment. Takes a few minutes single-core at 200 replications.
 """
 
@@ -25,7 +25,7 @@ def main():
     parser.add_argument("--config", default=DEFAULT_CONFIG)
     parser.add_argument("--reps", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--outdir", default=".")
     args = parser.parse_args()
 

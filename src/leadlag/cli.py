@@ -168,7 +168,7 @@ def build_parser() -> _Parser:
         "--threads",
         type=int,
         default=None,
-        help="worker processes (default: the config's threads key, else all cores)",
+        help="worker processes (default: all cores)",
     )
     p.add_argument("--out", required=True, help="output summary CSV")
 

@@ -35,19 +35,20 @@ CHUNKSIZE = 8  # replications per task sent to a pool worker
 
 MC_CONFIG_KEYS = (
     "schema_version", "model", "model_path", "families", "j_max", "l_max",
-    "replications", "master_seed", "include_hry", "threads",
+    "replications", "master_seed",
 )
 # integer MC config keys and the MCConfig fields they set
 INTEGER_SETTINGS = {
     "j_max": "j_max", "l_max": "grid_half_width", "replications": "replications",
-    "master_seed": "master_seed", "threads": "threads",
+    "master_seed": "master_seed",
 }
 
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Design of one Monte Carlo experiment; its field defaults are the
-    defaults of an MC config file too."""
+    """Design of one Monte Carlo experiment, plus the run's worker count
+    ``threads``, which changes no result. The design's field defaults are
+    the defaults of an MC config file too."""
 
     model: SpectralModel
     scheme: ObservationScheme
@@ -56,14 +57,13 @@ class MCConfig:
     grid_half_width: int = 60
     replications: int = 200
     master_seed: int = 0
-    include_hry: bool = True
     threads: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def __post_init__(self):
         if self.replications < 1:
             raise DataError(f"MC config key 'replications' must be >= 1, got {self.replications}")
         if self.threads < 1:
-            raise DataError(f"MC config key 'threads' must be >= 1, got {self.threads}")
+            raise DataError(f"worker count (threads) must be >= 1, got {self.threads}")
         if self.j_max < 1:
             raise DataError(f"MC config key 'j_max' must be >= 1, got {self.j_max}")
         if self.grid_half_width < 0:
@@ -92,10 +92,10 @@ class MCSummary:
     replications: int
     failures: int
     valid: bool
-    medians: dict = field(default_factory=dict)  # family -> tuple over j
-    mads: dict = field(default_factory=dict)
-    hry_median: float | None = None
-    hry_mad: float | None = None
+    medians: dict  # family -> tuple over j
+    mads: dict
+    hry_median: float
+    hry_mad: float
 
 
 def lower_median(values) -> float:
@@ -116,7 +116,7 @@ def median_abs_deviation(values) -> float:
 
 def summarize(
     lags_by_family: dict,
-    hry_lags=None,
+    hry_lags,
     *,
     replications: int,
     failures: int = 0,
@@ -125,12 +125,12 @@ def summarize(
 
     ``lags_by_family`` maps family -> list of per-replication lag vectors
     (one integer per level); its key order is the summary's family order.
+    ``hry_lags`` holds the single-scale baseline's lag per replication.
     """
     families = tuple(lags_by_family)
-    counts = [len(v) for v in lags_by_family.values()]
-    if hry_lags is not None:
-        counts.append(len(hry_lags))
-    if not counts or min(counts) == 0:
+    if not families:
+        raise DataError("no filter families to summarize")
+    if min(len(v) for v in (*lags_by_family.values(), hry_lags)) == 0:
         raise DataError("no replications to summarize")
     j_max = len(next(iter(lags_by_family.values()))[0])
     medians, mads = {}, {}
@@ -142,10 +142,6 @@ def summarize(
         mads[family] = tuple(
             median_abs_deviation(per_rep[:, j]) for j in range(per_rep.shape[1])
         )
-    hry_med = hry_mad = None
-    if hry_lags is not None:
-        hry_med = lower_median(hry_lags)
-        hry_mad = median_abs_deviation(hry_lags)
     return MCSummary(
         families=families,
         j_max=j_max,
@@ -154,8 +150,8 @@ def summarize(
         valid=failures <= 0.05 * replications,
         medians=medians,
         mads=mads,
-        hry_median=hry_med,
-        hry_mad=hry_mad,
+        hry_median=lower_median(hry_lags),
+        hry_mad=median_abs_deviation(hry_lags),
     )
 
 
@@ -173,7 +169,8 @@ def replication_seeds(master_seed: int, count: int) -> list[int]:
 def run_replication(config: MCConfig, embedding: CirculantEmbedding, seed: int) -> dict:
     """One simulate-ingest-estimate pass of ``config``'s design on the path
     that ``seed`` draws from ``embedding`` (``build_embedding`` of the
-    config's model and scheme); returns lags per family (+ 'hry')."""
+    config's model and scheme); returns the lags per level of each family
+    and, under 'hry', the single-scale baseline's lag."""
     scheme = config.scheme
     sample = circulant_embed_sample(config.model, scheme, seed, embedding=embedding)
     ret1, ret2 = returns_from_sample(sample, scheme)
@@ -182,8 +179,7 @@ def run_replication(config: MCConfig, embedding: CirculantEmbedding, seed: int) 
     for family in config.families:
         results = estimate_levels(ret1, ret2, family, config.j_max, grid)
         out[family] = [est.lag for _, est in results]
-    if config.include_hry:
-        out["hry"] = hry_lag(ret1, ret2, grid).lag
+    out["hry"] = hry_lag(ret1, ret2, grid).lag
     return out
 
 
@@ -231,7 +227,7 @@ def run_mc(config: MCConfig) -> MCSummary:
             _WORKER.clear()
 
     lags_by_family = {family: [] for family in config.families}
-    hry_lags = [] if config.include_hry else None
+    hry_lags = []
     failures = 0
     for res in results:
         if "error" in res:
@@ -239,8 +235,7 @@ def run_mc(config: MCConfig) -> MCSummary:
             continue
         for family in config.families:
             lags_by_family[family].append(res[family])
-        if config.include_hry:
-            hry_lags.append(res["hry"])
+        hry_lags.append(res["hry"])
     if failures == config.replications:
         raise DataError(
             f"every replication failed; the first, replication 0 (seed {seeds[0]}), "
@@ -256,11 +251,12 @@ def load_mc_config(source, *, replications=None, master_seed=None, threads=None)
 
     Recognized fields are MC_CONFIG_KEYS; exactly one of model (an inline
     object) and model_path is required, and any other key is a DataError.
-    So is a value of the wrong JSON type: j_max, l_max, replications,
-    master_seed and threads are integers, include_hry is a boolean and
-    families a list of names, and schema_version must be 1. The keyword-only replications,
-    master_seed and threads take precedence when not None. A setting that
-    neither gives keeps MCConfig's default.
+    So is a value of the wrong JSON type: j_max, l_max, replications and
+    master_seed are integers, families a list of names, and schema_version
+    must be 1. The keyword-only replications and master_seed take precedence
+    over the file when not None. The keyword-only threads, an integer, is
+    the worker count; no file key sets it. A setting that none of these
+    gives keeps MCConfig's default.
     """
     raw = json_object(source, "MC config")
     check_keys(raw, MC_CONFIG_KEYS, "MC config")
@@ -279,8 +275,10 @@ def load_mc_config(source, *, replications=None, master_seed=None, threads=None)
         raise DataError("MC config needs 'model' or 'model_path'")
     model, scheme = load_model(model_source)
 
-    overrides = {"replications": replications, "master_seed": master_seed, "threads": threads}
+    overrides = {"replications": replications, "master_seed": master_seed}
     settings = {}
+    if threads is not None:
+        settings["threads"] = json_integer(threads, "worker count (threads)")
     for key, name in INTEGER_SETTINGS.items():
         # the file's value is checked even where an override replaces it
         if key in raw:
@@ -296,12 +294,6 @@ def load_mc_config(source, *, replications=None, master_seed=None, threads=None)
                 f"MC config key 'families' must be a list of family names, got {families!r}"
             )
         settings["families"] = tuple(families)
-    if "include_hry" in raw:
-        if not isinstance(raw["include_hry"], bool):
-            raise DataError(
-                f"MC config key 'include_hry' must be true or false, got {raw['include_hry']!r}"
-            )
-        settings["include_hry"] = raw["include_hry"]
     return MCConfig(model=model, scheme=scheme, **settings)
 
 
@@ -317,8 +309,7 @@ def write_summary_csv(summary: MCSummary, fh) -> None:
         mad = ",".join(str(int(v)) for v in summary.mads[family])
         fh.write(f"{family},median,{med}\n")
         fh.write(f"{family},mad,{mad}\n")
-    if summary.hry_median is not None:
-        med = ",".join([str(int(summary.hry_median))] * summary.j_max)
-        mad = ",".join([str(int(summary.hry_mad))] * summary.j_max)
-        fh.write(f"hry,median,{med}\n")
-        fh.write(f"hry,mad,{mad}\n")
+    med = ",".join([str(int(summary.hry_median))] * summary.j_max)
+    mad = ",".join([str(int(summary.hry_mad))] * summary.j_max)
+    fh.write(f"hry,median,{med}\n")
+    fh.write(f"hry,mad,{mad}\n")

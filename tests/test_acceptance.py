@@ -58,7 +58,6 @@ def summaries():
             grid_half_width=60,
             replications=200,
             master_seed=1,
-            include_hry=True,
             threads=THREADS,
         )
         out[pi] = run_mc(config)

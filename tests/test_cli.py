@@ -444,7 +444,7 @@ class TestNegativeSettings:
             ({"l_max": -1}, [], "MC config key 'l_max' must be >= 0, got -1"),
             ({"l_max": -1, "model": {"J": 13, "n": 1200}}, [], "MC config key 'l_max' must be >= 0, got -1"),
             ({}, ["--reps", "0"], "MC config key 'replications' must be >= 1, got 0"),
-            ({}, ["--threads", "0"], "MC config key 'threads' must be >= 1, got 0"),
+            ({}, ["--threads", "0"], "worker count (threads) must be >= 1, got 0"),
         ],
         ids=["seed-flag", "seed-key", "l_max-lagged-bands", "l_max-no-bands", "reps-flag", "threads-flag"],
     )
@@ -553,6 +553,27 @@ class TestEndToEnd:
         assert report["t0"] == 2.0
         assert report["n"] == 97
         assert len(report["levels"]) == 2
+
+    @pytest.mark.parametrize("grid", [["--t0", "0.0", "--n", "2000"], []], ids=["fixed", "derived"])
+    def test_estimate_log_price_input_matches_raw_prices(self, tmp_path, grid):
+        model_path = write_model(tmp_path, SMALL_SPEC)
+        raw = [tmp_path / "t1.csv", tmp_path / "t2.csv"]
+        assert main(
+            ["simulate", "--model", model_path, "--seed", "5", "--out", str(tmp_path / "path.csv"),
+             "--ticks1", str(raw[0]), "--ticks2", str(raw[1])]
+        ) == 0
+        logged = [tmp_path / "l1.csv", tmp_path / "l2.csv"]
+        for src, dst in zip(raw, logged):
+            ticks = ll.read_csv(src)
+            rows = zip(ticks.timestamps.tolist(), np.log(ticks.prices).tolist())
+            dst.write_text("timestamp,price\n" + "".join(f"{t!r},{p!r}\n" for t, p in rows))
+        argv = ["estimate", "--family", "la8", "--levels", "3", "--maxlag", "6",
+                "--tau", repr(2.0**-14), *grid]
+        assert main(argv + ["--in1", str(raw[0]), "--in2", str(raw[1]),
+                            "--out", str(tmp_path / "raw.json")]) == 0
+        assert main(argv + ["--in1", str(logged[0]), "--in2", str(logged[1]), "--scale", "log_price",
+                            "--out", str(tmp_path / "log.json")]) == 0
+        assert (tmp_path / "log.json").read_bytes() == (tmp_path / "raw.json").read_bytes()
 
     def test_estimate_without_overlap_is_data_error(self, tmp_path, capsys):
         (tmp_path / "a.csv").write_text("timestamp,price\n0.0,100.0\n1.0,101.0\n")
@@ -712,8 +733,12 @@ class TestEndToEnd:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["sim_max_lag", "replication"])
-    def test_mc_unknown_config_key_is_data_error(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key", ["sim_max_lag", "replication", "threads", "include_hry"])
+    def test_mc_unknown_config_key_is_data_error(self, tmp_path, capsys, monkeypatch, key):
+        def no_embedding(*args):
+            raise AssertionError("the experiment started")
+
+        monkeypatch.setattr(montecarlo, "build_embedding", no_embedding)
         config = {"schema_version": 1, "model": benchmark_spec(n=1200), "j_max": 1, key: 2}
         config_path = tmp_path / "mc.json"
         config_path.write_text(json.dumps(config))
@@ -734,9 +759,6 @@ class TestEndToEnd:
             ("l_max", True, "must be an integer"),
             ("replications", "3", "must be an integer"),
             ("master_seed", None, "must be an integer"),
-            ("threads", [1], "must be an integer"),
-            ("include_hry", "false", "must be true or false"),
-            ("include_hry", 0, "must be true or false"),
             ("families", "la20", "must be a list of family names"),
             ("families", ["haar", 8], "must be a list of family names"),
             ("families", ["haar", "haar"], "names 'haar' more than once"),
@@ -831,13 +853,12 @@ class TestEndToEnd:
         assert os.listdir(tmp_path) == ["mc.json"]
 
     def test_leadlag_threads_in_environment_is_ignored(self, tmp_path, monkeypatch):
-        # the worker count comes from --threads or the config alone
+        # the worker count comes from --threads alone
         config = {
             "model": benchmark_spec(n=1200),
             "families": ["haar"],
             "j_max": 1,
             "l_max": 12,
-            "threads": 1,
         }
         config_path = tmp_path / "mc.json"
         config_path.write_text(json.dumps(config))
@@ -982,12 +1003,10 @@ class TestTooLargeToAllocate:
 
 class TestMcDesign:
     @pytest.mark.parametrize(
-        "file_threads, flag, expected",
-        [(3, None, 3), (None, None, 6), (3, "2", 2)],
-        ids=["config-key", "all-cores", "flag-over-key"],
+        "flag, expected", [(None, 6), ("2", 2)], ids=["all-cores", "flag"]
     )
-    def test_mc_thread_count_precedence(self, tmp_path, monkeypatch, file_threads, flag, expected):
-        # --threads, then the config's threads key, then every core
+    def test_mc_thread_count_precedence(self, tmp_path, monkeypatch, flag, expected):
+        # --threads, else every core
         seen = []
         real = cli.run_mc
 
@@ -998,8 +1017,6 @@ class TestMcDesign:
         monkeypatch.setattr(cli, "run_mc", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
-        if file_threads is not None:
-            config["threads"] = file_threads
         config_path = tmp_path / "mc.json"
         config_path.write_text(json.dumps(config))
         argv = ["mc", "--config", str(config_path), "--reps", "1", "--out", str(tmp_path / "o.csv")]

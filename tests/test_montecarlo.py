@@ -71,8 +71,12 @@ class TestSummaryStatistics:
         assert summary.valid
 
     def test_summarize_flags_excess_failures(self):
-        summary = summarize({"haar": [[-1]] * 10}, None, replications=11, failures=1)
+        summary = summarize({"haar": [[-1]] * 10}, [-1] * 10, replications=11, failures=1)
         assert not summary.valid
+
+    def test_summarize_without_families_rejected(self):
+        with pytest.raises(DataError, match="no filter families to summarize"):
+            summarize({}, [1], replications=1)
 
 
 class TestRunMc:

@@ -59,6 +59,16 @@ def test_demo_pipeline(tmp_path):
     assert levels == [str(j) for j in range(1, 7)]
 
 
+def test_benchmark_configs_share_one_model():
+    # perfbench checks both workloads against one set of model lags
+    root = pathlib.Path(SCRIPTS).parent / "configs"
+    inline = json.loads((root / "benchmark_mc.json").read_text())["model"]
+    model = json.loads((root / "benchmark_model.json").read_text())
+    model.pop("schema_version")
+    inline.pop("schema_version", None)
+    assert inline == model
+
+
 def test_traced_run_hooks_record_every_layer(tmp_path):
     # perfbench's traced run swaps module globals for recording wrappers; a
     # call that bypasses one of them would drop that layer's metrics
@@ -85,7 +95,8 @@ def test_traced_run_hooks_record_every_layer(tmp_path):
     with tracing.installed(tracing.layer_hooks(tracer)):
         config = load_mc_config(
             {"model": model, "families": ["haar"], "j_max": 3, "l_max": 10,
-             "replications": 2, "threads": 1}
+             "replications": 2},
+            threads=1,
         )
         assert run_mc(config).failures == 0
         assert cli.main(
