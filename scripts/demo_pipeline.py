@@ -14,6 +14,8 @@ import subprocess
 import sys
 import tempfile
 
+import leadlag
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 MODEL = os.path.join(HERE, "..", "configs", "benchmark_model.json")
 
@@ -29,6 +31,7 @@ def main():
     parser.add_argument("--levels", type=int, default=6)
     parser.add_argument("--maxlag", type=int, default=30)
     args = parser.parse_args()
+    _, scheme = leadlag.load_model(MODEL)
 
     with tempfile.TemporaryDirectory() as tmp:
         ticks1 = os.path.join(tmp, "series1.csv")
@@ -52,9 +55,9 @@ def main():
                 "--family", "la20",
                 "--levels", str(args.levels),
                 "--maxlag", str(args.maxlag),
-                "--tau", repr(2.0**-14),
+                "--tau", repr(scheme.tau),
                 "--t0", "0.0",
-                "--n", "15000",
+                "--n", str(scheme.n),
                 "--out", report,
             ]
         )

@@ -28,7 +28,7 @@ from . import __version__
 from .errors import DataError, LeadLagError, NumericError, UsageError
 from .estimator import LagGrid, check_levels_fit, estimate_levels, modwt
 from .filters import FAMILIES, base_filter, cascade, empirical_gain, level_gain
-from .ingest import align_to_grid, read_csv
+from .ingest import PRICE_SCALES, align_to_grid, read_csv
 from .model import check_lags_in_grid, load_model
 from .montecarlo import load_mc_config, run_mc, write_summary_csv
 from .simulate import build_embedding, circulant_embed_sample
@@ -147,7 +147,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--scale",
         default="raw_price",
-        choices=("raw_price", "log_price"),
+        choices=PRICE_SCALES,
         help="whether input prices need a log transform",
     )
     p.add_argument("--out", required=True, help="output report JSON")
@@ -241,6 +241,18 @@ def _tick_lines(series: int, returns, mask, tau: float) -> Iterator[str]:
         yield f"{float(k * tau)!r},{price!r}\n"
 
 
+def _refuse_shared_files(outputs, inputs=()) -> None:
+    """Raise DataError where an output would be renamed onto an input's file,
+    replacing it, or onto an earlier output's, keeping only the last. Both
+    are lists of (flag, path); an output of None or "-" names no file."""
+    seen = {os.path.realpath(path): flag for flag, path in inputs}
+    for flag, path in outputs:
+        if path not in (None, "-"):
+            other = seen.setdefault(os.path.realpath(path), flag)
+            if other != flag:
+                raise DataError(f"output path {path!r} of {flag} is also the file of {other}")
+
+
 def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
@@ -252,13 +264,8 @@ def _cmd_simulate(args) -> int:
             for series, path in ((1, args.ticks1), (2, args.ticks2))
             if path is not None
         ]
-        # outputs on one file would each be renamed onto it, and only the last kept
-        seen = {}
-        for flag, path in ("--out", args.out), ("--ticks1", args.ticks1), ("--ticks2", args.ticks2):
-            if path not in (None, "-"):
-                other = seen.setdefault(os.path.realpath(path), flag)
-                if other != flag:
-                    raise DataError(f"output path {path!r} of {flag} is also the file of {other}")
+        paths = [("--out", args.out), ("--ticks1", args.ticks1), ("--ticks2", args.ticks2)]
+        _refuse_shared_files(paths)
         model, scheme = load_model(args.model)
         sample = circulant_embed_sample(model, scheme, args.seed)
         fh.write("# leadlag-path schema_version=1\n")
@@ -290,6 +297,7 @@ def _cmd_estimate(args) -> int:
         except DataError as exc:
             raise UsageError(f"--levels/--maxlag too large for --n: {exc}") from None
     with atomic_output(args.out) as fh:
+        _refuse_shared_files([("--out", args.out)], [("--in1", args.in1), ("--in2", args.in2)])
         ticks1 = read_csv(args.in1, scale=args.scale)
         ticks2 = read_csv(args.in2, scale=args.scale)
         t0 = args.t0

@@ -61,7 +61,7 @@ class MCConfig:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise DataError(f"MC config key 'replications' must be >= 1, got {self.replications}")
+            raise DataError(f"replication count (replications) must be >= 1, got {self.replications}")
         if self.threads < 1:
             raise DataError(f"worker count (threads) must be >= 1, got {self.threads}")
         if self.j_max < 1:
@@ -69,7 +69,7 @@ class MCConfig:
         if self.grid_half_width < 0:
             raise DataError(f"MC config key 'l_max' must be >= 0, got {self.grid_half_width}")
         if self.master_seed < 0:
-            raise DataError(f"MC config key 'master_seed' must be >= 0, got {self.master_seed}")
+            raise DataError(f"master seed (master_seed) must be >= 0, got {self.master_seed}")
         if not self.families:
             raise DataError("MC config key 'families' must name at least one filter family")
         for i, family in enumerate(self.families):
@@ -275,16 +275,18 @@ def load_mc_config(source, *, replications=None, master_seed=None, threads=None)
         raise DataError("MC config needs 'model' or 'model_path'")
     model, scheme = load_model(model_source)
 
-    overrides = {"replications": replications, "master_seed": master_seed}
     settings = {}
-    if threads is not None:
-        settings["threads"] = json_integer(threads, "worker count (threads)")
     for key, name in INTEGER_SETTINGS.items():
         # the file's value is checked even where an override replaces it
         if key in raw:
             settings[name] = json_integer(raw[key], f"MC config key {key!r}")
-        if overrides.get(key) is not None:
-            settings[name] = json_integer(overrides[key], f"MC config key {key!r}")
+    for what, key, value in (
+        ("worker count", "threads", threads),
+        ("replication count", "replications", replications),
+        ("master seed", "master_seed", master_seed),
+    ):
+        if value is not None:
+            settings[key] = json_integer(value, f"{what} ({key})")
     if "families" in raw:
         families = raw["families"]
         if not isinstance(families, (list, tuple)) or not all(

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import json
 import os
 import pathlib
 
@@ -12,23 +13,13 @@ from leadlag.simulate import EIGENVALUE_FLOOR, build_embedding
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
-# benchmark experiment parameters: eight correlated bands on a J=13 grid
-BENCHMARK_LEVELS = [
-    {"j": 1, "R": 0.3, "theta_over_tau": -1},
-    {"j": 2, "R": 0.5, "theta_over_tau": -1},
-    {"j": 3, "R": 0.7, "theta_over_tau": -2},
-    {"j": 4, "R": 0.5, "theta_over_tau": -2},
-    {"j": 5, "R": 0.5, "theta_over_tau": -3},
-    {"j": 6, "R": 0.5, "theta_over_tau": -5},
-    {"j": 7, "R": 0.5, "theta_over_tau": -7},
-    {"j": 8, "R": 0.5, "theta_over_tau": -10},
-]
-
-TRUE_LAGS = (-1, -1, -2, -2, -3, -5, -7, -10)
+# the Table-2 design: the benchmark model's bands on its grid
+BENCHMARK_MODEL = json.loads((CONFIGS / "benchmark_model.json").read_text(encoding="utf-8"))
+BENCHMARK_LEVELS = BENCHMARK_MODEL["levels"]
 
 
-def benchmark_spec(n=15000, pi1=0.0, pi2=0.0):
-    return {"J": 13, "n": n, "pi1": pi1, "pi2": pi2, "levels": BENCHMARK_LEVELS}
+def benchmark_spec(n=BENCHMARK_MODEL["n"], pi1=0.0, pi2=0.0):
+    return {"J": BENCHMARK_MODEL["J"], "n": n, "pi1": pi1, "pi2": pi2, "levels": BENCHMARK_LEVELS}
 
 
 def clipping_spec():

@@ -108,6 +108,29 @@ class TestGain:
             assert np.allclose(rows[:, 1], level_gain(3, 20, rows[:, 0]), atol=1e-12)
             assert np.max(np.abs(rows[:, 1] - rows[:, 2])) < 1e-10, f"--points {points}"
 
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--level", "0"], "--level must be >= 1, got 0"),
+            (["--level", "13"], "--level 13: cascade filters beyond level 12 are too large"),
+            (["--points", "1"], "--points must be >= 2, got 1"),
+        ],
+        ids=["level-0", "level-13", "points-1"],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags, needle):
+        out = tmp_path / "gain.csv"
+        assert main(["gain", "--family", "haar", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: {needle}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_without_out_writes_the_csv_to_stdout(self, tmp_path, capsys):
+        out = tmp_path / "gain.csv"
+        assert main(["gain", "--family", "la8", "--level", "2", "--points", "5", "--out", str(out)]) == 0
+        assert main(["gain", "--family", "la8", "--level", "2", "--points", "5"]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
 
 class TestSimulate:
     def test_path_csv_round_trip(self, tmp_path):
@@ -221,6 +244,23 @@ class TestModelCheck:
         simulate = ["simulate", "--model", model_path, "--out", str(tmp_path / "x.csv")]
         assert main(simulate) == 3
         assert capsys.readouterr().err == captured.err
+
+    @pytest.mark.parametrize(
+        "spec, needle",
+        [
+            ({"J": 0}, "finest level must be >= 1, got 0"),
+            # an integer beyond the float range
+            ({"J": 3, "levels": [{"j": 1, "R": 10**400}]},
+             "model key 'R' in levels[0] must be a finite number, got 1000"),
+        ],
+        ids=["J-0", "R-of-400-digits"],
+    )
+    def test_out_of_range_model_value_is_data_error(self, tmp_path, capsys, spec, needle):
+        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert f"data error: {needle}" in captured.err
+        assert "Traceback" not in captured.err
+        assert "model ok" not in captured.out
 
     def test_max_corr_is_read_from_the_bands(self, tmp_path, capsys):
         # a coarse band that sampled frequencies would miss
@@ -439,11 +479,11 @@ class TestNegativeSettings:
     @pytest.mark.parametrize(
         "setting, flags, needle",
         [
-            ({}, ["--seed", "-1"], "MC config key 'master_seed' must be >= 0, got -1"),
-            ({"master_seed": -1}, [], "MC config key 'master_seed' must be >= 0, got -1"),
+            ({}, ["--seed", "-1"], "master seed (master_seed) must be >= 0, got -1"),
+            ({"master_seed": -1}, [], "master seed (master_seed) must be >= 0, got -1"),
             ({"l_max": -1}, [], "MC config key 'l_max' must be >= 0, got -1"),
             ({"l_max": -1, "model": {"J": 13, "n": 1200}}, [], "MC config key 'l_max' must be >= 0, got -1"),
-            ({}, ["--reps", "0"], "MC config key 'replications' must be >= 1, got 0"),
+            ({}, ["--reps", "0"], "replication count (replications) must be >= 1, got 0"),
             ({}, ["--threads", "0"], "worker count (threads) must be >= 1, got 0"),
         ],
         ids=["seed-flag", "seed-key", "l_max-lagged-bands", "l_max-no-bands", "reps-flag", "threads-flag"],
@@ -641,6 +681,22 @@ class TestEndToEnd:
         err = capsys.readouterr().err
         assert "grid overflows" in err and "collide" not in err
         assert "t0=0.0" in err and "tau=1e+307" in err and "n=30" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_estimate_derived_grid_of_too_many_steps_is_data_error(self, tmp_path, capsys):
+        # 59 s over the subnormal tau=5e-324 is inf grid steps
+        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
+        (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "r.json"
+        code = main(
+            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "a.csv"),
+             "--family", "haar", "--levels", "1", "--maxlag", "2", "--tau", "5e-324",
+             "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error: series overlap of 59.0 s holds too many grid steps of 5e-324 s" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1615,6 +1671,32 @@ class TestOutputLandsAsOpenWould:
         assert snapshot(work) == before
         assert out.read_text() == hard.read_text() == "old\n"
         assert os.path.samefile(out, hard)
+
+
+class TestEstimateOutputIsNotAnInput:
+    """A report renamed onto an input's file would replace that tick file:
+    exit 2 before any input is read, naming both flags."""
+
+    work = TestBadOutputPath.work
+
+    @pytest.mark.parametrize(
+        "path, first",
+        [("../in/a.csv", "--in1"), ("../in/b.csv", "--in2"), ("link.csv", "--in1")],
+        ids=["in1", "in2", "symlink"],
+    )
+    def test_exits_2_before_the_work(self, work, capsys, monkeypatch, path, first):
+        (work / "work" / "link.csv").symlink_to(work / "in" / "a.csv")
+        ticks = (work / "in" / "a.csv").read_text()
+        calls = []
+        monkeypatch.setattr(cli, "read_csv", lambda *a, **kw: calls.append(a))
+        before = snapshot(work)
+        code = main(TestBadOutputPath.argv(work, "estimate", "--out", path))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"data error: output path {path!r} of --out is also the file of {first}" in err
+        assert calls == []
+        assert snapshot(work) == before
+        assert (work / "in" / "a.csv").read_text() == ticks
 
 
 class TestSimulateOutputsAreDistinct:

@@ -238,6 +238,21 @@ class TestConfigLoading:
         with pytest.raises(TypeError, match="unexpected keyword"):
             load_mc_config({"model": benchmark_spec(n=1200)}, **overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, needle",
+        [
+            ({"replications": "3"}, "replication count (replications) must be an integer, got '3'"),
+            ({"master_seed": 1.5}, "master seed (master_seed) must be an integer, got 1.5"),
+            ({"threads": True}, "worker count (threads) must be an integer, got True"),
+        ],
+        ids=["replications", "master_seed", "threads"],
+    )
+    def test_wrongly_typed_override_names_the_setting(self, overrides, needle):
+        # an override is a flag value, not a config key
+        with pytest.raises(DataError) as exc:
+            load_mc_config({"model": benchmark_spec(n=1200)}, **overrides)
+        assert str(exc.value) == needle
+
     def test_file_round_trip(self, tmp_path):
         import json
 

@@ -15,6 +15,8 @@ import leadlag as ll
 from leadlag import cli
 from leadlag.montecarlo import load_mc_config, run_mc
 
+from conftest import BENCHMARK_LEVELS, CONFIGS
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -41,6 +43,25 @@ def test_run_benchmark_table(tmp_path):
         ]
 
 
+def test_run_benchmark_table_takes_a_model_path_config(tmp_path):
+    config = {"model_path": str(CONFIGS / "benchmark_model.json"), "families": ["haar"], "j_max": 1}
+    (tmp_path / "mc.json").write_text(json.dumps(config))
+    proc = run_script(
+        "run_benchmark_table.py", "--config", "mc.json", "--reps", "2", "--threads", "1",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the model file's pi is 0, so that scenario is the config as mc runs it
+    argv = ["mc", "--config", str(tmp_path / "mc.json"), "--reps", "2", "--threads", "1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "mc.csv")]) == 0
+    assert (tmp_path / "benchmark_table_pi0.csv").read_text() == (tmp_path / "mc.csv").read_text()
+    lines = (tmp_path / "benchmark_table_pi0.5.csv").read_text().splitlines()
+    assert lines[1] == "family,statistic,j1"
+    assert [line.split(",")[:2] for line in lines[2:]] == [
+        ["haar", "median"], ["haar", "mad"], ["hry", "median"], ["hry", "mad"]
+    ]
+
+
 def test_gen_la_filters_reproduces_the_embedded_la8(tmp_path):
     # the script is the record of how the least-asymmetric roots were
     # chosen; L = 20 matches too, but its root search takes about 14 s
@@ -55,8 +76,9 @@ def test_gen_la_filters_reproduces_the_embedded_la8(tmp_path):
 def test_demo_pipeline(tmp_path):
     proc = run_script("demo_pipeline.py", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    levels = re.findall(r"^  level (\d+): lag [+-]\d+ steps", proc.stdout, flags=re.MULTILINE)
-    assert levels == [str(j) for j in range(1, 7)]
+    lags = re.findall(r"^  level (\d+): lag ([+-]\d+) steps", proc.stdout, flags=re.MULTILINE)
+    assert [int(j) for j, _ in lags] == list(range(1, 7))
+    assert [int(lag) for _, lag in lags[:4]] == [e["theta_over_tau"] for e in BENCHMARK_LEVELS[:4]]
 
 
 def test_benchmark_configs_share_one_model():
