@@ -4,15 +4,20 @@
 Produces one summary CSV per scenario (lower median and MAD of the
 estimated lags, in grid steps) in --outdir, mirroring the package's
 acceptance experiment. Takes a few seconds single-core at 200 replications.
+Both CSVs are opened before the first run and land only when both runs
+finish; a bad config or output path ends in ``data error: ...`` and exit 2
+before any replication runs.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
 import time
 
 from leadlag.cli import atomic_output
+from leadlag.errors import DataError, LeadLagError
 from leadlag.montecarlo import load_mc_config, run_mc, write_summary_csv
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -27,24 +32,37 @@ def main():
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--outdir", default=".")
     args = parser.parse_args()
+    try:
+        return run_table(args)
+    except LeadLagError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run_table(args):
     base = load_mc_config(
         args.config, replications=args.reps, master_seed=args.seed, threads=args.threads
     )
-    os.makedirs(args.outdir, exist_ok=True)
+    try:
+        os.makedirs(args.outdir, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"output directory {args.outdir!r}: {exc.strerror}") from None
 
-    for pi in (0.0, 0.5):
-        config = dataclasses.replace(base, scheme=dataclasses.replace(base.scheme, pi1=pi, pi2=pi))
-        start = time.perf_counter()
-        summary = run_mc(config)
-        elapsed = time.perf_counter() - start
-        out = os.path.join(args.outdir, f"benchmark_table_pi{pi:g}.csv")
-        with atomic_output(out) as fh:
+    scenarios = [
+        (pi, os.path.join(args.outdir, f"benchmark_table_pi{pi:g}.csv")) for pi in (0.0, 0.5)
+    ]
+    with contextlib.ExitStack() as outputs:
+        handles = [outputs.enter_context(atomic_output(out)) for _, out in scenarios]
+        for (pi, out), fh in zip(scenarios, handles):
+            config = dataclasses.replace(base, scheme=dataclasses.replace(base.scheme, pi1=pi, pi2=pi))
+            start = time.perf_counter()
+            summary = run_mc(config)
+            elapsed = time.perf_counter() - start
             write_summary_csv(summary, fh)
-        print(f"pi={pi:g}: {summary.replications} reps in {elapsed:.1f}s -> {out}")
-        for family in summary.families:
-            print(f"  {family:5s} medians: {summary.medians[family]}")
-        print(f"  hry   median:  {summary.hry_median} (mad {summary.hry_mad})")
+            print(f"pi={pi:g}: {summary.replications} reps in {elapsed:.1f}s -> {out}")
+            for family in summary.families:
+                print(f"  {family:5s} medians: {summary.medians[family]}")
+            print(f"  hry   median:  {summary.hry_median} (mad {summary.hry_mad})")
     return 0
 
 

@@ -9,11 +9,10 @@ Library layout:
 - ``estimator``: non-decimated wavelet cross-covariance and lag estimates
 - ``montecarlo``: replicated experiments with median/MAD summaries
 - ``cli``: the ``leadlag`` command
-- ``theory``: the estimator's limit (``limit_constant``), its kernels and
-  the model's cross-spectral density, the numeric oracles of the tests
 
-numpy is the only runtime dependency. ``leadlag.theory`` also needs scipy,
-and ``import leadlag`` does not load it.
+numpy is the package's only third-party import. The estimator's limit
+theory, the tests' numeric oracle, lives in ``tests/oracles.py`` and needs
+scipy.
 """
 
 __version__ = "0.3.0"

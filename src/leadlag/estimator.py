@@ -225,13 +225,15 @@ def _lagged_sums(x1: np.ndarray, x2: np.ndarray, half: int) -> np.ndarray:
     l + H; wrap-around only ever meets a section's zero padding. Sections are
     transformed in groups of at most 2^16 transform points, so at day scale
     (m = 2^17, H = 300) the peak memory stays below that of one transform of
-    the whole series. The partial last section joins the last group, whose
-    rows alone are built zero-filled, so a series that fits one group
-    (m = 15000 at +-60: 17 sections of 1024 points) costs one transform per
-    series. The sum adds the same rows in the same order as transforming
-    that section alone would: its cross spectrum is added on its own, after
-    the whole sections of its group, so the sums equal those of a separate
-    last group bit for bit.
+    the whole series; each group's rows and cross spectrum are released
+    before the next group's rows are built. Every group's x1 rows are built
+    zero-padded to the transform length, which transforms faster than
+    asking ``rfft`` to pad. The partial last section joins the last group,
+    so a series that fits one group (m = 15000 at +-60: 17 sections of 1024
+    points) costs one transform per series. The sum adds the same rows in
+    the same order as transforming that section alone would: its cross
+    spectrum is added on its own, after the whole sections of its group, so
+    the sums equal those of a separate last group bit for bit.
     """
     m = len(x1)
     if half >= m:
@@ -251,18 +253,19 @@ def _lagged_sums(x1: np.ndarray, x2: np.ndarray, half: int) -> np.ndarray:
     for first in range(0, sections, group):
         count = min(group, sections - first)
         whole = min(count, full - first)  # sections of B values; the rest is partial
-        if whole == count:
-            rows = x1[first * block : (first + count) * block].reshape(count, block)
-        else:
-            rows = np.zeros((count, block), dtype=x1.dtype)
-            rows.reshape(-1)[: m - first * block] = x1[first * block :]
-        cross = np.fft.rfft(rows, size)
+        values = x1[first * block : (first + count) * block]
+        rows = np.zeros((count, size), dtype=x1.dtype)
+        rows[:whole, :block] = values[: whole * block].reshape(whole, block)
+        rows[whole:, : len(values) - whole * block] = values[whole * block :]
+        cross = np.fft.rfft(rows)
+        del rows
         np.conjugate(cross, out=cross)
         cross *= np.fft.rfft(windows[first : first + count])
         if whole:
             spectrum += cross[:whole].sum(axis=0)
         if whole < count:  # added on its own, the order of a separate last group
             spectrum += cross[-1]
+        del cross
     return np.fft.irfft(spectrum, size)[: 2 * half + 1]
 
 

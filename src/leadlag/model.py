@@ -5,7 +5,7 @@ level 1 is the finest band resolvable on the sampling grid. The module
 holds the model, its sampling scheme and their loader, and the increment
 cross-covariance the simulator draws from. The model's cross-spectral
 density and the estimator's large-sample limit, the oracles of the tests,
-live in ``leadlag.theory``.
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def increment_cross_cov(model: SpectralModel, lag, tau: float | None = None):
     is tau * R on the band and admissibility |R| <= 1 keeps it bounded.
 
     The band kernel is point-sampled at integer lags, so the per-step cross
-    spectrum is flat on the band. ``leadlag.theory.limit_constant`` instead
+    spectrum is flat on the band. The tests' ``limit_constant`` oracle instead
     weights the band by the discretization kernel D of Brownian increments
     over a grid step. At the same R, D-weighting gives 0.6127, 0.8864 and
     0.9704 times the flat value at levels 1, 2 and 3 (above 0.99 from level

@@ -1,12 +1,12 @@
-"""Limit theory of the wavelet cross-covariance estimator.
+"""Numeric oracles of the tests: the estimator's limit theory.
 
-The closed-form kernels of the estimator's large-sample limit
-(discretization kernel, interpolation kernel, volatility weight) and the
-limit constant itself, evaluated by adaptive quadrature, plus the model's
-piecewise cross-spectral density, which the simulator's circulant cross
-spectrum approaches inside each band. The tests use them as numeric
-oracles; the estimation pipeline does not. This is the one module that
-needs scipy, and ``import leadlag`` does not load it.
+The closed-form kernels of the wavelet cross-covariance estimator's
+large-sample limit (discretization kernel, interpolation kernel, volatility
+weight) and the limit constant itself, evaluated by adaptive quadrature,
+plus the model's piecewise cross-spectral density, which the simulator's
+circulant cross spectrum approaches inside each band. The estimation
+pipeline does not use them, and they need scipy, which the package does not
+import.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import warnings
 import numpy as np
 from scipy import integrate
 
-from .errors import DataError, NumericError
-from .model import SpectralModel
+from leadlag.errors import DataError, NumericError
+from leadlag.model import SpectralModel
 
 
 def lp_scaling(s):

@@ -30,10 +30,10 @@ from leadlag.filters import (
     wavelet_gain,
 )
 from leadlag.montecarlo import MCConfig, run_mc
-from leadlag.theory import discretization_kernel, limit_constant
 from scipy import integrate
 
 from conftest import benchmark_spec
+from oracles import discretization_kernel, limit_constant
 
 THREADS = min(8, os.cpu_count() or 1)
 

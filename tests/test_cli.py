@@ -1310,14 +1310,6 @@ def opens_for_writing(call) -> bool:
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_signal_unloaded(self):
-        probe = "import sys, leadlag.cli; print('scipy.signal' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
-
     def test_cli_import_leaves_the_process_pool_unloaded(self):
         # run_mc imports the pool only when it starts one
         probe = (
@@ -1339,10 +1331,23 @@ class TestImport:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_package_imports_no_scipy(self):
+        # numpy is the only runtime dependency; the scipy oracles live in tests/
+        src = pathlib.Path(ll.__file__).parent
+        found = [
+            f"{path.stem}:{node.lineno}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+        ]
+        assert found == []
+
     def test_every_public_name_is_used_inside_the_package(self):
         # keeps test-only code out of the package: each public top-level
         # function and class of a module is named by package code.
-        # __init__ only re-exports; theory is the tests' oracle module.
+        # __init__ only re-exports.
         src = pathlib.Path(ll.__file__).parent
         trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
         used = {
@@ -1354,7 +1359,7 @@ class TestImport:
         unused = [
             f"{name[:-3]}.{node.name}"
             for name, tree in trees.items()
-            if name not in ("__init__.py", "theory.py")
+            if name != "__init__.py"
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")

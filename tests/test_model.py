@@ -12,7 +12,8 @@ from leadlag.model import (
     increment_cross_cov,
     lp_wavelet,
 )
-from leadlag.theory import (
+from conftest import BENCHMARK_LEVELS, CONFIGS, benchmark_spec
+from oracles import (
     cross_spectral_density,
     discretization_kernel,
     interpolation_kernel,
@@ -20,8 +21,6 @@ from leadlag.theory import (
     lp_scaling,
     sigma_weight,
 )
-
-from conftest import BENCHMARK_LEVELS, CONFIGS, benchmark_spec
 
 # frozen before the build from an independent 40-digit quadrature of the
 # band integral: 2 * int over +-(pi/2, pi] of (2/pi) sin^2(x/2)/x^2 dx

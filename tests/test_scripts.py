@@ -62,6 +62,44 @@ def test_run_benchmark_table_takes_a_model_path_config(tmp_path):
     ]
 
 
+def load_module(path):
+    spec = importlib.util.spec_from_file_location(pathlib.Path(path).stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "case, needle",
+    [
+        ("outdir-entry-is-a-directory", "output path 'od/benchmark_table_pi0.csv' is not a regular file"),
+        ("outdir-is-a-file", "output directory 'afile': File exists"),
+        ("missing-model-path", "cannot read model file"),
+    ],
+)
+def test_run_benchmark_table_fails_before_the_work(tmp_path, monkeypatch, capsys, case, needle):
+    script = load_module(os.path.join(SCRIPTS, "run_benchmark_table.py"))
+    runs = []
+    monkeypatch.setattr(script, "run_mc", runs.append)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--reps", "2", "--threads", "1", "--outdir", "od"]
+    if case == "outdir-entry-is-a-directory":
+        os.makedirs("od/benchmark_table_pi0.csv")
+    elif case == "outdir-is-a-file":
+        pathlib.Path("afile").write_text("kept\n")
+        argv[-1] = "afile"
+    else:
+        pathlib.Path("mc.json").write_text(json.dumps({"model_path": "absent.json"}))
+        argv += ["--config", "mc.json"]
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(sys, "argv", ["run_benchmark_table.py", *argv])
+    assert script.main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and needle in err
+    assert runs == []  # no replication ran
+    assert sorted(tmp_path.rglob("*")) == before  # and no file was made
+
+
 def test_gen_la_filters_reproduces_the_embedded_la8(tmp_path):
     # the script is the record of how the least-asymmetric roots were
     # chosen; L = 20 matches too, but its root search takes about 14 s
@@ -94,10 +132,7 @@ def test_benchmark_configs_share_one_model():
 def test_traced_run_hooks_record_every_layer(tmp_path):
     # perfbench's traced run swaps module globals for recording wrappers; a
     # call that bypasses one of them would drop that layer's metrics
-    path = os.path.join(os.path.dirname(SCRIPTS), "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_module(os.path.join(os.path.dirname(SCRIPTS), "perfbench", "tracing.py"))
 
     model = {
         "J": 13,

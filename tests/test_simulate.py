@@ -6,7 +6,6 @@ from scipy.fft import next_fast_len
 
 import leadlag as ll
 from leadlag.errors import DataError, NumericError
-from leadlag.theory import cross_spectral_density
 from leadlag.simulate import (
     EIGENVALUE_FLOOR,
     _next_fast_len,
@@ -17,6 +16,7 @@ from leadlag.simulate import (
 )
 
 from conftest import benchmark_spec, clipping_spec
+from oracles import cross_spectral_density
 
 
 def spectral_matrices(emb):
