@@ -60,9 +60,8 @@ def run_table(args):
             elapsed = time.perf_counter() - start
             write_summary_csv(summary, fh)
             print(f"pi={pi:g}: {summary.replications} reps in {elapsed:.1f}s -> {out}")
-            for family in summary.families:
-                print(f"  {family:5s} medians: {summary.medians[family]}")
-            print(f"  hry   median:  {summary.hry_median} (mad {summary.hry_mad})")
+            for name, medians in summary.medians.items():
+                print(f"  {name:5s} medians: {medians}")
     return 0
 
 

@@ -286,6 +286,8 @@ def _cmd_estimate(args) -> int:
         raise UsageError(f"--levels must be >= 1, got {args.levels}")
     if args.maxlag < 0:
         raise UsageError(f"--maxlag must be >= 0, got {args.maxlag}")
+    if args.n is not None and args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
     if not (math.isfinite(args.tau) and args.tau > 0):
         raise UsageError(f"--tau must be finite and positive, got {args.tau}")
     if args.t0 is not None and not math.isfinite(args.t0):

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, int_text
 from .filters import LevelFilter, base_filter, cascade, cascade_length
 from .ingest import AlignedReturns, _frozen
 from .model import json_integer
@@ -359,12 +359,14 @@ def max_feasible_level(family: str, n: int) -> int:
 def check_levels_fit(family: str, j_max: int, half_width: int, n: int) -> None:
     """Raise DataError unless the level-j_max cascade plus the grid
     half-width fits in n samples; the message names the largest level that
-    does."""
-    needed = cascade_length(base_filter(family).length, j_max) + half_width
-    if needed > n:
+    does. A cascade is at least 2^j_max long, so a level beyond n's bit
+    length cannot fit and is refused without computing that length."""
+    if j_max > n.bit_length() or (
+        cascade_length(base_filter(family).length, j_max) + half_width > n
+    ):
         raise DataError(
             f"{family} level {j_max} with grid half-width {half_width} needs "
-            f"{needed} samples but n={n}; max feasible level is "
+            f"more than {int_text('n', n)} samples; max feasible level is "
             f"{max_feasible_level(family, n - half_width)}"
         )
 

@@ -258,7 +258,7 @@ def increment_cross_cov(model: SpectralModel, lag, tau: float | None = None):
     lag = np.atleast_1d(lag)
     out = np.zeros(lag.shape)
     for c in model.components:
-        beta = 2.0**-c.level  # band scale 2^(J-j+1) tau_c, <= 1/2
+        beta = math.ldexp(1.0, -c.level)  # band scale 2^(J-j+1) tau_c, <= 1/2
         out += beta * c.corr * lp_wavelet(beta * (lag - c.lag_steps))
     out *= tau
     return float(out[0]) if scalar else out

@@ -37,11 +37,8 @@ MC_CONFIG_KEYS = (
     "schema_version", "model", "model_path", "families", "j_max", "l_max",
     "replications", "master_seed",
 )
-# integer MC config keys and the MCConfig fields they set
-INTEGER_SETTINGS = {
-    "j_max": "j_max", "l_max": "grid_half_width", "replications": "replications",
-    "master_seed": "master_seed",
-}
+# integer MC config keys, each an MCConfig field of the same name
+INTEGER_SETTINGS = ("j_max", "l_max", "replications", "master_seed")
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,7 @@ class MCConfig:
     scheme: ObservationScheme
     families: tuple[str, ...] = FAMILIES
     j_max: int = 8
-    grid_half_width: int = 60
+    l_max: int = 60
     replications: int = 200
     master_seed: int = 0
     threads: int = field(default_factory=lambda: os.cpu_count() or 1)
@@ -66,8 +63,8 @@ class MCConfig:
             raise DataError(f"worker count (threads) must be >= 1, got {self.threads}")
         if self.j_max < 1:
             raise DataError(f"MC config key 'j_max' must be >= 1, got {self.j_max}")
-        if self.grid_half_width < 0:
-            raise DataError(f"MC config key 'l_max' must be >= 0, got {self.grid_half_width}")
+        if self.l_max < 0:
+            raise DataError(f"MC config key 'l_max' must be >= 0, got {self.l_max}")
         if self.master_seed < 0:
             raise DataError(f"master seed (master_seed) must be >= 0, got {self.master_seed}")
         if not self.families:
@@ -79,23 +76,20 @@ class MCConfig:
                 )
             if family in self.families[:i]:
                 raise DataError(f"MC config key 'families' names {family!r} more than once")
-            check_levels_fit(family, self.j_max, self.grid_half_width, self.scheme.n)
-        check_lags_in_grid(self.model, self.grid_half_width)
+            check_levels_fit(family, self.j_max, self.l_max, self.scheme.n)
+        check_lags_in_grid(self.model, self.l_max)
 
 
 @dataclass(frozen=True)
 class MCSummary:
-    """Lower median and MAD of the per-replication lag estimates."""
+    """Lower median and MAD, per level, of each row of the successful
+    replications: the filter families in config order, then 'hry'."""
 
-    families: tuple[str, ...]
-    j_max: int
     replications: int
     failures: int
     valid: bool
-    medians: dict  # family -> tuple over j
+    medians: dict  # row name -> tuple over levels
     mads: dict
-    hry_median: float
-    hry_mad: float
 
 
 def lower_median(values) -> float:
@@ -114,44 +108,32 @@ def median_abs_deviation(values) -> float:
     return lower_median(abs(v - center) for v in values)
 
 
-def summarize(
-    lags_by_family: dict,
-    hry_lags,
-    *,
-    replications: int,
-    failures: int = 0,
-) -> MCSummary:
-    """Aggregate per-replication lag estimates into medians and MADs.
+def summarize(rows, *, replications: int) -> MCSummary:
+    """Aggregate the successful replications' rows into medians and MADs.
 
-    ``lags_by_family`` maps family -> list of per-replication lag vectors
-    (one integer per level); its key order is the summary's family order.
-    ``hry_lags`` holds the single-scale baseline's lag per replication.
+    ``rows`` holds one mapping per successful replication, as
+    ``run_replication`` returns it: row name -> lags per level. The names
+    of ``rows[0]``, in order, are the summary's. ``replications`` counts
+    the failed replications too.
     """
-    families = tuple(lags_by_family)
-    if not families:
-        raise DataError("no filter families to summarize")
-    if min(len(v) for v in (*lags_by_family.values(), hry_lags)) == 0:
+    if not rows:
         raise DataError("no replications to summarize")
-    j_max = len(next(iter(lags_by_family.values()))[0])
+    if not rows[0]:
+        raise DataError("no filter families to summarize")
+    if replications < len(rows):
+        raise DataError(f"{len(rows)} rows to summarize from {replications} replications")
     medians, mads = {}, {}
-    for family in families:
-        per_rep = np.asarray(lags_by_family[family])
-        medians[family] = tuple(
-            lower_median(per_rep[:, j]) for j in range(per_rep.shape[1])
-        )
-        mads[family] = tuple(
-            median_abs_deviation(per_rep[:, j]) for j in range(per_rep.shape[1])
-        )
+    for name in rows[0]:
+        levels = list(zip(*(row[name] for row in rows)))
+        medians[name] = tuple(lower_median(lags) for lags in levels)
+        mads[name] = tuple(median_abs_deviation(lags) for lags in levels)
+    failures = replications - len(rows)
     return MCSummary(
-        families=families,
-        j_max=j_max,
         replications=replications,
         failures=failures,
         valid=failures <= 0.05 * replications,
         medians=medians,
         mads=mads,
-        hry_median=lower_median(hry_lags),
-        hry_mad=median_abs_deviation(hry_lags),
     )
 
 
@@ -169,17 +151,18 @@ def replication_seeds(master_seed: int, count: int) -> list[int]:
 def run_replication(config: MCConfig, embedding: CirculantEmbedding, seed: int) -> dict:
     """One simulate-ingest-estimate pass of ``config``'s design on the path
     that ``seed`` draws from ``embedding`` (``build_embedding`` of the
-    config's model and scheme); returns the lags per level of each family
-    and, under 'hry', the single-scale baseline's lag."""
+    config's model and scheme); returns one row of lags per level for each
+    family and, under 'hry', the single-scale baseline's one lag repeated
+    at every level."""
     scheme = config.scheme
     sample = circulant_embed_sample(config.model, scheme, seed, embedding=embedding)
     ret1, ret2 = returns_from_sample(sample, scheme)
-    grid = LagGrid.symmetric(config.grid_half_width)
+    grid = LagGrid.symmetric(config.l_max)
     out = {}
     for family in config.families:
         results = estimate_levels(ret1, ret2, family, config.j_max, grid)
-        out[family] = [est.lag for _, est in results]
-    out["hry"] = hry_lag(ret1, ret2, grid).lag
+        out[family] = tuple(est.lag for _, est in results)
+    out["hry"] = (hry_lag(ret1, ret2, grid).lag,) * config.j_max
     return out
 
 
@@ -226,24 +209,13 @@ def run_mc(config: MCConfig) -> MCSummary:
         finally:
             _WORKER.clear()
 
-    lags_by_family = {family: [] for family in config.families}
-    hry_lags = []
-    failures = 0
-    for res in results:
-        if "error" in res:
-            failures += 1
-            continue
-        for family in config.families:
-            lags_by_family[family].append(res[family])
-        hry_lags.append(res["hry"])
-    if failures == config.replications:
+    rows = [res for res in results if "error" not in res]
+    if not rows:
         raise DataError(
             f"every replication failed; the first, replication 0 (seed {seeds[0]}), "
             f"raised {results[0]['error']}"
         )
-    return summarize(
-        lags_by_family, hry_lags, replications=config.replications, failures=failures
-    )
+    return summarize(rows, replications=config.replications)
 
 
 def load_mc_config(source, *, replications=None, master_seed=None, threads=None) -> MCConfig:
@@ -276,10 +248,10 @@ def load_mc_config(source, *, replications=None, master_seed=None, threads=None)
     model, scheme = load_model(model_source)
 
     settings = {}
-    for key, name in INTEGER_SETTINGS.items():
+    for key in INTEGER_SETTINGS:
         # the file's value is checked even where an override replaces it
         if key in raw:
-            settings[name] = json_integer(raw[key], f"MC config key {key!r}")
+            settings[key] = json_integer(raw[key], f"MC config key {key!r}")
     for what, key, value in (
         ("worker count", "threads", threads),
         ("replication count", "replications", replications),
@@ -300,18 +272,11 @@ def load_mc_config(source, *, replications=None, master_seed=None, threads=None)
 
 
 def write_summary_csv(summary: MCSummary, fh) -> None:
-    """Table-style CSV: one median and one MAD row per family, columns by
-    level, plus a single-valued baseline row replicated across columns.
-    Lags and MADs are whole grid steps and are written as integers."""
+    """Table-style CSV: one median and one MAD line per summary row, columns
+    by level. Lags and MADs are whole grid steps and are written as integers."""
     fh.write(f"# leadlag-mc-summary schema_version={SUMMARY_SCHEMA_VERSION}\n")
-    cols = ",".join(f"j{j}" for j in range(1, summary.j_max + 1))
-    fh.write(f"family,statistic,{cols}\n")
-    for family in summary.families:
-        med = ",".join(str(int(v)) for v in summary.medians[family])
-        mad = ",".join(str(int(v)) for v in summary.mads[family])
-        fh.write(f"{family},median,{med}\n")
-        fh.write(f"{family},mad,{mad}\n")
-    med = ",".join([str(int(summary.hry_median))] * summary.j_max)
-    mad = ",".join([str(int(summary.hry_mad))] * summary.j_max)
-    fh.write(f"hry,median,{med}\n")
-    fh.write(f"hry,mad,{mad}\n")
+    levels = len(next(iter(summary.medians.values())))
+    fh.write("family,statistic," + ",".join(f"j{j}" for j in range(1, levels + 1)) + "\n")
+    for name, medians in summary.medians.items():
+        for statistic, values in (("median", medians), ("mad", summary.mads[name])):
+            fh.write(f"{name},{statistic}," + ",".join(str(int(v)) for v in values) + "\n")

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import resource
 import stat
 import subprocess
 import sys
@@ -28,6 +29,34 @@ def write_model(tmp_path, spec, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(spec))
     return str(path)
+
+
+# the child prints how long main() took, so a bound can exclude start-up
+TIMED_MAIN = """
+import sys, time
+from leadlag.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(f"main took {time.perf_counter() - start:.6f} s", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_capped(argv, cwd):
+    """Run the CLI in a child process capped at 1 GiB of address space, so a
+    command that grows memory without bound ends in MemoryError rather than
+    starving the machine. Returns (exit code, stderr, seconds in main)."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    took = re.search(r"main took (\S+) s\n$", proc.stderr)
+    return proc.returncode, proc.stderr, float(took.group(1)) if took else math.inf
 
 
 SMALL_SPEC = {
@@ -261,6 +290,14 @@ class TestModelCheck:
         assert f"data error: {needle}" in captured.err
         assert "Traceback" not in captured.err
         assert "model ok" not in captured.out
+
+    def test_band_level_beyond_the_float_range_runs(self, tmp_path, capsys):
+        # the band's scale 2^-j is 0.0 there; it used to end in OverflowError
+        spec = {"J": 10**400, "tau": 0.001, "n": 256, "levels": [{"j": 10**400, "R": 0.3}]}
+        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 0
+        captured = capsys.readouterr()
+        assert "model ok" in captured.out
+        assert "Traceback" not in captured.err
 
     def test_max_corr_is_read_from_the_bands(self, tmp_path, capsys):
         # a coarse band that sampled frequencies would miss
@@ -504,6 +541,37 @@ class TestNegativeSettings:
         assert needle in err
         assert "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["mc.json"]
+
+
+    @pytest.mark.parametrize("levels", [20000, 10**20], ids=["20000", "1e20"])
+    @pytest.mark.parametrize("command, code", [("estimate", 1), ("mc", 2)])
+    def test_level_beyond_the_bit_length_of_n_is_refused_at_once(
+        self, tmp_path, command, code, levels
+    ):
+        # 2^levels is never built: at 20000 levels the message used to print
+        # its 6000 digits and fail, and at 10^20 it grew memory without bound
+        if command == "mc":
+            config = {"model": benchmark_spec(n=1000), "families": ["haar"], "j_max": levels, "l_max": 12}
+            (tmp_path / "mc.json").write_text(json.dumps(config))
+            argv = ["mc", "--config", "mc.json", "--threads", "1"]
+        else:
+            argv = ["estimate", "--in1", "a.csv", "--in2", "b.csv", "--levels", str(levels), "--n", "1000"]
+        returncode, err, took = run_capped(argv + ["--out", "out"], cwd=tmp_path)
+        assert returncode == code, err
+        assert f"level {levels} with grid half-width" in err
+        assert "needs more than n=1000 samples; max feasible level is" in err
+        assert "Traceback" not in err
+        assert took < 0.5
+        assert sorted(os.listdir(tmp_path)) == (["mc.json"] if command == "mc" else [])
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_estimate_n_below_one_is_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "r.json"
+        argv = ["estimate", "--in1", "a.csv", "--in2", "b.csv", "--n", n, "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: --n must be >= 1, got {n}\n"
+        assert not out.exists()
 
 
 class TestEndToEnd:

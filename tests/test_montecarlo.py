@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import io
 import os
 import time
@@ -32,7 +33,7 @@ def small_config(**kw):
         scheme=scheme,
         families=("haar", "la8"),
         j_max=3,
-        grid_half_width=12,
+        l_max=12,
         replications=4,
         master_seed=5,
         threads=1,
@@ -63,20 +64,30 @@ class TestSummaryStatistics:
             lower_median([])
 
     def test_summarize_single_replication(self):
-        summary = summarize({"haar": [[-1, -2]]}, [-1], replications=1)
+        summary = summarize([{"haar": (-1, -2), "hry": (-1, -1)}], replications=1)
         assert summary.medians["haar"] == (-1, -2)
         assert summary.mads["haar"] == (0, 0)
-        assert summary.hry_median == -1
-        assert summary.hry_mad == 0
+        assert summary.medians["hry"] == (-1, -1)
+        assert summary.mads["hry"] == (0, 0)
         assert summary.valid
 
     def test_summarize_flags_excess_failures(self):
-        summary = summarize({"haar": [[-1]] * 10}, [-1] * 10, replications=11, failures=1)
+        summary = summarize([{"haar": (-1,), "hry": (-1,)}] * 10, replications=11)
+        assert summary.failures == 1
         assert not summary.valid
 
     def test_summarize_without_families_rejected(self):
         with pytest.raises(DataError, match="no filter families to summarize"):
-            summarize({}, [1], replications=1)
+            summarize([{}], replications=1)
+
+    def test_summarize_without_rows_rejected(self):
+        with pytest.raises(DataError, match="no replications to summarize"):
+            summarize([], replications=1)
+
+    def test_summarize_rejects_more_rows_than_replications(self):
+        # a negative failure count used to pass as a valid summary
+        with pytest.raises(DataError, match="5 rows to summarize from 3 replications"):
+            summarize([{"haar": (-1,)}] * 5, replications=3)
 
 
 class TestRunMc:
@@ -85,15 +96,16 @@ class TestRunMc:
         summary = run_mc(config)
         seed = replication_seeds(config.master_seed, 1)[0]
         direct = run_replication(config, build_embedding(config.model, config.scheme), seed)
-        for family in config.families:
-            assert summary.medians[family] == tuple(direct[family])
-            assert summary.mads[family] == (0,) * config.j_max
-        assert summary.hry_median == direct["hry"]
+        assert list(summary.medians) == [*config.families, "hry"]
+        for name in summary.medians:
+            assert summary.medians[name] == direct[name]
+            assert summary.mads[name] == (0,) * config.j_max
+        assert direct["hry"] == (direct["hry"][0],) * config.j_max
 
     def test_medians_stay_on_grid(self):
         summary = run_mc(small_config())
-        for family in summary.families:
-            assert all(abs(v) <= 12 for v in summary.medians[family])
+        for name in summary.medians:
+            assert all(abs(v) <= 12 for v in summary.medians[name])
 
     def test_parallel_merge_matches_sequential(self):
         sequential = run_mc(small_config())
@@ -115,7 +127,7 @@ class TestRunMc:
 
     def test_model_lag_outside_grid_rejected(self):
         with pytest.raises(DataError, match="outside the search grid"):
-            small_config(grid_half_width=5)
+            small_config(l_max=5)
 
     def test_infeasible_level_rejected(self):
         with pytest.raises(DataError, match="needs"):
@@ -150,6 +162,38 @@ class TestRunMc:
         monkeypatch.setattr(montecarlo, "run_replication", broken)
         with pytest.raises(RuntimeError, match="bug"):
             run_mc(small_config())
+
+
+class TestSummaryOfRows:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_summary_of_the_replications_rows_is_run_mcs(self, monkeypatch, threads):
+        # rows from run_replication, one call per seed, summarise to run_mc's CSV
+        config = small_config(replications=6, threads=threads)
+        seeds = replication_seeds(config.master_seed, config.replications)
+        real = montecarlo.run_replication
+
+        def flaky(config, embedding, seed):
+            if seed == seeds[2]:
+                raise NumericError("injected")
+            return real(config, embedding, seed)
+
+        monkeypatch.setattr(montecarlo, "run_replication", flaky)
+        monkeypatch.setattr(montecarlo, "CHUNKSIZE", 3)  # two threads start two workers
+        embedding = build_embedding(config.model, config.scheme)
+        rows = []
+        for seed in seeds:
+            with contextlib.suppress(NumericError):
+                rows.append(flaky(config, embedding, seed))
+        texts = []
+        for summary in (summarize(rows, replications=6), run_mc(config)):
+            assert (summary.replications, summary.failures, summary.valid) == (6, 1, False)
+            out = io.StringIO()
+            write_summary_csv(summary, out)
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1]
+        assert [line.split(",")[0] for line in texts[0].splitlines()[2:]] == [
+            "haar", "haar", "la8", "la8", "hry", "hry"
+        ]
 
 
 class TestPoolSize:
@@ -226,7 +270,7 @@ class TestConfigLoading:
         assert config.replications == 3
         assert config.master_seed == 9
         assert config.families == ("haar",)
-        assert config.grid_half_width == 12
+        assert config.l_max == 12
 
     @pytest.mark.parametrize(
         "overrides",
@@ -322,8 +366,7 @@ class TestConfigLoading:
 class TestSummaryCsv:
     def test_layout(self, tmp_path):
         summary = summarize(
-            {"haar": [[-1, -2], [-1, -2], [-1, -3]]},
-            [-1, -1, -1],
+            [{"haar": (-1, -2), "hry": (-1, -1)}] * 2 + [{"haar": (-1, -3), "hry": (-1, -1)}],
             replications=3,
         )
         out = tmp_path / "summary.csv"
@@ -340,8 +383,11 @@ class TestSummaryCsv:
     def test_lags_of_a_million_steps_or_more_are_written_whole(self):
         # '{:g}' would round these to six significant digits (-1.23457e+06)
         summary = summarize(
-            {"haar": [[-1234567, 3], [-1234569, 3], [-1234570, 5]]},
-            [2000001, 2000002, 2000003],
+            [
+                {"haar": (-1234567, 3), "hry": (2000001,) * 2},
+                {"haar": (-1234569, 3), "hry": (2000002,) * 2},
+                {"haar": (-1234570, 5), "hry": (2000003,) * 2},
+            ],
             replications=3,
         )
         fh = io.StringIO()

@@ -41,6 +41,9 @@ def test_run_benchmark_table(tmp_path):
             "# leadlag-mc-summary schema_version=1",
             "family,statistic,j1,j2,j3,j4,j5,j6,j7,j8",
         ]
+    # one medians line per summary row, families first and then the baseline
+    names = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  ")]
+    assert names == ["haar", "la8", "la20", "hry"] * 2
 
 
 def test_run_benchmark_table_takes_a_model_path_config(tmp_path):
@@ -60,6 +63,8 @@ def test_run_benchmark_table_takes_a_model_path_config(tmp_path):
     assert [line.split(",")[:2] for line in lines[2:]] == [
         ["haar", "median"], ["haar", "mad"], ["hry", "median"], ["hry", "mad"]
     ]
+    names = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  ")]
+    assert names == ["haar", "hry"] * 2
 
 
 def load_module(path):
