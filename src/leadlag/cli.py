@@ -321,6 +321,15 @@ def _cmd_estimate(args) -> int:
             check_levels_fit(args.family, args.levels, args.maxlag, n)  # before allocating the grid
         ret1 = align_to_grid(ticks1, t0, args.tau, n)
         ret2 = align_to_grid(ticks2, t0, args.tau, n)
+        for flag, path, ticks, ret in (
+            ("--in1", args.in1, ticks1, ret1),
+            ("--in2", args.in2, ticks2, ret2),
+        ):
+            if not ret.observed[1:].any():  # every return would be 0
+                raise DataError(
+                    f"{flag} {path!r} has no tick inside the grid ({t0}, {t0 + n * args.tau}]; "
+                    f"its last tick is at {ticks.timestamps[-1]}"
+                )
         grid = LagGrid.symmetric(args.maxlag)
         results = estimate_levels(ret1, ret2, args.family, args.levels, grid)
         report = {

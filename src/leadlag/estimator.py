@@ -12,9 +12,8 @@ filters the level j-1 smooth with the length-L base filters, taps spaced
 convolution with the whole level-j cascade. Each level's coefficients carry
 the smooth they were filtered from, and the next level continues from it;
 a return series that a caller could still write is copied first.
-A step with at least 2^16 outputs (day scale, not mc scale) runs in blocks
-of 1024 outputs that stay in cache while einsum adds the taps; the values
-are those of one call bit for bit.
+Every step above 1 runs in blocks of 1024 outputs that stay in cache while
+einsum adds the taps; the values are those of one call bit for bit.
 
 The wavelet curve and the baseline share one lag kernel, a sectioned FFT
 cross-correlation whose transforms are sized by the lag grid, not by the
@@ -110,15 +109,15 @@ class LagEstimate:
     degenerate: bool
 
 
-# A step with at least _BLOCKED_FROM outputs runs in blocks of _BLOCK
-# outputs, whose input and output stay in the L1 cache while einsum adds one
-# tap after another. Blocked over one-call time, steps 2-128, la20 / la8 /
-# haar: 0.84 / 0.83 / 1.02 at n = 2^16, 0.69 / 0.72 / 0.89 at 2^17 (2-vCPU
-# Xeon, 48 KiB L1d); blocks of 256-2048 outputs read alike. At step 1 the
-# tap and output strides tie, einsum then loops over the taps innermost,
-# and blocks ran 1.5-5x slower.
+# A dilated step (above 1) runs in blocks of _BLOCK outputs, whose input and
+# output stay in the L1 cache while einsum adds one tap after another,
+# instead of streaming the whole series through the cache once per tap.
+# Blocked over one-call time, la20 / la8 / haar: 0.69 / 0.72 / 0.89 per
+# step (steps 2-128) at n = 2^17, 0.80 / 0.90 / 1.16 per 8-level pyramid at
+# n = 15000, and 0.94 per mc replication, which runs all three (2-vCPU Xeon,
+# 48 KiB L1d). At step 1 the tap and output strides tie, einsum then loops
+# over the taps innermost, and blocks ran 1.5-5x slower.
 _BLOCK = 1024
-_BLOCKED_FROM = 1 << 16
 
 
 def _dilated_valid(x: np.ndarray, taps: np.ndarray, step: int) -> np.ndarray:
@@ -129,28 +128,28 @@ def _dilated_valid(x: np.ndarray, taps: np.ndarray, step: int) -> np.ndarray:
     and refuses a view that would reach past x's buffer.
 
     einsum's own loop, not BLAS. With the default output order, step 1 ran
-    about twice as slow as the wider steps; order="F" removes that. Below
-    the block size, the blocked call's iterator loops over blocks, then
-    taps, then a block's outputs. At any step every output adds its taps
-    in the same order, so the values are the unblocked ones bit for bit.
+    about twice as slow as the wider steps; order="F" removes that. Above
+    step 1 the whole blocks go through one blocked call, and the outputs
+    past them (the whole series at step 1) through one more. At any step
+    every output adds its taps in the same order, so the values are those
+    of one call over every output bit for bit.
     """
     L = len(taps)
     count = len(x) - (L - 1) * step
     stride = x.strides[0]
-    if step == 1 or count < _BLOCKED_FROM:
-        windows = np.ndarray((count, L), x.dtype, buffer=x, strides=(stride, step * stride))
-        return np.einsum("kp,p->k", windows, taps[::-1], order="F")
-    blocks, rest = divmod(count, _BLOCK)
-    done = count - rest
     out = np.empty(count)
+    done = 0
+    if step > 1:
+        blocks = count // _BLOCK
+        done = blocks * _BLOCK
+        windows = np.ndarray(
+            (blocks, _BLOCK, L), x.dtype, buffer=x, strides=(_BLOCK * stride, stride, step * stride)
+        )
+        np.einsum("bkp,p->bk", windows, taps[::-1], out=out[:done].reshape(blocks, _BLOCK))
     windows = np.ndarray(
-        (blocks, _BLOCK, L), x.dtype, buffer=x, strides=(_BLOCK * stride, stride, step * stride)
+        (count - done, L), x.dtype, buffer=x, offset=done * stride, strides=(stride, step * stride)
     )
-    np.einsum("bkp,p->bk", windows, taps[::-1], out=out[:done].reshape(blocks, _BLOCK))
-    windows = np.ndarray(
-        (rest, L), x.dtype, buffer=x, offset=done * stride, strides=(stride, step * stride)
-    )
-    np.einsum("kp,p->k", windows, taps[::-1], out=out[done:])
+    np.einsum("kp,p->k", windows, taps[::-1], out=out[done:], order="F")
     return out
 
 

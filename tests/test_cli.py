@@ -698,6 +698,29 @@ class TestEndToEnd:
         assert code == 2
         assert "overlap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "t0, flag, path, last",
+        [("20", "--in2", "b.csv", "10.0"), ("200", "--in1", "a.csv", "100.0")],
+        ids=["after-in2", "after-both"],
+    )
+    def test_estimate_grid_after_the_data_is_data_error(self, tmp_path, capsys, t0, flag, path, last):
+        # every grid return of such a series would be 0: a report of all-degenerate levels
+        for name, stop in (("a.csv", 101), ("b.csv", 11)):
+            rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(stop)]
+            (tmp_path / name).write_text("\n".join(rows) + "\n")
+        out = tmp_path / "r.json"
+        code = main(
+            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"),
+             "--family", "haar", "--levels", "2", "--maxlag", "3",
+             "--t0", t0, "--tau", "1.0", "--n", "50", "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {str(tmp_path / path)!r} has no tick inside the grid" in err
+        assert f"({float(t0)}, {float(t0) + 50.0}]" in err and f"last tick is at {last}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_estimate_derived_grid_too_short_fails_before_alignment(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import leadlag as ll
 from leadlag.errors import DataError, NumericError
@@ -180,13 +180,18 @@ class TestModwt:
 
     @given(
         family=st.sampled_from(FAMILIES),
-        n=st.one_of(st.sampled_from((65536, 65555, 70001, 2**17)), st.integers(2**16 - 64, 2**17)),
+        n=st.one_of(
+            st.sampled_from((15000, 65536, 65555, 70001, 2**17)), st.integers(2**16 - 64, 2**17)
+        ),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(family="haar", n=15000, seed=1)
+    @example(family="la8", n=15000, seed=2)
+    @example(family="la20", n=15000, seed=3)
     @settings(max_examples=12, deadline=None)
     def test_blocked_steps_equal_single_call_steps(self, family, n, seed):
-        # from 2^16 outputs on a step runs in blocks; each coefficient must
-        # keep the bits of the one-call step, on both sides of the threshold
+        # every step above 1 runs in blocks, at mc scale (n = 15000) as at day
+        # scale; each coefficient must keep the bits of the one-call step
         x = np.random.default_rng(seed).standard_normal(n)
         base = base_filter(family)
         smooth, chained = x, x
@@ -199,11 +204,12 @@ class TestModwt:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("step", [2, 3, 1023, 1024, 1025, 2048, 4096])
     def test_wide_blocked_steps_equal_single_call_steps(self, family, step):
-        # steps at and above the block size, at 2^16 - 1 outputs (one call),
-        # 2^16 (whole blocks only), 2^16 + 1 and 2^17 + 5 (a partial block)
+        # steps up to and above the block size, at fewer outputs than one
+        # block (1, 1023), whole blocks only (1024, 2^16), and whole blocks
+        # and a partial one (1025, 15000, 2^16 - 1, 2^16 + 1, 2^17 + 5)
         base = base_filter(family)
         rng = np.random.default_rng(step)
-        for outputs in (2**16 - 1, 2**16, 2**16 + 1, 2**17 + 5):
+        for outputs in (1, 1023, 1024, 1025, 15000, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 5):
             x = rng.standard_normal(outputs + (base.length - 1) * step)
             for taps in (base.scaling, base.wavelet):
                 want = single_call_step(x, taps, step)

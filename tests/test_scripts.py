@@ -1,11 +1,13 @@
 """Smoke tests: the experiment scripts under scripts/ run against the package,
-and the traced benchmark run's hooks record every layer."""
+the traced benchmark run's hooks record every layer, and the committed
+benchmark records keep their schema."""
 
 import importlib.util
 import json
 import os
 import pathlib
 import re
+import statistics
 import subprocess
 import sys
 
@@ -182,3 +184,105 @@ def test_traced_run_hooks_record_every_layer(tmp_path):
     # tracing.py reads both counts from the embedding it records
     embeddings = [span[5] for span in tracer.spans if span[0] == "simulate.build_embedding"]
     assert embeddings == [{"size": 4096, "clipped": 0}]
+
+
+ROOT = pathlib.Path(SCRIPTS).parent
+
+
+def canned_run(seed, correct=True, scale=1.0):
+    """The standard output of ``perfbench/run.py --workload all --trace 0``,
+    trimmed to the lines a record reads and a few it skips."""
+    lines = []
+    metrics = {}
+    for k, workload in enumerate(("mc_serial", "estimate_day")):
+        lines += [
+            f"env workload = {workload}",
+            f"env seed = {seed}",
+            "env traced = False",
+            "env git_commit = " + "0123456789abcdef" * 2 + "01234567",
+            "env numpy = 2.4.6",
+        ]
+        for m, name in enumerate(
+            ("setup_s", "throughput_per_ref_s", "call_ref_s_p50", "call_ref_s_tail", "peak_rss_mb")
+        ):
+            value = scale * (k + 1) * (m + 1) / 8
+            metrics[f"{workload}:{name}"] = {"value": value, "unit": "s"}
+            lines.append(f"metric {workload} {name} = {value!r} s (median of 14 calls)")
+        lines += [
+            f"note {workload} wall time per call: median {0.2 * scale * (k + 1):.4f} s, "
+            f"p28.6 {0.19 * scale * (k + 1):.4f} s",
+            f"note {workload} host speed: 6 calibration blocks took 0.0134 to 0.0195 s",
+            f"check {workload} PASS: 16 of 16 output checks passed; 0 of 224 operations failed",
+        ]
+    result = {"correct": correct, "attempted": 480, "failed": 0 if correct else 1, "metrics": metrics}
+    return "\n".join(lines + [json.dumps(result)]) + "\n"
+
+
+def test_record_bench_parses_run_output():
+    script = load_module(os.path.join(SCRIPTS, "record_bench.py"))
+    run = script.parse_run(canned_run(3))
+    assert run["seed"] == 3
+    assert run["env"] == {
+        "traced": "False", "git_commit": "0123456789abcdef" * 2 + "01234567", "numpy": "2.4.6"
+    }
+    assert (run["correct"], run["attempted"], run["failed"]) == (True, 480, 0)
+    assert run["metrics"]["estimate_day:call_ref_s_p50"] == {"value": 0.75, "unit": "s"}
+    assert run["wall_s_per_call"] == {
+        "mc_serial": {"median": 0.2, "p28.6": 0.19}, "estimate_day": {"median": 0.4, "p28.6": 0.38}
+    }
+    with pytest.raises(ValueError, match="JSON line"):
+        script.parse_run(canned_run(3).rsplit("{", 1)[0])
+    with pytest.raises(ValueError, match="env numpy"):
+        script.parse_run(canned_run(3).replace("numpy = 2.4.6", "numpy = 2.0.0", 1))
+
+
+def test_record_bench_keeps_a_failed_run_and_exits_1(tmp_path, monkeypatch):
+    script = load_module(os.path.join(SCRIPTS, "record_bench.py"))
+    seeds = []
+
+    def run(argv, **kwargs):
+        seed = int(argv[argv.index("--seed") + 1])
+        seeds.append(seed)
+        return subprocess.CompletedProcess(argv, 0, canned_run(seed, seed != 4, seed), "")
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2}))
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    monkeypatch.setattr(script.subprocess, "run", run)
+    assert script.main(["--pr", "7"]) == 1
+    assert seeds == [1, 2, 3, 4, 5]
+    bench = json.loads((tmp_path / "bench" / "BENCH_7.json").read_text())
+    assert [r["correct"] for r in bench["runs"]] == [True, True, True, False, True]
+    assert bench["runs"][3]["failed"] == 1
+    assert bench["command"][-2:] == ["--seconds", "2"]
+    # runs at scale 1..5: median 3, quartiles 2 and 4 of the scale
+    assert bench["summary"]["mc_serial:setup_s"] == {
+        "unit": "s", "median": 3 / 8, "q1": 2 / 8, "q3": 4 / 8
+    }
+
+
+def test_bench_records_hold_every_end_to_end_metric():
+    # the committed perf trajectory: its schema only, with no timing gate
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    wanted = {f"{w}:{m['name']}" for w in workloads for m in spec["end_to_end"]}
+    files = sorted((ROOT / "bench").glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        bench = json.loads(path.read_text())
+        assert path.name == f"BENCH_{bench['pr']}.json"
+        assert re.fullmatch(r"[0-9a-f]{40}", bench["commit"])
+        assert bench["command"][:2] == ["python3", "perfbench/run.py"]
+        assert isinstance(bench["env"], dict) and bench["runs"]
+        for run in bench["runs"]:
+            assert isinstance(run["seed"], int) and isinstance(run["correct"], bool)
+            assert isinstance(run["attempted"], int) and isinstance(run["failed"], int)
+            assert wanted <= set(run["metrics"])
+            assert set(run["wall_s_per_call"]) == workloads
+        for name in wanted:
+            values = [run["metrics"][name] for run in bench["runs"]]
+            stats = bench["summary"][name]
+            assert stats["median"] == statistics.median(values)
+            assert min(values) <= stats["q1"] <= stats["median"] <= stats["q3"] <= max(values)
+        for workload in workloads:
+            walls = [run["wall_s_per_call"][workload]["median"] for run in bench["runs"]]
+            assert bench["wall_s_per_call"][workload]["median"] == statistics.median(walls)
