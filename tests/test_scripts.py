@@ -20,6 +20,7 @@ from leadlag.montecarlo import load_mc_config, run_mc
 from conftest import BENCHMARK_LEVELS, CONFIGS
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+ROOT = pathlib.Path(SCRIPTS).parent
 
 
 def run_script(name, *args, cwd):
@@ -185,8 +186,6 @@ def test_traced_run_hooks_record_every_layer(tmp_path):
     embeddings = [span[5] for span in tracer.spans if span[0] == "simulate.build_embedding"]
     assert embeddings == [{"size": 4096, "clipped": 0}]
 
-
-ROOT = pathlib.Path(SCRIPTS).parent
 
 
 def canned_run(seed, correct=True, scale=1.0):
