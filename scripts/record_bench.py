@@ -13,8 +13,10 @@ metric's median and quartiles over the runs. Wall times are kept beside the
 than the workload reads a slower wall time as a smaller ``ref_s`` figure.
 
 A run that fails its output checks or any operation stays in the file as it
-is, and the script exits 1; so it does when run.py itself fails, and then
-writes no file.
+is, and the script exits 1; so it does for a run whose ``call_ref_s_tail``
+reads below its ``call_ref_s_p50`` (a run too short for a tail above the
+median), printing its seed and workload. When run.py itself fails, the
+script exits 1 and writes no file.
 """
 
 from __future__ import annotations
@@ -67,6 +69,18 @@ def parse_run(text: str) -> dict:
 def quartiles(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def tails_below_median(run: dict) -> list[str]:
+    """The workloads whose ``call_ref_s_tail`` reads below their
+    ``call_ref_s_p50`` in ``run``, an output parsed by ``parse_run``."""
+    metrics = run["metrics"]
+    return [
+        name.split(":")[0]
+        for name in metrics
+        if name.endswith(":call_ref_s_tail")
+        and metrics[name]["value"] < metrics[name.replace("_tail", "_p50")]["value"]
+    ]
 
 
 def record(pr: int, runs: list[dict], seconds: float) -> dict:
@@ -127,7 +141,13 @@ def main(argv=None) -> int:
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(bench, indent=2) + "\n")
     print(f"wrote {out}")
-    return 0 if all(run["correct"] and run["failed"] == 0 for run in runs) else 1
+    ok = all(run["correct"] and run["failed"] == 0 for run in runs)
+    for run in runs:
+        for workload in tails_below_median(run):
+            print(f"seed {run['seed']} {workload}: call_ref_s_tail reads below call_ref_s_p50",
+                  file=sys.stderr)
+            ok = False
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ opens its outputs with ``atomic_output`` before it reads any input, so a bad
 output path, such as an existing directory, FIFO or hard-linked file, is
 exit 2 before the work. An output is a hidden temp file beside its target
 (a symlink's target) until the command succeeds, so failures leave no
-partial files.
+partial files. ``estimate`` and ``gain`` load only the estimate path;
+``simulate``, ``model-check`` and ``mc`` import the model, the simulator
+and the Monte Carlo harness when they run.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from .errors import DataError, LeadLagError, NumericError, UsageError
 from .estimator import LagGrid, check_levels_fit, estimate_levels, modwt
 from .filters import FAMILIES, base_filter, cascade, empirical_gain, level_gain
 from .ingest import PRICE_SCALES, align_to_grid, read_csv
-from .model import check_lags_in_grid, load_model
-from .montecarlo import load_mc_config, run_mc, write_summary_csv
-from .simulate import build_embedding, circulant_embed_sample
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -254,6 +253,9 @@ def _refuse_shared_files(outputs, inputs=()) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from .model import load_model
+    from .simulate import circulant_embed_sample
+
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     # one stack: a failure anywhere discards every output's temp file
@@ -411,6 +413,8 @@ def _json_floats(values) -> list[str]:
 
 
 def _cmd_mc(args) -> int:
+    from .montecarlo import load_mc_config, run_mc, write_summary_csv
+
     with atomic_output(args.out) as fh:
         config = load_mc_config(
             args.config, replications=args.reps, master_seed=args.seed, threads=args.threads
@@ -428,6 +432,9 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_model_check(args) -> int:
+    from .model import check_lags_in_grid, load_model
+    from .simulate import build_embedding
+
     if args.l_max is not None and args.l_max < 0:
         raise UsageError(f"--l-max must be >= 0, got {args.l_max}")
     model, scheme = load_model(args.model)

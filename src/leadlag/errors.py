@@ -1,4 +1,7 @@
-"""Shared exception types, mapped to CLI exit codes."""
+"""Shared exception types, mapped to CLI exit codes, and the checks of
+integer inputs that raise them."""
+
+import numpy as np
 
 
 class LeadLagError(Exception):
@@ -24,3 +27,11 @@ def int_text(name: str, value: int) -> str:
         return f"{name}={value}"
     except ValueError:
         return f"{name} of {value.bit_length()} bits"
+
+
+def json_integer(value, what: str) -> int:
+    """``value`` as an int if it is a JSON integer (not a boolean), else a
+    DataError saying that ``what`` must be an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    return int(value)

@@ -28,15 +28,13 @@ constructor, and transform lengths from a cached ``_next_fast_len``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DataError, NumericError, int_text
+from .errors import DataError, NumericError, int_text, json_integer
 from .filters import LevelFilter, base_filter, cascade, cascade_length
 from .ingest import AlignedReturns, _frozen
-from .model import json_integer
-from .simulate import _next_fast_len
 
 
 @dataclass(frozen=True)
@@ -209,6 +207,24 @@ def _check_returns_pair(ret1: AlignedReturns, ret2: AlignedReturns) -> None:
         raise DataError(f"return series differ in length: {ret1.n} vs {ret2.n}")
     if ret1.tau != ret2.tau:
         raise DataError(f"grid spacings differ: {ret1.tau} vs {ret2.tau}")
+
+
+@lru_cache(maxsize=256)
+def _next_fast_len(target: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= target, a length pocketfft transforms
+    fast; the rule of ``scipy.fft.next_fast_len(target, real=True)``.
+
+    Cached: the lag kernel asks for the same few lengths on every curve."""
+    target = int(target)
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 * 2^k with the least k that reaches target
+            best = min(best, p35 << ((target - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _lagged_sums(x1: np.ndarray, x2: np.ndarray, half: int) -> np.ndarray:

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .model import ObservationScheme
-from .simulate import PathSample
 
 PRICE_SCALES = ("raw_price", "log_price")
 

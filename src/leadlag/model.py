@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, int_text
+from .errors import DataError, int_text, json_integer
 
 
 @dataclass(frozen=True)
@@ -130,14 +130,6 @@ def check_keys(raw: Mapping, known, what: str, where: str = "") -> None:
             f"unknown {what} key {', '.join(map(repr, unknown))}{where}; "
             f"known: {', '.join(known)}"
         )
-
-
-def json_integer(value, what: str) -> int:
-    """``value`` as an int if it is a JSON integer (not a boolean), else a
-    DataError saying that ``what`` must be an integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DataError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def check_schema_version(raw: Mapping, what: str) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, LeadLagError, int_text
+from .errors import DataError, LeadLagError, int_text, json_integer
 from .estimator import LagGrid, check_levels_fit, estimate_levels, hry_lag
 # base_filter is unused here, but perfbench/tracing.py hooks it as a module attribute
 from .filters import FAMILIES, base_filter  # noqa: F401
@@ -24,7 +24,6 @@ from .model import (
     check_keys,
     check_lags_in_grid,
     check_schema_version,
-    json_integer,
     json_object,
     load_model,
 )
@@ -139,6 +138,8 @@ def summarize(rows, *, replications: int) -> MCSummary:
 
 def replication_seeds(master_seed: int, count: int) -> list[int]:
     """One 64-bit seed per replication, derived from the master seed."""
+    if count < 0:
+        raise DataError(f"{int_text('replications', count)} is negative; seeds need a count >= 0")
     try:
         state = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
     except (ValueError, MemoryError):

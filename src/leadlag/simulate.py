@@ -23,34 +23,16 @@ series 1, and Cov(x1[a], x2[b]) = c12(b - a).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError, int_text
+from .estimator import _next_fast_len
 from .model import ObservationScheme, SpectralModel, increment_cross_cov
 
 # eigenvalues this far below zero (relative to tau) abort; closer ones clip
 EIGENVALUE_FLOOR = 1e-8
-
-
-@functools.lru_cache(maxsize=256)
-def _next_fast_len(target: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= target, a length pocketfft transforms
-    fast; the rule of ``scipy.fft.next_fast_len(target, real=True)``.
-
-    Cached: the lag kernel asks for the same few lengths on every curve."""
-    target = int(target)
-    best = 1 << (target - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:  # p35 * 2^k with the least k that reaches target
-            best = min(best, p35 << ((target - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import leadlag as ll
-from leadlag import cli, montecarlo
+from leadlag import cli, model, montecarlo
 from leadlag.cli import atomic_output, main, render_report
 from leadlag.filters import FAMILIES, level_gain
 
@@ -84,6 +84,16 @@ class TestParsing:
     def test_missing_required_flag_names_it(self, capsys):
         assert main(["simulate", "--seed", "1", "--out", "x.csv"]) == 1
         assert "--model" in capsys.readouterr().err
+
+    def test_other_package_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a LeadLagError of no subclass is reported as a plain error
+        def refuse(family):
+            raise ll.LeadLagError(f"no table for {family}")
+
+        monkeypatch.setattr(cli, "base_filter", refuse)
+        assert main(["gain", "--family", "haar", "--out", str(tmp_path / "g.csv")]) == 2
+        assert capsys.readouterr().err == "error: no table for haar\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_gain_valid_minimal(self, tmp_path):
         out = tmp_path / "gain.csv"
@@ -1155,13 +1165,13 @@ class TestMcDesign:
     def test_mc_thread_count_precedence(self, tmp_path, monkeypatch, flag, expected):
         # --threads, else every core
         seen = []
-        real = cli.run_mc
+        real = montecarlo.run_mc
 
         def spy(config):
             seen.append(config.threads)
             return real(dataclasses.replace(config, threads=1))
 
-        monkeypatch.setattr(cli, "run_mc", spy)
+        monkeypatch.setattr(montecarlo, "run_mc", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
         config_path = tmp_path / "mc.json"
@@ -1572,6 +1582,76 @@ class TestImport:
         assert exc.value.code == 0
         assert capsys.readouterr().out.strip() == f"leadlag {version}"
 
+    @staticmethod
+    def fresh_output(probe, *args):
+        """stdout of ``probe`` run in a fresh interpreter with ``args``."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
+        )
+        return out.stdout.strip()
+
+    def test_estimate_and_gain_leave_model_simulate_and_mc_unloaded(self, tmp_path):
+        # the estimate path imports none of the three, nor do its commands
+        ticks = "timestamp,price\n" + "".join(f"{t}.0,{100 + t % 7}.0\n" for t in range(400))
+        (tmp_path / "a.csv").write_text(ticks)
+        (tmp_path / "b.csv").write_text(ticks)
+        probe = (
+            "import json, sys, leadlag.cli\n"
+            "lazy = ('leadlag.model', 'leadlag.simulate', 'leadlag.montecarlo')\n"
+            "seen = [[m for m in lazy if m in sys.modules]]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append([leadlag.cli.main(argv)] + [m for m in lazy if m in sys.modules])\n"
+            "print(json.dumps(seen))\n"
+        )
+        argvs = [
+            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"),
+             "--family", "haar", "--levels", "2", "--maxlag", "5", "--out", str(tmp_path / "r.json")],
+            ["gain", "--family", "la8", "--level", "2", "--out", str(tmp_path / "g.csv")],
+        ]
+        assert json.loads(self.fresh_output(probe, json.dumps(argvs))) == [[], [0], [0]]
+        assert json.loads((tmp_path / "r.json").read_text())["n"] == 399
+
+    def test_every_public_name_is_its_modules_object(self):
+        probe = (
+            "import importlib, leadlag\n"
+            "for name in leadlag.__all__:\n"
+            "    obj = getattr(leadlag, name)\n"
+            "    module = importlib.import_module(obj.__module__)\n"
+            "    print(name, module.__name__, getattr(module, name) is obj)\n"
+        )
+        lines = self.fresh_output(probe).splitlines()
+        assert [line.split()[0] for line in lines] == ll.__all__
+        assert [line for line in lines if not line.endswith(" True")] == []
+        owners = {name: owner for name, owner, _ in map(str.split, lines)}
+        assert owners["load_model"] == "leadlag.model"
+        assert owners["PathSample"] == "leadlag.simulate"
+        assert owners["run_mc"] == "leadlag.montecarlo"
+
+    def test_unknown_name_raises_attribute_error(self):
+        # a submodule not yet imported is an unknown name too, so that
+        # "from leadlag import montecarlo" falls back to importing it
+        probe = (
+            "import leadlag\n"
+            "for name in ('no_such_name', 'montecarlo'):\n"
+            "    try:\n"
+            "        getattr(leadlag, name)\n"
+            "    except AttributeError as exc:\n"
+            "        print(exc)\n"
+        )
+        assert self.fresh_output(probe).splitlines() == [
+            "module 'leadlag' has no attribute 'no_such_name'",
+            "module 'leadlag' has no attribute 'montecarlo'",
+        ]
+
+    def test_submodules_import_after_the_cli(self):
+        probe = (
+            "import leadlag.cli\n"
+            "from leadlag import montecarlo, simulate\n"
+            "print(montecarlo.__name__, simulate.__name__, montecarlo.run_mc is leadlag.run_mc)\n"
+        )
+        assert self.fresh_output(probe) == "leadlag.montecarlo leadlag.simulate True"
+
 
 class TestHelpDocumentsUnits:
     @pytest.mark.parametrize(
@@ -1637,6 +1717,12 @@ OUTPUT_FLAGS = [
 ]
 
 
+def call_owner(first_call):
+    """The module whose attribute ``first_call`` a command reads at call
+    time: mc and simulate import their work functions when they run."""
+    return {"run_mc": montecarlo, "load_model": model}.get(first_call, cli)
+
+
 class TestBadOutputPath:
     """Every output is opened before the work: a path that cannot be an
     output file is exit 2, naming it, with no input read and no file left
@@ -1678,8 +1764,9 @@ class TestBadOutputPath:
     @pytest.mark.parametrize("command, flag, first_call", OUTPUT_FLAGS, ids=lambda v: v)
     def test_exits_2_before_the_work(self, work, capsys, monkeypatch, command, flag, first_call, bad):
         calls = []
-        real = getattr(cli, first_call)
-        monkeypatch.setattr(cli, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        owner = call_owner(first_call)
+        real = getattr(owner, first_call)
+        monkeypatch.setattr(owner, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
         before = snapshot(work)
         code = main(self.argv(work, command, flag, bad))
         err = capsys.readouterr().err
@@ -1739,8 +1826,9 @@ class TestOutputLandsAsOpenWould:
     def test_fifo_is_exit_2_before_the_work(self, work, capsys, monkeypatch, command, flag, first_call):
         os.mkfifo(work / "work" / "fifo")
         calls = []
-        real = getattr(cli, first_call)
-        monkeypatch.setattr(cli, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        owner = call_owner(first_call)
+        real = getattr(owner, first_call)
+        monkeypatch.setattr(owner, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
         before = snapshot(work)
         code = main(TestBadOutputPath.argv(work, command, flag, "fifo"))
         err = capsys.readouterr().err
@@ -1756,8 +1844,9 @@ class TestOutputLandsAsOpenWould:
         out.write_text("old\n")
         os.link(out, hard)
         calls = []
-        real = getattr(cli, first_call)
-        monkeypatch.setattr(cli, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        owner = call_owner(first_call)
+        real = getattr(owner, first_call)
+        monkeypatch.setattr(owner, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
         before = snapshot(work)
         code = main(TestBadOutputPath.argv(work, command, flag, "out.csv"))
         err = capsys.readouterr().err
@@ -1810,7 +1899,7 @@ class TestSimulateOutputsAreDistinct:
     def test_exits_2_before_the_work(self, work, capsys, monkeypatch, flag, path, first):
         (work / "work" / "link.csv").symlink_to("path.csv")
         calls = []
-        monkeypatch.setattr(cli, "load_model", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(model, "load_model", lambda *a, **kw: calls.append(a))
         before = snapshot(work)
         code = main(TestBadOutputPath.argv(work, "simulate", flag, path))
         err = capsys.readouterr().err

@@ -264,6 +264,13 @@ class TestCrossCov:
         with pytest.raises(DataError, match="level mismatch"):
             cross_cov(w1, w2, 0, tau=1.0)
 
+    @pytest.mark.parametrize("n2, family2", [(12, "haar"), (10, "la8")], ids=["length", "filter"])
+    def test_different_shapes_rejected(self, n2, family2):
+        w1 = modwt(np.ones(10), cascade(base_filter("haar"), 1))
+        w2 = modwt(np.ones(n2), cascade(base_filter(family2), 1))
+        with pytest.raises(DataError, match="^coefficient series have different shapes$"):
+            cross_cov_curve(w1, w2, LagGrid.symmetric(0), 1.0)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_brute_force_equivalence(self, data):
@@ -534,6 +541,11 @@ class TestEstimateLevels:
         r2 = aligned(np.ones(61))
         with pytest.raises(DataError, match="differ in length"):
             estimate_levels(r1, r2, "haar", 1, LagGrid.symmetric(2))
+
+    def test_no_level_rejected(self):
+        r = aligned(np.ones(60))
+        with pytest.raises(DataError, match="^need at least one level, got j_max=0$"):
+            estimate_levels(r, r, "haar", 0, LagGrid.symmetric(2))
 
 
 class TestFullDepthRun:

@@ -76,6 +76,10 @@ class TestQuadratureMirror:
         with pytest.raises(ValueError, match="even"):
             scaling_from_wavelet([1.0, 0.0, -1.0])
 
+    def test_odd_scaling_length_rejected(self):
+        with pytest.raises(ValueError, match=r"^scaling filter length must be even, got \(3,\)$"):
+            wavelet_from_scaling([1.0, 0.0, -1.0])
+
     def test_la8_scaling_gain(self):
         g = scaling_from_wavelet(base_filter("la8").wavelet)
         lams = np.linspace(0.0, math.pi, 512)
@@ -165,6 +169,18 @@ class TestGainFunctions:
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError, match="even"):
             wavelet_gain(7, 0.5)
+
+    @pytest.mark.parametrize(
+        "call, needle",
+        [
+            (lambda: level_gain(0, 8, 0.5), "^level must be >= 1, got 0$"),
+            (lambda: empirical_gain(np.ones(4), 1), "^need at least 2 points, got 1$"),
+        ],
+        ids=["level-gain", "empirical-gain"],
+    )
+    def test_rejects_too_few(self, call, needle):
+        with pytest.raises(ValueError, match=needle):
+            call()
 
 
 class TestBandPassApproximation:

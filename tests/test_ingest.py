@@ -404,8 +404,10 @@ class TestAlignToGrid:
             (float("inf"), 1.0, 4, "must be finite"),
             (0.0, float("nan"), 4, "must be finite"),
             (0.0, 1e-300, 10**302, "n=1e\\+302 steps of tau=1e-300"),
+            (0.0, 0.0, 4, "^grid spacing must be positive, got 0.0$"),
+            (0.0, -1.0, 4, "^grid spacing must be positive, got -1.0$"),
         ],
-        ids=["t0-nan", "t0-inf", "tau-nan", "too-large"],
+        ids=["t0-nan", "t0-inf", "tau-nan", "too-large", "tau-zero", "tau-negative"],
     )
     def test_bad_grid_is_data_error(self, t0, tau, n, needle):
         ticks = TickSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
@@ -544,6 +546,13 @@ class TestReturnsFromSample:
         with pytest.raises(DataError, match="mismatch"):
             returns_from_sample(make_sample(inc, mask, mask), scheme)
 
+    def test_missing_origin_rejected(self):
+        inc = np.ones((2, 4))
+        missing_origin = np.array([True, False, False, False, False])
+        scheme = ll.ObservationScheme(tau=1.0, n=4)
+        with pytest.raises(DataError, match="^grid origin cannot be missing$"):
+            returns_from_sample(make_sample(inc, np.zeros(5, bool), missing_origin), scheme)
+
     def test_telescoping_sum(self):
         rng = np.random.default_rng(8)
         inc = rng.standard_normal((2, 64))
@@ -581,6 +590,21 @@ class TestReturnsFromSample:
         r_ticks = align_to_grid(ticks, t0=0.0, tau=1.0, n=n)
         assert np.allclose(r_mask.returns, r_ticks.returns, atol=1e-15)
         assert np.array_equal(r_mask.observed, r_ticks.observed)
+
+
+class TestTickSeries:
+    @pytest.mark.parametrize(
+        "timestamps, prices, scale, needle",
+        [
+            ([0.0, 1.0], [1.0], "raw_price", r"equal-length vectors, got \(2,\) and \(1,\)$"),
+            ([], [], "raw_price", "^no ticks$"),
+            ([0.0], [1.0], "pence", "^unknown price scale 'pence'$"),
+        ],
+        ids=["unequal-lengths", "no-ticks", "unknown-scale"],
+    )
+    def test_invalid_series_rejected(self, timestamps, prices, scale, needle):
+        with pytest.raises(DataError, match=needle):
+            TickSeries(np.array(timestamps), np.array(prices), scale=scale)
 
 
 class TestAlignedContainer:

@@ -325,6 +325,19 @@ class TestModelLoading:
         with pytest.raises(DataError, match="pi1"):
             ll.load_model({"J": 3, "pi1": 1.0, "levels": []})
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ll.ObservationScheme(tau=1.0, n=0), "need at least one increment, got n=0"),
+            (lambda: ll.SpectralModel(finest_level=0, components=()), "finest level must be >= 1, got 0"),
+        ],
+        ids=["scheme-n", "model-finest-level"],
+    )
+    def test_direct_construction_below_one_rejected(self, build, message):
+        with pytest.raises(DataError) as info:
+            build()
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_scheme_spacing_rejected(self, tau):
         with pytest.raises(DataError, match="tau"):

@@ -141,6 +141,19 @@ class TestRunMc:
         with pytest.raises(DataError, match="MC config key 'families' names 'haar' more than once"):
             small_config(families=("haar", "la8", "haar"))
 
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (-1, "replications=-1 is negative; seeds need a count >= 0"),
+            (10**20, f"replications={10**20} is too many to derive seeds for"),
+        ],
+        ids=["negative", "overflow"],
+    )
+    def test_seed_count_out_of_range_is_data_error(self, count, message):
+        with pytest.raises(DataError) as info:
+            replication_seeds(1, count)
+        assert str(info.value) == message
+
     def test_expected_errors_count_as_failures(self, monkeypatch):
         real = montecarlo.run_replication
         first = replication_seeds(5, 1)[0]

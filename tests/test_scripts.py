@@ -259,6 +259,30 @@ def test_record_bench_keeps_a_failed_run_and_exits_1(tmp_path, monkeypatch):
     }
 
 
+def test_record_bench_flags_a_tail_below_its_median(tmp_path, monkeypatch, capsys):
+    script = load_module(os.path.join(SCRIPTS, "record_bench.py"))
+
+    def run(argv, **kwargs):
+        seed = int(argv[argv.index("--seed") + 1])
+        head, last = canned_run(seed).rstrip("\n").rsplit("\n", 1)
+        result = json.loads(last)
+        if seed == 2:  # call_ref_s_p50 reads 0.75
+            result["metrics"]["estimate_day:call_ref_s_tail"]["value"] = 0.5
+        return subprocess.CompletedProcess(argv, 0, head + "\n" + json.dumps(result) + "\n", "")
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 2}))
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    monkeypatch.setattr(script.subprocess, "run", run)
+    assert script.main(["--pr", "7"]) == 1
+    assert capsys.readouterr().err == (
+        "seed 2 estimate_day: call_ref_s_tail reads below call_ref_s_p50\n"
+    )
+    bench = json.loads((tmp_path / "bench" / "BENCH_7.json").read_text())
+    assert [r["seed"] for r in bench["runs"]] == [1, 2, 3, 4, 5]
+    assert bench["runs"][1]["metrics"]["estimate_day:call_ref_s_tail"] == 0.5
+    assert all(r["correct"] and r["failed"] == 0 for r in bench["runs"])
+
+
 def test_bench_records_hold_every_end_to_end_metric():
     # the committed perf trajectory: its schema only, with no timing gate
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
