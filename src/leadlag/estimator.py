@@ -86,7 +86,6 @@ class CrossCovCurve:
     lags: np.ndarray
     rho: np.ndarray
     rho_normalized: np.ndarray
-    divisor: float
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ def modwt(source, level_filter: LevelFilter) -> WaveletCoeffs:
         # the smooth outlives this call, so it must be an array that no
         # caller can write; one that owns its data is also contiguous, as
         # the pyramid's strided views need
-        smooth = _frozen(source.returns if isinstance(source, AlignedReturns) else source)
+        smooth = _frozen(source)
         if smooth.ndim != 1:
             raise DataError(f"return series must be one-dimensional, got shape {smooth.shape}")
         n, done = len(smooth), 0
@@ -311,7 +310,6 @@ def cross_cov_curve(
         lags=grid.lags,
         rho=rho,
         rho_normalized=normalized,
-        divisor=float(divisor),
     )
 
 
@@ -400,7 +398,7 @@ def estimate_levels(
     check_levels_fit(family, j_max, grid.half_width, ret1.n)
     base = base_filter(family)
     out = []
-    w1, w2 = ret1, ret2
+    w1, w2 = ret1.returns, ret2.returns
     for level in range(1, j_max + 1):
         filt = cascade(base, level)
         w1 = modwt(w1, filt)

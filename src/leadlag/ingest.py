@@ -85,7 +85,6 @@ class AlignedReturns:
     intervals whose right endpoint was not observed are exactly zero.
     """
 
-    t0: float
     tau: float
     n: int
     returns: np.ndarray
@@ -312,7 +311,7 @@ def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedRe
             f"no tick at or before the grid origin t0={t0} "
             f"(first tick at {ts[0]})"
         )
-    return AlignedReturns(t0=t0, tau=tau, n=n, returns=returns, observed=observed)
+    return AlignedReturns(tau=tau, n=n, returns=returns, observed=observed)
 
 
 def returns_from_sample(
@@ -337,8 +336,6 @@ def returns_from_sample(
         levels = np.concatenate(([0.0], np.cumsum(returns)))
         points = np.flatnonzero(~np.asarray(mask, dtype=bool))
         pseudo, observed = _previous_tick(levels[points], points, n)
-        out.append(
-            AlignedReturns(t0=0.0, tau=scheme.tau, n=n, returns=pseudo, observed=observed)
-        )
+        out.append(AlignedReturns(tau=scheme.tau, n=n, returns=pseudo, observed=observed))
     return out[0], out[1]
 

@@ -47,7 +47,6 @@ class PathSample:
     returns2: np.ndarray
     mask1: np.ndarray
     mask2: np.ndarray
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -194,10 +193,4 @@ def circulant_embed_sample(
     returns = _synthesize(embedding, rng.standard_normal((2, embedding.size)), scheme.n)
     mask1, mask2 = _masks(scheme, ss1, ss2)
     returns.setflags(write=False)
-    return PathSample(
-        returns1=returns[0],
-        returns2=returns[1],
-        mask1=mask1,
-        mask2=mask2,
-        seed=seed,
-    )
+    return PathSample(returns1=returns[0], returns2=returns[1], mask1=mask1, mask2=mask2)

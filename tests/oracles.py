@@ -4,9 +4,10 @@ The closed-form kernels of the wavelet cross-covariance estimator's
 large-sample limit (discretization kernel, interpolation kernel, volatility
 weight) and the limit constant itself, evaluated by adaptive quadrature,
 plus the model's piecewise cross-spectral density, which the simulator's
-circulant cross spectrum approaches inside each band. The estimation
-pipeline does not use them, and they need scipy, which the package does not
-import.
+circulant cross spectrum approaches inside each band, and the band-limited
+wavelet kernel, the reference for the simulator's cross-covariance table.
+The estimation pipeline does not use them, and they need scipy, which the
+package does not import.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ from leadlag.model import SpectralModel
 def lp_scaling(s):
     """Band-limited scaling kernel sin(pi s) / (pi s), with value 1 at 0."""
     return np.sinc(np.asarray(s, dtype=float))
+
+
+def lp_wavelet(s):
+    """Band-limited wavelet kernel 2 sinc(2s) - sinc(s); transform is the
+    indicator of the octave (pi, 2 pi]. The reference for the band terms of
+    ``leadlag.model.increment_cross_cov``."""
+    s = np.asarray(s, dtype=float)
+    return 2.0 * np.sinc(2.0 * s) - np.sinc(s)
 
 
 def discretization_kernel(lam):

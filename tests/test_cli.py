@@ -1306,7 +1306,6 @@ def array_fed(report):
                     lags=np.array([p["l"] for p in level["curve"]], dtype=np.int64),
                     rho=np.array([p["rho"] for p in level["curve"]], dtype=float),
                     rho_normalized=np.array([p["rho_norm"] for p in level["curve"]], dtype=float),
-                    divisor=1.0,
                 ),
             )
             for level in report["levels"]
@@ -1467,6 +1466,38 @@ class TestImport:
             and node.name not in used
         ]
         assert unused == []
+
+    def test_every_dataclass_field_is_read(self):
+        # keeps dead fields out of the package: each field of a dataclass is
+        # read as an attribute (x.field) by the package, perfbench/ or
+        # scripts/. It matches by name alone, so a field that shares its
+        # name with another read, such as args.t0 or args.seed, passes.
+        root = CONFIGS.parent
+        trees = [
+            ast.parse(path.read_text(encoding="utf-8"))
+            for folder in ("src/leadlag", "perfbench", "scripts")
+            for path in sorted((root / folder).glob("*.py"))
+        ]
+        read = {
+            node.attr
+            for tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        src = pathlib.Path(ll.__file__).parent
+        unread = [
+            f"{path.stem}.{node.name}.{field.target.id}"
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list
+            )
+            for field in node.body
+            if isinstance(field, ast.AnnAssign) and field.target.id not in read
+        ]
+        assert unread == []
 
     def test_every_imported_name_is_used_in_its_module(self):
         # __init__ imports to re-export. montecarlo keeps base_filter, which

@@ -57,14 +57,12 @@ def write_aligned_csv(aligned: AlignedReturns, fh) -> None:
         fh.write(f"{k},{float(aligned.returns[k])!r},{int(aligned.observed[k + 1])}\n")
 
 
-def make_sample(increments, miss1, miss2, seed=0):
-    n = len(increments[0])
+def make_sample(increments, miss1, miss2):
     return PathSample(
         returns1=np.asarray(increments[0], dtype=float),
         returns2=np.asarray(increments[1], dtype=float),
         mask1=np.asarray(miss1, dtype=bool),
         mask2=np.asarray(miss2, dtype=bool),
-        seed=seed,
     )
 
 
@@ -326,7 +324,7 @@ class TestArraysAreNotShared:
         r, o = np.array([0.5, -0.5]), np.ones(3, bool)
         view = r[:]
         view.setflags(write=writeable)
-        aligned = AlignedReturns(t0=0.0, tau=1.0, n=2, returns=view, observed=o)
+        aligned = AlignedReturns(tau=1.0, n=2, returns=view, observed=o)
         r[0] = 7.0
         o[1] = False
         assert aligned.returns.tolist() == [0.5, -0.5]
@@ -337,7 +335,7 @@ class TestArraysAreNotShared:
         r, o = np.array([0.5, -0.5]), np.ones(3, bool)
         r.setflags(write=False)
         o.setflags(write=False)
-        aligned = AlignedReturns(t0=0.0, tau=1.0, n=2, returns=r, observed=o)
+        aligned = AlignedReturns(tau=1.0, n=2, returns=r, observed=o)
         assert aligned.returns is r and aligned.observed is o
 
     def test_alignment_hands_over_its_arrays_without_a_copy(self):
@@ -610,19 +608,14 @@ class TestTickSeries:
 class TestAlignedContainer:
     def test_origin_must_be_observed(self):
         with pytest.raises(DataError, match="origin"):
-            AlignedReturns(
-                t0=0.0, tau=1.0, n=1, returns=np.zeros(1), observed=np.array([False, True])
-            )
+            AlignedReturns(tau=1.0, n=1, returns=np.zeros(1), observed=np.array([False, True]))
 
     def test_shape_validation(self):
         with pytest.raises(DataError, match="flags"):
-            AlignedReturns(
-                t0=0.0, tau=1.0, n=2, returns=np.zeros(2), observed=np.array([True])
-            )
+            AlignedReturns(tau=1.0, n=2, returns=np.zeros(2), observed=np.array([True]))
 
     def test_csv_round_shape(self, tmp_path):
         aligned = AlignedReturns(
-            t0=0.0,
             tau=1.0,
             n=3,
             returns=np.array([0.1, 0.0, -0.2]),

@@ -7,10 +7,10 @@ from scipy import integrate
 
 import leadlag as ll
 from leadlag.errors import DataError
+from leadlag.estimator import _next_fast_len
 from leadlag.model import (
     check_lags_in_grid,
     increment_cross_cov,
-    lp_wavelet,
 )
 from conftest import BENCHMARK_LEVELS, CONFIGS, benchmark_spec
 from oracles import (
@@ -19,6 +19,7 @@ from oracles import (
     interpolation_kernel,
     limit_constant,
     lp_scaling,
+    lp_wavelet,
     sigma_weight,
 )
 
@@ -98,24 +99,25 @@ class TestIncrementCrossCov:
         )
         tau = model.tau
         expected = 2.0 ** (J - j + 1) * tau**2 * r
-        assert increment_cross_cov(model, steps) == pytest.approx(expected, rel=1e-12)
+        got = increment_cross_cov(model, np.array([steps]), tau=model.tau)
+        assert got[0] == pytest.approx(expected, rel=1e-12)
 
     def test_underflowing_default_tau_is_data_error(self):
         # 2^-(J+1) is 0.0 from J = 1074 on; an explicit tau still works
         model = ll.SpectralModel(1100, (ll.ScaleComponent(level=1, corr=0.5, lag_steps=-1.0),))
         with pytest.raises(DataError, match=r"^J=1100 makes the default grid spacing .* give tau$"):
-            increment_cross_cov(model, [0.0, 1.0])
+            increment_cross_cov(model, np.array([0.0, 1.0]), tau=model.tau)
         shallow = ll.SpectralModel(3, model.components)
         assert np.array_equal(
-            increment_cross_cov(model, [0.0, 1.0], tau=0.5),
-            increment_cross_cov(shallow, [0.0, 1.0], tau=0.5),
+            increment_cross_cov(model, np.array([0.0, 1.0]), tau=0.5),
+            increment_cross_cov(shallow, np.array([0.0, 1.0]), tau=0.5),
         )
         assert ll.SpectralModel(1073, model.components).tau == 2.0**-1074
 
     def test_all_zero_correlations(self):
         model, _ = ll.load_model({"J": 5, "levels": [{"j": 1, "R": 0.0}]})
         lags = np.arange(-50, 51)
-        assert np.all(increment_cross_cov(model, lags) == 0.0)
+        assert np.all(increment_cross_cov(model, lags, tau=model.tau) == 0.0)
 
     def test_benchmark_value_against_direct_summation(self, benchmark_model):
         # independent transcription: loop over the 14 bands of the J=13 grid
@@ -123,7 +125,8 @@ class TestIncrementCrossCov:
         model, _ = benchmark_model
         tau = 2.0**-14
         by_level = {e["j"]: e for e in BENCHMARK_LEVELS}
-        for lag in (0, -2, 5):
+        got = increment_cross_cov(model, np.array([0, -2, 5]), tau=model.tau)
+        for lag, value in zip((0, -2, 5), got):
             total = 0.0
             for m in range(0, 14):
                 level = 13 - m + 1
@@ -138,7 +141,7 @@ class TestIncrementCrossCov:
                         math.sin(math.pi * x) / (math.pi * x)
                     )
                 total += 2.0**m * tau**2 * entry["R"] * psi
-            assert increment_cross_cov(model, lag) == pytest.approx(total, rel=1e-12)
+            assert value == pytest.approx(total, rel=1e-12)
 
     @given(
         st.integers(min_value=1, max_value=6),
@@ -152,15 +155,46 @@ class TestIncrementCrossCov:
         flipped = {"J": 6, "levels": [{"j": level, "R": corr, "theta_over_tau": -steps}]}
         m1, _ = ll.load_model(spec)
         m2, _ = ll.load_model(flipped)
-        assert increment_cross_cov(m1, lag) == pytest.approx(
-            increment_cross_cov(m2, -lag), rel=1e-12, abs=1e-18
+        assert increment_cross_cov(m1, np.array([lag]), tau=m1.tau)[0] == pytest.approx(
+            increment_cross_cov(m2, np.array([-lag]), tau=m2.tau)[0], rel=1e-12, abs=1e-18
         )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            benchmark_spec(),
+            # fractional lags, and integer ones at levels 3 and 6
+            benchmark_spec() | {
+                "levels": [
+                    e | {"theta_over_tau": e["theta_over_tau"] + 0.25 * (e["j"] % 3)}
+                    for e in BENCHMARK_LEVELS
+                ]
+            },
+            benchmark_spec(n=131072),  # the day scale of simulate and model-check
+        ],
+        ids=["benchmark", "fractional", "day"],
+    )
+    def test_circulant_table_is_the_band_kernel_sum_bit_for_bit(self, spec):
+        # the in-place table against sum_beta beta R psi(beta (l - theta)) tau,
+        # summed as numpy expressions over the circulant's lags
+        model, scheme = ll.load_model(spec)
+        size = _next_fast_len(2 * scheme.n)
+        k = np.arange(size)
+        lags = np.where(k <= size // 2, k, k - size)
+        assert any(c.lag_steps in lags for c in model.components)  # psi's zero argument
+        want = np.zeros(size)
+        for c in model.components:
+            beta = math.ldexp(1.0, -c.level)
+            want += beta * c.corr * lp_wavelet(beta * (lags - c.lag_steps))
+        want *= scheme.tau
+        got = increment_cross_cov(model, lags, tau=scheme.tau)
+        assert got.tobytes() == want.tobytes()
 
     def test_physical_rescaling_is_linear(self):
         spec = {"J": 4, "levels": [{"j": 1, "R": 0.5, "theta_over_tau": -1}]}
         model, _ = ll.load_model(spec)
         lags = np.arange(-5, 6)
-        base = increment_cross_cov(model, lags)
+        base = increment_cross_cov(model, lags, tau=model.tau)
         scaled = increment_cross_cov(model, lags, tau=1.0)
         assert np.allclose(scaled, base / model.tau, rtol=1e-12)
 
