@@ -254,7 +254,7 @@ def _refuse_shared_files(outputs, inputs=()) -> None:
 
 def _cmd_simulate(args) -> int:
     from .model import load_model
-    from .simulate import circulant_embed_sample
+    from .simulate import build_embedding, circulant_embed_sample
 
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
@@ -269,7 +269,7 @@ def _cmd_simulate(args) -> int:
         paths = [("--out", args.out), ("--ticks1", args.ticks1), ("--ticks2", args.ticks2)]
         _refuse_shared_files(paths)
         model, scheme = load_model(args.model)
-        sample = circulant_embed_sample(model, scheme, args.seed)
+        sample = circulant_embed_sample(build_embedding(model, scheme), args.seed)
         fh.write("# leadlag-path schema_version=1\n")
         fh.write("k,r1,r2,miss1,miss2\n")
         for k in range(scheme.n):

@@ -20,8 +20,6 @@ from math import comb, pi
 
 import numpy as np
 
-FAMILIES = ("haar", "la8", "la20")
-
 _HAAR_SCALING = (
     0.70710678118654752,
     0.70710678118654752,
@@ -68,6 +66,7 @@ _SCALING_TABLE = {
     "la8": _LA8_SCALING,
     "la20": _LA20_SCALING,
 }
+FAMILIES = tuple(_SCALING_TABLE)
 
 
 @dataclass(frozen=True)
@@ -112,14 +111,13 @@ def wavelet_from_scaling(scaling) -> np.ndarray:
 
 def base_filter(family: str) -> BaseFilterPair:
     """Return the embedded filter pair for one of haar, la8, la20."""
-    key = family.lower()
-    if key not in _SCALING_TABLE:
+    if family not in _SCALING_TABLE:
         raise ValueError(f"unknown filter family {family!r}, expected one of {FAMILIES}")
-    g = np.asarray(_SCALING_TABLE[key], dtype=float)
+    g = np.asarray(_SCALING_TABLE[family], dtype=float)
     h = wavelet_from_scaling(g)
     g.setflags(write=False)
     h.setflags(write=False)
-    return BaseFilterPair(family=key, wavelet=h, scaling=g)
+    return BaseFilterPair(family=family, wavelet=h, scaling=g)
 
 
 def cascade(base: BaseFilterPair, level: int) -> LevelFilter:

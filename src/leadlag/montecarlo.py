@@ -155,9 +155,8 @@ def run_replication(config: MCConfig, embedding: CirculantEmbedding, seed: int) 
     config's model and scheme); returns one row of lags per level for each
     family and, under 'hry', the single-scale baseline's one lag repeated
     at every level."""
-    scheme = config.scheme
-    sample = circulant_embed_sample(config.model, scheme, seed, embedding=embedding)
-    ret1, ret2 = returns_from_sample(sample, scheme)
+    sample = circulant_embed_sample(embedding, seed)
+    ret1, ret2 = returns_from_sample(sample, config.scheme)
     grid = LagGrid.symmetric(config.l_max)
     out = {}
     for family in config.families:

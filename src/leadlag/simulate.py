@@ -19,6 +19,10 @@ positive-definite window equal to 1 on |k| < n, which does not exist.
 Both filters act on the size // 2 + 1 bins of the half spectrum: one
 ``numpy.fft.rfft`` of two rows of normals and one ``numpy.fft.irfft`` give
 series 1, and Cov(x1[a], x2[b]) = c12(b - a).
+
+A draw is two calls: ``build_embedding(model, scheme)`` once, then
+``circulant_embed_sample(embedding, seed)`` per seed. The embedding carries
+its sampling scheme, so the draw reads nothing else.
 """
 
 from __future__ import annotations
@@ -51,17 +55,18 @@ class PathSample:
 
 @dataclass(frozen=True)
 class CirculantEmbedding:
-    """The two half-spectrum filters of the regression form, reusable
-    across seeds.
+    """The two half-spectrum filters of the regression form for one model
+    and sampling scheme; every seed draws from the same embedding.
 
-    ``size`` is the circulant length, ``_next_fast_len(2 * n)``. On its
-    size // 2 + 1 half-spectrum bins, ``gain`` filters series 2 into series
-    1 and ``resid`` filters series 1's own noise; ``clipped`` counts the
-    slightly negative eigenvalues set to zero, where ``resid`` is zero.
+    ``scheme`` gives the path length n, the step tau and the missing
+    probabilities. ``size`` is the circulant length,
+    ``_next_fast_len(2 * n)``. On its size // 2 + 1 half-spectrum bins,
+    ``gain`` filters series 2 into series 1 and ``resid`` filters series
+    1's own noise; ``clipped`` counts the slightly negative eigenvalues set
+    to zero, where ``resid`` is zero.
     """
 
-    n: int
-    tau: float
+    scheme: ObservationScheme
     size: int
     gain: np.ndarray  # complex, conj(s12) / sqrt(tau)
     resid: np.ndarray  # real, sqrt(tau - |s12|^2 / tau)
@@ -117,8 +122,7 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
 
     half = size // 2 + 1
     return CirculantEmbedding(
-        n=n,
-        tau=tau,
+        scheme=scheme,
         size=size,
         gain=np.conj(s12[:half]) / np.sqrt(tau),
         resid=np.sqrt(lam_minus[:half] * lam_plus[:half] / tau),
@@ -145,7 +149,7 @@ def _masks(scheme: ObservationScheme, ss1, ss2) -> tuple[np.ndarray, np.ndarray]
     return masks[0], masks[1]
 
 
-def _synthesize(embedding: CirculantEmbedding, normals: np.ndarray, n: int) -> np.ndarray:
+def _synthesize(embedding: CirculantEmbedding, normals: np.ndarray) -> np.ndarray:
     """The first n increments of both series, shape (2, n), from real
     normals of shape (2, size): row 1 is series 2's white noise and row 0
     series 1's own noise.
@@ -161,19 +165,16 @@ def _synthesize(embedding: CirculantEmbedding, normals: np.ndarray, n: int) -> n
     white[1] *= embedding.gain
     white[0] *= embedding.resid
     white[1] += white[0]
+    n, tau = embedding.scheme.n, embedding.scheme.tau
     out = np.empty((2, n))  # one row per series, each C-contiguous
     out[0] = np.fft.irfft(white[1], embedding.size)[:n]
-    out[1] = np.sqrt(embedding.tau) * normals[1, :n]
+    out[1] = np.sqrt(tau) * normals[1, :n]
     return out
 
 
-def circulant_embed_sample(
-    model: SpectralModel,
-    scheme: ObservationScheme,
-    seed: int,
-    embedding: CirculantEmbedding | None = None,
-) -> PathSample:
-    """Draw one bivariate increment path plus missingness masks.
+def circulant_embed_sample(embedding: CirculantEmbedding, seed: int) -> PathSample:
+    """Draw one bivariate increment path plus missingness masks from
+    ``embedding`` (``build_embedding`` of the model and sampling scheme).
 
     The path comes from one draw of 2 x size standard normals
     (``_synthesize``): returns2 is white noise, and returns1 is returns2
@@ -182,15 +183,12 @@ def circulant_embed_sample(
     covariance is the target exactly (up to eigenvalue clipping), with
     Cov(returns1[a], returns2[b]) the model's cross-covariance at lag b - a.
     The masks come from their own streams of the seed, one Bernoulli draw
-    per grid point after the origin.
+    per grid point after the origin, with the missing probabilities of the
+    embedding's scheme.
     """
-    if embedding is None:
-        embedding = build_embedding(model, scheme)
-    if embedding.n != scheme.n or embedding.tau != scheme.tau:
-        raise DataError("embedding was built for a different sampling scheme")
     path_ss, ss1, ss2 = _seed_streams(seed)
     rng = np.random.Generator(np.random.Philox(path_ss))
-    returns = _synthesize(embedding, rng.standard_normal((2, embedding.size)), scheme.n)
-    mask1, mask2 = _masks(scheme, ss1, ss2)
+    returns = _synthesize(embedding, rng.standard_normal((2, embedding.size)))
+    mask1, mask2 = _masks(embedding.scheme, ss1, ss2)
     returns.setflags(write=False)
     return PathSample(returns1=returns[0], returns2=returns[1], mask1=mask1, mask2=mask2)

@@ -143,7 +143,7 @@ class TestSimulatorFidelity:
         r1 = np.empty((paths, scheme.n))
         r2 = np.empty((paths, scheme.n))
         for seed in range(paths):
-            s = ll.circulant_embed_sample(model, scheme, seed, embedding=embedding)
+            s = ll.circulant_embed_sample(embedding, seed)
             r1[seed], r2[seed] = s.returns1, s.returns2
 
         var_err = max(abs(r1.var() / scheme.tau - 1.0), abs(r2.var() / scheme.tau - 1.0))
@@ -161,8 +161,9 @@ class TestSimulatorFidelity:
             worst_z = max(worst_z, z)
             assert z < 4.0, f"lag {lag}: {z:.2f} standard errors from target"
 
-        a = ll.circulant_embed_sample(model, scheme, 12345, embedding=embedding)
-        b = ll.circulant_embed_sample(model, scheme, 12345)
+        # a second build of the same model and scheme draws the same path
+        a = ll.circulant_embed_sample(embedding, 12345)
+        b = ll.circulant_embed_sample(ll.build_embedding(model, scheme), 12345)
         assert a.returns1.tobytes() == b.returns1.tobytes()
         assert a.returns2.tobytes() == b.returns2.tobytes()
         assert a.mask1.tobytes() == b.mask1.tobytes()
@@ -184,7 +185,7 @@ class TestTheoryOracleConvergence:
             "levels": [{"j": level, "R": corr, "theta_over_tau": steps}],
         }
         model, scheme = ll.load_model(spec)
-        sample = ll.circulant_embed_sample(model, scheme, seed=seed)
+        sample = ll.circulant_embed_sample(ll.build_embedding(model, scheme), seed=seed)
         ret1, ret2 = ll.returns_from_sample(sample, scheme)
         curve, _ = estimate_levels(ret1, ret2, "la20", level, LagGrid.symmetric(10))[level - 1]
         measured = float(curve.rho[list(curve.lags).index(steps)])

@@ -180,7 +180,7 @@ class TestSimulate:
         assert lines[1] == "k,r1,r2,miss1,miss2"
         assert len(lines) == 2 + SMALL_SPEC["n"]
         model, scheme = ll.load_model(SMALL_SPEC)
-        sample = ll.circulant_embed_sample(model, scheme, 42)
+        sample = ll.circulant_embed_sample(ll.build_embedding(model, scheme), 42)
         first = lines[2].split(",")
         assert float(first[1]) == sample.returns1[0]
         assert float(first[2]) == sample.returns2[0]
@@ -868,6 +868,7 @@ class TestEndToEnd:
             ("--t0 nan --n 40", 1),
             ("--t0 inf --n 40", 1),
             ("--tau 1e-300", 2),
+            ("--maxlag -1", 1),
         ],
     )
     def test_estimate_bad_grid_flags(self, tmp_path, capsys, flags, code):

@@ -564,7 +564,7 @@ class TestFullDepthRun:
             ],
         }
         model, scheme = ll.load_model(spec)
-        sample = ll.circulant_embed_sample(model, scheme, seed=6)
+        sample = ll.circulant_embed_sample(ll.build_embedding(model, scheme), seed=6)
         r1, r2 = ll.returns_from_sample(sample, scheme)
         results = estimate_levels(r1, r2, "la20", 8, LagGrid.symmetric(300))
         assert [est.level for _, est in results] == list(range(1, 9))
@@ -585,7 +585,7 @@ class TestFiniteFilterExpectation:
         level, corr, steps = 3, 0.7, -2
         spec = {"J": 13, "n": 2**17, "levels": [{"j": level, "R": corr, "theta_over_tau": steps}]}
         model, scheme = ll.load_model(spec)
-        sample = ll.circulant_embed_sample(model, scheme, seed=2024)
+        sample = ll.circulant_embed_sample(ll.build_embedding(model, scheme), seed=2024)
         r1, r2 = ll.returns_from_sample(sample, scheme)
         curve, _ = estimate_levels(r1, r2, "la20", level, LagGrid.symmetric(5))[level - 1]
         measured = curve.rho[list(curve.lags).index(steps)]

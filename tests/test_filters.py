@@ -40,8 +40,9 @@ class TestBaseFilters:
         assert b.scaling == pytest.approx((SQRT2_INV, SQRT2_INV), abs=1e-15)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown filter family"):
-            base_filter("db4")
+        for family in ("db4", "LA20"):  # one spelling per family, lower case
+            with pytest.raises(ValueError, match="unknown filter family"):
+                base_filter(family)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_invariants(self, family):

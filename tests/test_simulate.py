@@ -30,9 +30,9 @@ def spectral_matrices(emb):
     resid = emb.resid[fold]
     out = np.empty((emb.size, 2, 2), dtype=complex)
     out[:, 0, 0] = np.abs(gain) ** 2 + resid**2
-    out[:, 0, 1] = np.conj(gain) * np.sqrt(emb.tau)
-    out[:, 1, 0] = gain * np.sqrt(emb.tau)
-    out[:, 1, 1] = emb.tau
+    out[:, 0, 1] = np.conj(gain) * np.sqrt(emb.scheme.tau)
+    out[:, 1, 0] = gain * np.sqrt(emb.scheme.tau)
+    out[:, 1, 1] = emb.scheme.tau
     return out
 
 
@@ -153,7 +153,7 @@ class TestEmbedding:
         emb = build_embedding(model, scheme)
         assert -EIGENVALUE_FLOOR * scheme.tau < emb.min_eigenvalue < 0.0
         assert emb.clipped > 0
-        sample = circulant_embed_sample(model, scheme, 5, embedding=emb)
+        sample = circulant_embed_sample(emb, 5)
         assert np.isfinite(sample.returns1).all() and np.isfinite(sample.returns2).all()
 
     def test_unprintable_n_named_by_bit_length(self, benchmark_model):
@@ -161,38 +161,36 @@ class TestEmbedding:
         model, scheme = benchmark_model
         start = time.perf_counter()
         with pytest.raises(DataError, match="n of 16610 bits is too large to allocate"):
-            circulant_embed_sample(model, ll.ObservationScheme(tau=scheme.tau, n=10**5000), 1)
+            huge = ll.ObservationScheme(tau=scheme.tau, n=10**5000)
+            circulant_embed_sample(build_embedding(model, huge), 1)
         assert time.perf_counter() - start < 1.0
-
-    def test_scheme_mismatch_rejected(self, benchmark_model):
-        model, scheme = benchmark_model
-        emb = build_embedding(model, ll.ObservationScheme(tau=model.tau, n=128))
-        with pytest.raises(DataError, match="different sampling scheme"):
-            circulant_embed_sample(model, scheme, 0, embedding=emb)
 
 
 class TestSampling:
     def test_fixed_seed_is_byte_identical(self):
         model, scheme = ll.load_model(benchmark_spec(n=512, pi1=0.3, pi2=0.6))
-        a = circulant_embed_sample(model, scheme, seed=42)
-        b = circulant_embed_sample(model, scheme, seed=42)
+        a = circulant_embed_sample(build_embedding(model, scheme), seed=42)
+        b = circulant_embed_sample(build_embedding(model, scheme), seed=42)
         assert a.returns1.tobytes() == b.returns1.tobytes()
         assert a.returns2.tobytes() == b.returns2.tobytes()
         assert a.mask1.tobytes() == b.mask1.tobytes()
         assert a.mask2.tobytes() == b.mask2.tobytes()
-        c = circulant_embed_sample(model, scheme, seed=43)
+        c = circulant_embed_sample(build_embedding(model, scheme), seed=43)
         assert a.returns1.tobytes() != c.returns1.tobytes()
 
     def test_shared_embedding_matches_fresh(self):
+        # an embedding reused across seeds and a second build of the same
+        # model and scheme draw the same path
         model, scheme = ll.load_model(benchmark_spec(n=512))
         emb = build_embedding(model, scheme)
-        a = circulant_embed_sample(model, scheme, 7, embedding=emb)
-        b = circulant_embed_sample(model, scheme, 7)
+        circulant_embed_sample(emb, 6)
+        a = circulant_embed_sample(emb, 7)
+        b = circulant_embed_sample(build_embedding(model, scheme), 7)
         assert np.array_equal(a.returns1, b.returns1)
 
     def test_independent_case_uncorrelated(self):
         model, scheme = ll.load_model({"J": 13, "n": 15000, "levels": []})
-        sample = circulant_embed_sample(model, scheme, seed=1)
+        sample = circulant_embed_sample(build_embedding(model, scheme), seed=1)
         r1, r2 = sample.returns1, sample.returns2
         n = scheme.n
         bound = 4.0 / np.sqrt(n)
@@ -212,7 +210,7 @@ class TestSampling:
         n = scheme.n
         prods = []
         for seed in range(4):  # pools 10^4 increments
-            s = circulant_embed_sample(model, scheme, seed, embedding=emb)
+            s = circulant_embed_sample(emb, seed)
             if steps >= 0:
                 prods.append(s.returns1[: n - steps] * s.returns2[steps:])
             else:
@@ -227,7 +225,7 @@ class TestSampling:
         emb = build_embedding(model, scheme)
         returns = np.empty((2, 20, 4096))
         for seed in range(20):
-            s = circulant_embed_sample(model, scheme, seed, embedding=emb)
+            s = circulant_embed_sample(emb, seed)
             returns[0, seed], returns[1, seed] = s.returns1, s.returns2
         for nu in (0, 1):
             assert returns[nu].var() == pytest.approx(scheme.tau, rel=0.02)
@@ -248,7 +246,7 @@ class TestSynthesis:
         assert emb.size == size
         shape = (2, size)
         probes = np.eye(np.prod(shape)).reshape(-1, *shape)
-        m = np.stack([_synthesize(emb, e, n).ravel() for e in probes], axis=1)
+        m = np.stack([_synthesize(emb, e).ravel() for e in probes], axis=1)
         cov = m @ m.T
         # Cov(x1[a], x2[b]) = c12(b - a); c12 is not even on this model
         lags = np.arange(n)[None, :] - np.arange(n)[:, None]
@@ -264,8 +262,8 @@ class TestSynthesis:
         path_ss, _, _ = _seed_streams(11)
         rng = np.random.Generator(np.random.Philox(path_ss))
         normals = rng.standard_normal((2, emb.size))
-        expected = _synthesize(emb, normals, scheme.n)
-        sample = circulant_embed_sample(model, scheme, 11)
+        expected = _synthesize(emb, normals)
+        sample = circulant_embed_sample(build_embedding(model, scheme), 11)
         assert np.array_equal(sample.returns1, expected[0])
         assert np.array_equal(sample.returns2, expected[1])
         # series 2 is the scaled white noise itself, bit for bit
@@ -278,7 +276,7 @@ class TestMissingness:
     @staticmethod
     def masks(n, pi1, pi2, seed):
         model, scheme = ll.load_model(benchmark_spec(n=n, pi1=pi1, pi2=pi2))
-        sample = circulant_embed_sample(model, scheme, seed)
+        sample = circulant_embed_sample(build_embedding(model, scheme), seed)
         return sample.mask1, sample.mask2
 
     def test_zero_probability_all_observed(self):
@@ -290,7 +288,7 @@ class TestMissingness:
         model, scheme = ll.load_model(benchmark_spec(n=50, pi1=0.9, pi2=0.9))
         emb = build_embedding(model, scheme)
         for seed in range(10):
-            sample = circulant_embed_sample(model, scheme, seed, embedding=emb)
+            sample = circulant_embed_sample(emb, seed)
             assert not sample.mask1[0] and not sample.mask2[0]
 
     def test_half_probability_concentrates(self):
@@ -306,4 +304,4 @@ class TestMissingness:
     def test_negative_seed_is_data_error(self):
         model, scheme = ll.load_model(benchmark_spec(n=256, pi1=0.4, pi2=0.2))
         with pytest.raises(DataError, match="seed must be >= 0, got -1"):
-            circulant_embed_sample(model, scheme, -1)
+            circulant_embed_sample(build_embedding(model, scheme), -1)
