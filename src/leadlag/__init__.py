@@ -10,9 +10,10 @@ Library layout:
 - ``montecarlo``: replicated experiments with median/MAD summaries
 - ``cli``: the ``leadlag`` command
 
-The names from ``model``, ``simulate`` and ``montecarlo`` import their
-module on first access, so ``import leadlag.cli`` and the ``estimate``
-command load none of the three.
+``import leadlag`` loads no module of the package: each public name
+imports the module that defines it on first access (PEP 562). So
+``import leadlag.cli`` and the ``estimate`` command load none of
+``model``, ``simulate`` and ``montecarlo``.
 
 numpy is the package's only third-party import. The estimator's limit
 theory, the tests' numeric oracle, lives in ``tests/oracles.py`` and needs
@@ -23,74 +24,31 @@ __version__ = "0.3.0"
 
 import importlib
 
-from .errors import DataError, LeadLagError, NumericError, UsageError
-from .filters import BaseFilterPair, LevelFilter, base_filter, cascade
-from .ingest import AlignedReturns, TickSeries, align_to_grid, read_csv, returns_from_sample
-from .estimator import (
-    CrossCovCurve,
-    LagEstimate,
-    LagGrid,
-    WaveletCoeffs,
-    cross_cov_curve,
-    estimate_lag,
-    estimate_levels,
-    hry_lag,
-    modwt,
-)
-
-# the model, simulator and Monte Carlo names, by the module that defines them
-_LAZY = {
-    **dict.fromkeys(
-        ("ObservationScheme", "ScaleComponent", "SpectralModel", "increment_cross_cov", "load_model"),
-        "model",
+# every public name, by the module that defines it
+_MODULES = {
+    "errors": ("DataError", "LeadLagError", "NumericError", "UsageError"),
+    "filters": ("BaseFilterPair", "LevelFilter", "base_filter", "cascade"),
+    "ingest": ("AlignedReturns", "TickSeries", "align_to_grid", "read_csv", "returns_from_sample"),
+    "estimator": (
+        "CrossCovCurve", "LagEstimate", "LagGrid", "WaveletCoeffs", "cross_cov_curve",
+        "estimate_lag", "estimate_levels", "hry_lag", "modwt",
     ),
-    **dict.fromkeys(("PathSample", "build_embedding", "circulant_embed_sample"), "simulate"),
-    **dict.fromkeys(("MCConfig", "MCSummary", "load_mc_config", "run_mc", "summarize"), "montecarlo"),
+    "model": ("ObservationScheme", "ScaleComponent", "SpectralModel", "increment_cross_cov", "load_model"),
+    "simulate": ("PathSample", "build_embedding", "circulant_embed_sample"),
+    "montecarlo": ("MCConfig", "MCSummary", "load_mc_config", "run_mc", "summarize"),
 }
+_OWNER = {name: module for module, names in _MODULES.items() for name in names}
+
+__all__ = sorted(_OWNER)
 
 
 def __getattr__(name):
-    """A model, simulator or Monte Carlo name, read from its module, which
-    imports on the first such access (PEP 562)."""
-    if name not in _LAZY:
+    """A public name, read from its module, which imports on first access."""
+    if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
 
 
-__all__ = [
-    "AlignedReturns",
-    "BaseFilterPair",
-    "CrossCovCurve",
-    "DataError",
-    "LagEstimate",
-    "LagGrid",
-    "LeadLagError",
-    "LevelFilter",
-    "MCConfig",
-    "MCSummary",
-    "NumericError",
-    "ObservationScheme",
-    "PathSample",
-    "ScaleComponent",
-    "SpectralModel",
-    "TickSeries",
-    "UsageError",
-    "WaveletCoeffs",
-    "align_to_grid",
-    "base_filter",
-    "build_embedding",
-    "cascade",
-    "circulant_embed_sample",
-    "cross_cov_curve",
-    "estimate_lag",
-    "estimate_levels",
-    "hry_lag",
-    "increment_cross_cov",
-    "load_mc_config",
-    "load_model",
-    "modwt",
-    "read_csv",
-    "returns_from_sample",
-    "run_mc",
-    "summarize",
-]
+def __dir__():
+    """The module's own names and every public name, loaded or not."""
+    return sorted({*globals(), *__all__})

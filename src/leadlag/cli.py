@@ -105,6 +105,7 @@ def build_parser() -> _Parser:
     p.add_argument("--level", type=int, default=1, help="cascade level j >= 1")
     p.add_argument("--points", type=int, default=1024, help="number of frequencies")
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
+    p.set_defaults(run=_cmd_gain)
 
     p = sub.add_parser(
         "simulate",
@@ -123,6 +124,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output CSV for increments")
     p.add_argument("--ticks1", default=None, help="optional tick CSV, series 1")
     p.add_argument("--ticks2", default=None, help="optional tick CSV, series 2")
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser(
         "estimate",
@@ -150,6 +152,7 @@ def build_parser() -> _Parser:
         help="whether input prices need a log transform",
     )
     p.add_argument("--out", required=True, help="output report JSON")
+    p.set_defaults(run=_cmd_estimate)
 
     p = sub.add_parser(
         "mc",
@@ -170,6 +173,7 @@ def build_parser() -> _Parser:
         help="worker processes (default: all cores)",
     )
     p.add_argument("--out", required=True, help="output summary CSV")
+    p.set_defaults(run=_cmd_mc)
 
     p = sub.add_parser(
         "model-check",
@@ -184,6 +188,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--l-max", type=int, default=None, help="grid half-width to check lags against")
+    p.set_defaults(run=_cmd_model_check)
 
     return parser
 
@@ -453,15 +458,6 @@ def _cmd_model_check(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gain": _cmd_gain,
-    "simulate": _cmd_simulate,
-    "estimate": _cmd_estimate,
-    "mc": _cmd_mc,
-    "model-check": _cmd_model_check,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -469,7 +465,7 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_help()
             return 1
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

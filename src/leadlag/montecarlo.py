@@ -32,12 +32,9 @@ from .simulate import CirculantEmbedding, build_embedding, circulant_embed_sampl
 SUMMARY_SCHEMA_VERSION = 1
 CHUNKSIZE = 8  # replications per task sent to a pool worker
 
-MC_CONFIG_KEYS = (
-    "schema_version", "model", "model_path", "families", "j_max", "l_max",
-    "replications", "master_seed",
-)
 # integer MC config keys, each an MCConfig field of the same name
 INTEGER_SETTINGS = ("j_max", "l_max", "replications", "master_seed")
+MC_CONFIG_KEYS = ("schema_version", "model", "model_path", "families", *INTEGER_SETTINGS)
 
 
 @dataclass(frozen=True)

@@ -1448,7 +1448,6 @@ class TestImport:
     def test_every_public_name_is_used_inside_the_package(self):
         # keeps test-only code out of the package: each public top-level
         # function and class of a module is named by package code.
-        # __init__ only re-exports.
         src = pathlib.Path(ll.__file__).parent
         trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
         used = {
@@ -1460,7 +1459,6 @@ class TestImport:
         unused = [
             f"{name[:-3]}.{node.name}"
             for name, tree in trees.items()
-            if name != "__init__.py"
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")
@@ -1501,13 +1499,11 @@ class TestImport:
         assert unread == []
 
     def test_every_imported_name_is_used_in_its_module(self):
-        # __init__ imports to re-export. montecarlo keeps base_filter, which
-        # it does not call: perfbench/tracing.py hooks it as a module attribute.
+        # montecarlo keeps base_filter, which it does not call:
+        # perfbench/tracing.py hooks it as a module attribute.
         src = pathlib.Path(ll.__file__).parent
         unused = []
         for path in sorted(src.glob("*.py")):
-            if path.name == "__init__.py":
-                continue
             tree = ast.parse(path.read_text(encoding="utf-8"))
             imported = {
                 alias.asname or alias.name.split(".")[0]
@@ -1665,7 +1661,7 @@ class TestImport:
         # "from leadlag import montecarlo" falls back to importing it
         probe = (
             "import leadlag\n"
-            "for name in ('no_such_name', 'montecarlo'):\n"
+            "for name in ('no_such_name', 'montecarlo', 'estimator'):\n"
             "    try:\n"
             "        getattr(leadlag, name)\n"
             "    except AttributeError as exc:\n"
@@ -1674,7 +1670,18 @@ class TestImport:
         assert self.fresh_output(probe).splitlines() == [
             "module 'leadlag' has no attribute 'no_such_name'",
             "module 'leadlag' has no attribute 'montecarlo'",
+            "module 'leadlag' has no attribute 'estimator'",
         ]
+
+    def test_package_import_loads_no_module_and_lists_every_name(self):
+        # every public name imports its module on first access, and dir()
+        # lists all of them before any is loaded
+        probe = (
+            "import sys, leadlag\n"
+            "print([m for m in sys.modules if m.startswith('leadlag.') or m == 'numpy'])\n"
+            "print([name for name in leadlag.__all__ if name not in dir(leadlag)])\n"
+        )
+        assert self.fresh_output(probe).splitlines() == ["[]", "[]"]
 
     def test_submodules_import_after_the_cli(self):
         probe = (
