@@ -39,7 +39,8 @@ from .ingest import AlignedReturns, _frozen
 
 @dataclass(frozen=True)
 class WaveletCoeffs:
-    """Level-j coefficients for k = L_j - 1 .. n - 1 (boundary excluded).
+    """Level-j coefficients for k = L_j - 1 .. n - 1 (boundary excluded), so
+    the series had n = len(values) + filter_length - 1 returns.
 
     ``smooth`` is the level j-1 smooth the values were filtered from (the
     series itself at level 1) and ``family`` its filter family; ``modwt``
@@ -48,7 +49,6 @@ class WaveletCoeffs:
 
     level: int
     filter_length: int
-    n: int
     values: np.ndarray
     smooth: np.ndarray | None = field(default=None, compare=False, repr=False)
     family: str | None = field(default=None, compare=False, repr=False)
@@ -172,7 +172,8 @@ def modwt(source, level_filter: LevelFilter) -> WaveletCoeffs:
                 f"cannot continue {source.family} level-{source.level} coefficients "
                 f"to {base.family} level {level}: need {base.family} level {level - 1}"
             )
-        n, smooth, done = source.n, source.smooth, source.level - 1
+        n = len(source.values) + source.filter_length - 1
+        smooth, done = source.smooth, source.level - 1
     else:
         # the smooth outlives this call, so it must be an array that no
         # caller can write; one that owns its data is also contiguous, as
@@ -190,20 +191,22 @@ def modwt(source, level_filter: LevelFilter) -> WaveletCoeffs:
     values = _dilated_valid(smooth, base.wavelet, 2 ** (level - 1))
     values.setflags(write=False)
     return WaveletCoeffs(
-        level=level, filter_length=L, n=n, values=values, smooth=smooth, family=base.family
+        level=level, filter_length=L, values=values, smooth=smooth, family=base.family
     )
 
 
 def _check_pair(w1: WaveletCoeffs, w2: WaveletCoeffs) -> None:
     if w1.level != w2.level:
         raise DataError(f"level mismatch: {w1.level} vs {w2.level}")
-    if w1.n != w2.n or w1.filter_length != w2.filter_length:
+    if len(w1.values) != len(w2.values) or w1.filter_length != w2.filter_length:
         raise DataError("coefficient series have different shapes")
 
 
 def _check_returns_pair(ret1: AlignedReturns, ret2: AlignedReturns) -> None:
-    if ret1.n != ret2.n:
-        raise DataError(f"return series differ in length: {ret1.n} vs {ret2.n}")
+    if len(ret1.returns) != len(ret2.returns):
+        raise DataError(
+            f"return series differ in length: {len(ret1.returns)} vs {len(ret2.returns)}"
+        )
     if ret1.tau != ret2.tau:
         raise DataError(f"grid spacings differ: {ret1.tau} vs {ret2.tau}")
 
@@ -304,6 +307,8 @@ def cross_cov_curve(
         normalized = rho / divisor
     else:
         normalized = np.zeros_like(rho)
+    rho.setflags(write=False)
+    normalized.setflags(write=False)
     return CrossCovCurve(
         level=w1.level,
         tau=tau,
@@ -395,7 +400,7 @@ def estimate_levels(
     _check_returns_pair(ret1, ret2)
     if j_max < 1:
         raise DataError(f"need at least one level, got j_max={j_max}")
-    check_levels_fit(family, j_max, grid.half_width, ret1.n)
+    check_levels_fit(family, j_max, grid.half_width, len(ret1.returns))
     base = base_filter(family)
     out = []
     w1, w2 = ret1.returns, ret2.returns

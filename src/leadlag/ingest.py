@@ -1,9 +1,10 @@
 """Tick ingestion and previous-tick alignment onto a regular grid.
 
-Raw ticks, and the observed grid points of simulated paths, become
-grid-aligned return series by one rule: the value at grid point k is the
-last observation at or before it, so intervals without a fresh observation
-contribute a zero return and the next observed point aggregates the gap.
+Raw ticks, and the observed grid points of simulated paths taken as ticks,
+become grid-aligned return series through one function, ``align_to_grid``:
+the value at grid point k is the last observation at or before it, so
+intervals without a fresh observation contribute a zero return and the next
+observed point aggregates the gap.
 A tick CSV's body is scanned as bytes. ``TickSeries`` and ``AlignedReturns``
 hold read-only arrays that own their data, copying any other input.
 """
@@ -86,18 +87,14 @@ class AlignedReturns:
     """
 
     tau: float
-    n: int
     returns: np.ndarray
     observed: np.ndarray
 
     def __post_init__(self):
         r = _frozen(self.returns)
         o = _frozen(self.observed, bool)
-        if len(r) != self.n or len(o) != self.n + 1:
-            raise DataError(
-                f"need {self.n} returns and {self.n + 1} flags, "
-                f"got {len(r)} and {len(o)}"
-            )
+        if len(o) != len(r) + 1:
+            raise DataError(f"need {len(r) + 1} flags for {len(r)} returns, got {len(o)}")
         if not o[0]:
             raise DataError("grid origin must be observed")
         object.__setattr__(self, "returns", r)
@@ -243,23 +240,6 @@ def _tick_series(path, times, prices, scale) -> TickSeries:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _previous_tick(values: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Previous-tick returns over grid points 0..n and their observed flags,
-    read-only, from ``values`` in time order and ``pos``, the first grid
-    point at or after each (n + 1 past the grid). The caller checks point 0.
-    """
-    # counts[k]: observations at grid point k; their running sum, less one,
-    # is the last observation at or before grid point k
-    counts = np.bincount(pos, minlength=n + 2)[: n + 1]
-    observed = counts > 0
-    idx = np.cumsum(counts, out=counts)
-    idx -= 1
-    returns = np.diff(values[idx])
-    returns.setflags(write=False)
-    observed.setflags(write=False)
-    return returns, observed
-
-
 def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedReturns:
     """Previous-tick interpolation of a tick series onto grid t0 + k*tau.
 
@@ -305,22 +285,29 @@ def align_to_grid(ticks: TickSeries, t0: float, tau: float, n: int) -> AlignedRe
     # the guess is right when grid[pos - 1] < t <= grid[pos]
     wrong = np.flatnonzero((ext[pos] >= ts) | (ext[1:][pos] < ts))
     pos[wrong] = np.searchsorted(grid, ts[wrong], side="left")
-    returns, observed = _previous_tick(ticks.log_values(), pos, n)
-    if not observed[0]:
+    # counts[k]: ticks at grid point k; their running sum, less one, is the
+    # last tick at or before grid point k
+    counts = np.bincount(pos, minlength=n + 2)[: n + 1]
+    if not counts[0]:
         raise DataError(
             f"no tick at or before the grid origin t0={t0} "
             f"(first tick at {ts[0]})"
         )
-    return AlignedReturns(tau=tau, n=n, returns=returns, observed=observed)
+    observed = counts > 0
+    idx = np.cumsum(counts, out=counts)
+    idx -= 1
+    returns = np.diff(ticks.log_values()[idx])
+    returns.setflags(write=False)
+    observed.setflags(write=False)
+    return AlignedReturns(tau=tau, returns=returns, observed=observed)
 
 
-def returns_from_sample(
-    sample: PathSample, scheme: ObservationScheme
-) -> tuple[AlignedReturns, AlignedReturns]:
-    """Turn simulated increments plus missingness masks into the pseudo
-    returns an observer of the masked grid would reconstruct: the observed
-    grid points are ticks, aligned by the rule of ``align_to_grid``."""
-    n = scheme.n
+def returns_from_sample(sample: PathSample) -> tuple[AlignedReturns, AlignedReturns]:
+    """Align a simulated draw as an observer of its masked grid would: each
+    series' observed grid points k become ticks at k * tau, priced at the
+    log-price level there, and go through ``align_to_grid`` onto the
+    scheme's grid."""
+    n, tau = sample.scheme.n, sample.scheme.tau
     out = []
     for returns, mask in (
         (sample.returns1, sample.mask1),
@@ -335,7 +322,6 @@ def returns_from_sample(
             raise DataError("grid origin cannot be missing")
         levels = np.concatenate(([0.0], np.cumsum(returns)))
         points = np.flatnonzero(~np.asarray(mask, dtype=bool))
-        pseudo, observed = _previous_tick(levels[points], points, n)
-        out.append(AlignedReturns(tau=scheme.tau, n=n, returns=pseudo, observed=observed))
+        ticks = TickSeries(points * tau, levels[points], scale="log_price")
+        out.append(align_to_grid(ticks, 0.0, tau, n))
     return out[0], out[1]
-

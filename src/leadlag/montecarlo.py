@@ -153,7 +153,7 @@ def run_replication(config: MCConfig, embedding: CirculantEmbedding, seed: int) 
     family and, under 'hry', the single-scale baseline's one lag repeated
     at every level."""
     sample = circulant_embed_sample(embedding, seed)
-    ret1, ret2 = returns_from_sample(sample, config.scheme)
+    ret1, ret2 = returns_from_sample(sample)
     grid = LagGrid.symmetric(config.l_max)
     out = {}
     for family in config.families:

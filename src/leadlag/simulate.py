@@ -41,7 +41,8 @@ EIGENVALUE_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class PathSample:
-    """One simulated draw: n increments per series plus n+1 missingness flags.
+    """One simulated draw: n increments per series plus n+1 missingness flags,
+    on the grid of ``scheme``, the embedding's sampling scheme.
 
     mask entries are True where the corresponding grid point is missing;
     index 0 is always observed.
@@ -51,6 +52,7 @@ class PathSample:
     returns2: np.ndarray
     mask1: np.ndarray
     mask2: np.ndarray
+    scheme: ObservationScheme
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,13 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
         lam_minus = np.where(negative, 0.0, lam_minus)
 
     half = size // 2 + 1
+    gain = np.conj(s12[:half]) / np.sqrt(tau)
+    resid = np.sqrt(lam_minus[:half] * lam_plus[:half] / tau)
+    # every draw of a run reads these filters
+    gain.setflags(write=False)
+    resid.setflags(write=False)
     return CirculantEmbedding(
-        scheme=scheme,
-        size=size,
-        gain=np.conj(s12[:half]) / np.sqrt(tau),
-        resid=np.sqrt(lam_minus[:half] * lam_plus[:half] / tau),
-        clipped=clipped,
-        min_eigenvalue=min_eig,
+        scheme=scheme, size=size, gain=gain, resid=resid, clipped=clipped, min_eigenvalue=min_eig
     )
 
 
@@ -191,4 +193,4 @@ def circulant_embed_sample(embedding: CirculantEmbedding, seed: int) -> PathSamp
     returns = _synthesize(embedding, rng.standard_normal((2, embedding.size)))
     mask1, mask2 = _masks(embedding.scheme, ss1, ss2)
     returns.setflags(write=False)
-    return PathSample(returns1=returns[0], returns2=returns[1], mask1=mask1, mask2=mask2)
+    return PathSample(returns[0], returns[1], mask1, mask2, embedding.scheme)

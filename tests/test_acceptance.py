@@ -186,7 +186,7 @@ class TestTheoryOracleConvergence:
         }
         model, scheme = ll.load_model(spec)
         sample = ll.circulant_embed_sample(ll.build_embedding(model, scheme), seed=seed)
-        ret1, ret2 = ll.returns_from_sample(sample, scheme)
+        ret1, ret2 = ll.returns_from_sample(sample)
         curve, _ = estimate_levels(ret1, ret2, "la20", level, LagGrid.symmetric(10))[level - 1]
         measured = float(curve.rho[list(curve.lags).index(steps)])
 
@@ -250,8 +250,9 @@ class TestChiOracleEquivalence:
                 returns2=np.zeros(n),
                 mask1=miss,
                 mask2=np.zeros(n + 1, dtype=bool),
+                scheme=scheme,
             )
-            got, _ = ll.returns_from_sample(sample, scheme)
+            got, _ = ll.returns_from_sample(sample)
 
             delta = miss.astype(int)
             oracle = np.zeros(n)
@@ -279,8 +280,7 @@ def lagged_sum(a, b, lag):
 
 
 def aligned_returns(returns, tau):
-    n = len(returns)
-    return ll.AlignedReturns(tau=tau, n=n, returns=returns, observed=np.ones(n + 1, dtype=bool))
+    return ll.AlignedReturns(tau=tau, returns=returns, observed=np.ones(len(returns) + 1, dtype=bool))
 
 
 class TestBruteForceEstimatorEquivalence:

@@ -71,8 +71,7 @@ def single_call_step(x, taps, step):
 
 def aligned(values, tau=1.0):
     values = np.asarray(values, dtype=float)
-    n = len(values)
-    return AlignedReturns(tau=tau, n=n, returns=values, observed=np.ones(n + 1, bool))
+    return AlignedReturns(tau=tau, returns=values, observed=np.ones(len(values) + 1, bool))
 
 
 class TestModwt:
@@ -126,7 +125,8 @@ class TestModwt:
                 chained = modwt(chained, f)
                 scratch = modwt(aligned(x).returns, f)
                 assert np.array_equal(chained.values, scratch.values)
-                assert (chained.level, chained.filter_length, chained.n) == (
+                n = len(chained.values) + chained.filter_length - 1
+                assert (chained.level, chained.filter_length, n) == (
                     level, f.length, 6000,
                 )
 
@@ -140,7 +140,7 @@ class TestModwt:
             modwt(w2, cascade(la8, 4))
         with pytest.raises(DataError, match="need la8 level 1"):
             modwt(w2, cascade(la8, 2))
-        bare = ll.WaveletCoeffs(level=2, filter_length=22, n=500, values=w2.values)
+        bare = ll.WaveletCoeffs(level=2, filter_length=22, values=w2.values)
         with pytest.raises(DataError, match="cannot continue"):
             modwt(bare, cascade(la8, 3))
 
@@ -291,12 +291,12 @@ class TestCrossCovCurve:
         x = np.random.default_rng(25).standard_normal((2, 4000))
         x.setflags(write=False)
         w1, w2 = (
-            ll.WaveletCoeffs(level=1, filter_length=2, n=2001, values=row[::2])
+            ll.WaveletCoeffs(level=1, filter_length=2, values=row[::2])
             for row in x
         )
         assert not w1.values.flags.c_contiguous and not w1.values.flags.writeable
         c1, c2 = (
-            ll.WaveletCoeffs(level=1, filter_length=2, n=2001, values=w.values.copy())
+            ll.WaveletCoeffs(level=1, filter_length=2, values=w.values.copy())
             for w in (w1, w2)
         )
         grid = LagGrid.symmetric(60)
@@ -309,6 +309,15 @@ class TestCrossCovCurve:
             want.rho[60] / want.rho_normalized[60], rel=1e-14
         )
         assert np.allclose(got.rho_normalized, want.rho_normalized, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.0], ids=["normalized", "degenerate"])
+    def test_curve_arrays_are_read_only(self, scale):
+        x = scale * np.random.default_rng(4).standard_normal(256)
+        w = modwt(x, cascade(base_filter("haar"), 1))
+        curve = cross_cov_curve(w, w, LagGrid(5), tau=1.0)
+        for values in (curve.rho, curve.rho_normalized):
+            with pytest.raises(ValueError):
+                values[0] = 1.0
 
     def test_identical_inputs_normalize_to_one_at_zero(self):
         rng = np.random.default_rng(3)
@@ -565,7 +574,7 @@ class TestFullDepthRun:
         }
         model, scheme = ll.load_model(spec)
         sample = ll.circulant_embed_sample(ll.build_embedding(model, scheme), seed=6)
-        r1, r2 = ll.returns_from_sample(sample, scheme)
+        r1, r2 = ll.returns_from_sample(sample)
         results = estimate_levels(r1, r2, "la20", 8, LagGrid.symmetric(300))
         assert [est.level for _, est in results] == list(range(1, 9))
         for curve, est in results:
@@ -586,7 +595,7 @@ class TestFiniteFilterExpectation:
         spec = {"J": 13, "n": 2**17, "levels": [{"j": level, "R": corr, "theta_over_tau": steps}]}
         model, scheme = ll.load_model(spec)
         sample = ll.circulant_embed_sample(ll.build_embedding(model, scheme), seed=2024)
-        r1, r2 = ll.returns_from_sample(sample, scheme)
+        r1, r2 = ll.returns_from_sample(sample)
         curve, _ = estimate_levels(r1, r2, "la20", level, LagGrid.symmetric(5))[level - 1]
         measured = curve.rho[list(curve.lags).index(steps)]
         lam = np.linspace(math.pi / 2**level, math.pi / 2 ** (level - 1), 4001)

@@ -53,16 +53,17 @@ def write_aligned_csv(aligned: AlignedReturns, fh) -> None:
     endpoint (grid point k+1)."""
     fh.write("# leadlag-aligned schema_version=1\n")
     fh.write("k,return,observed\n")
-    for k in range(aligned.n):
+    for k in range(len(aligned.returns)):
         fh.write(f"{k},{float(aligned.returns[k])!r},{int(aligned.observed[k + 1])}\n")
 
 
-def make_sample(increments, miss1, miss2):
+def make_sample(increments, miss1, miss2, scheme):
     return PathSample(
         returns1=np.asarray(increments[0], dtype=float),
         returns2=np.asarray(increments[1], dtype=float),
         mask1=np.asarray(miss1, dtype=bool),
         mask2=np.asarray(miss2, dtype=bool),
+        scheme=scheme,
     )
 
 
@@ -324,7 +325,7 @@ class TestArraysAreNotShared:
         r, o = np.array([0.5, -0.5]), np.ones(3, bool)
         view = r[:]
         view.setflags(write=writeable)
-        aligned = AlignedReturns(tau=1.0, n=2, returns=view, observed=o)
+        aligned = AlignedReturns(tau=1.0, returns=view, observed=o)
         r[0] = 7.0
         o[1] = False
         assert aligned.returns.tolist() == [0.5, -0.5]
@@ -335,21 +336,21 @@ class TestArraysAreNotShared:
         r, o = np.array([0.5, -0.5]), np.ones(3, bool)
         r.setflags(write=False)
         o.setflags(write=False)
-        aligned = AlignedReturns(tau=1.0, n=2, returns=r, observed=o)
+        aligned = AlignedReturns(tau=1.0, returns=r, observed=o)
         assert aligned.returns is r and aligned.observed is o
 
     def test_alignment_hands_over_its_arrays_without_a_copy(self):
-        made, real = [], ingest._previous_tick
+        made = []
 
-        def previous_tick(*args):
-            made.append(real(*args))
-            return made[-1]
+        def aligned_returns(**fields):
+            made.append((fields["returns"], fields["observed"]))
+            return AlignedReturns(**fields)
 
         ticks = TickSeries([0.0, 1.5, 2.0], [1.0, 2.0, 3.0])
-        sample = make_sample(np.ones((2, 3)), np.zeros(4, bool), np.zeros(4, bool))
         scheme = ll.ObservationScheme(tau=1.0, n=3)
-        with mock.patch.object(ingest, "_previous_tick", previous_tick):
-            got = [align_to_grid(ticks, 0.0, 1.0, 3), *returns_from_sample(sample, scheme)]
+        sample = make_sample(np.ones((2, 3)), np.zeros(4, bool), np.zeros(4, bool), scheme)
+        with mock.patch.object(ingest, "AlignedReturns", aligned_returns):
+            got = [align_to_grid(ticks, 0.0, 1.0, 3), *returns_from_sample(sample)]
         assert len(made) == 3
         for aligned, (returns, observed) in zip(got, made):
             assert aligned.returns is returns and aligned.observed is observed
@@ -515,8 +516,8 @@ class TestReturnsFromSample:
         rng = np.random.default_rng(0)
         inc = rng.standard_normal((2, 20))
         scheme = ll.ObservationScheme(tau=1.0, n=20)
-        sample = make_sample(inc, np.zeros(21, bool), np.zeros(21, bool))
-        r1, r2 = returns_from_sample(sample, scheme)
+        sample = make_sample(inc, np.zeros(21, bool), np.zeros(21, bool), scheme)
+        r1, r2 = returns_from_sample(sample)
         assert np.allclose(r1.returns, inc[0], atol=1e-15)
         assert np.allclose(r2.returns, inc[1], atol=1e-15)
 
@@ -525,7 +526,7 @@ class TestReturnsFromSample:
         mask = np.ones(6, bool)
         mask[0] = False
         scheme = ll.ObservationScheme(tau=1.0, n=5)
-        r1, _ = returns_from_sample(make_sample(inc, mask, mask), scheme)
+        r1, _ = returns_from_sample(make_sample(inc, mask, mask, scheme))
         assert np.all(r1.returns == 0.0)
         assert not r1.observed[1:].any()
 
@@ -534,7 +535,7 @@ class TestReturnsFromSample:
         inc = np.array([[0.4, 0.6], [0.0, 0.0]])
         mask = np.array([False, True, False])
         scheme = ll.ObservationScheme(tau=1.0, n=2)
-        r1, _ = returns_from_sample(make_sample(inc, mask, np.zeros(3, bool)), scheme)
+        r1, _ = returns_from_sample(make_sample(inc, mask, np.zeros(3, bool), scheme))
         assert r1.returns == pytest.approx([0.0, 1.0])
 
     def test_length_mismatch_rejected(self):
@@ -542,21 +543,21 @@ class TestReturnsFromSample:
         mask = np.zeros(6, bool)
         scheme = ll.ObservationScheme(tau=1.0, n=4)
         with pytest.raises(DataError, match="mismatch"):
-            returns_from_sample(make_sample(inc, mask, mask), scheme)
+            returns_from_sample(make_sample(inc, mask, mask, scheme))
 
     def test_missing_origin_rejected(self):
         inc = np.ones((2, 4))
         missing_origin = np.array([True, False, False, False, False])
         scheme = ll.ObservationScheme(tau=1.0, n=4)
         with pytest.raises(DataError, match="^grid origin cannot be missing$"):
-            returns_from_sample(make_sample(inc, np.zeros(5, bool), missing_origin), scheme)
+            returns_from_sample(make_sample(inc, np.zeros(5, bool), missing_origin, scheme))
 
     def test_telescoping_sum(self):
         rng = np.random.default_rng(8)
         inc = rng.standard_normal((2, 64))
         mask = np.concatenate(([False], rng.random(64) < 0.4))
         scheme = ll.ObservationScheme(tau=1.0, n=64)
-        r1, _ = returns_from_sample(make_sample(inc, mask, mask), scheme)
+        r1, _ = returns_from_sample(make_sample(inc, mask, mask, scheme))
         levels = np.concatenate(([0.0], np.cumsum(inc[0])))
         observed = ~mask
         last_filled = levels[np.flatnonzero(observed)[-1]]
@@ -570,24 +571,29 @@ class TestReturnsFromSample:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         inc = rng.standard_normal((2, n))
         scheme = ll.ObservationScheme(tau=1.0, n=n)
-        r1, _ = returns_from_sample(make_sample(inc, miss, np.zeros(n + 1, bool)), scheme)
+        r1, _ = returns_from_sample(make_sample(inc, miss, np.zeros(n + 1, bool), scheme))
         oracle = chi_weighted_returns(inc[0], miss)
         assert np.max(np.abs(r1.returns - oracle)) < 1e-12
 
     def test_alignment_route_matches_mask_route(self):
-        # previous-tick through timestamps must agree with the mask path
+        # previous-tick through timestamps k * tau must agree with the mask
+        # path bit for bit, at grid spacings whose k * tau are inexact too
         rng = np.random.default_rng(21)
         n = 48
         inc = rng.standard_normal((2, n)) * 0.01
-        mask = np.concatenate(([False], rng.random(n) < 0.5))
-        scheme = ll.ObservationScheme(tau=1.0, n=n)
-        r_mask, _ = returns_from_sample(make_sample(inc, mask, mask), scheme)
-        levels = np.concatenate(([0.0], np.cumsum(inc[0])))
-        keep = ~mask
-        ticks = TickSeries(np.arange(n + 1.0)[keep], levels[keep], scale="log_price")
-        r_ticks = align_to_grid(ticks, t0=0.0, tau=1.0, n=n)
-        assert np.allclose(r_mask.returns, r_ticks.returns, atol=1e-15)
-        assert np.array_equal(r_mask.observed, r_ticks.observed)
+        levels = np.concatenate((np.zeros((2, 1)), np.cumsum(inc, axis=1)), axis=1)
+        for pis in ((0.5, 0.5), (0.2, 0.6)):
+            masks = [np.concatenate(([False], rng.random(n) < pi)) for pi in pis]
+            for tau in (1.0, 0.1, 1 / 3, 2.0**-14):
+                scheme = ll.ObservationScheme(tau=tau, n=n)
+                got = returns_from_sample(make_sample(inc, *masks, scheme))
+                for level, mask, r_mask in zip(levels, masks, got):
+                    keep = ~mask
+                    ticks = TickSeries(np.arange(n + 1)[keep] * tau, level[keep], scale="log_price")
+                    r_ticks = align_to_grid(ticks, t0=0.0, tau=tau, n=n)
+                    assert np.array_equal(r_mask.returns, r_ticks.returns), (pis, tau)
+                    assert np.array_equal(r_mask.observed, r_ticks.observed), (pis, tau)
+                    assert r_mask.tau == r_ticks.tau == tau
 
 
 class TestTickSeries:
@@ -608,16 +614,15 @@ class TestTickSeries:
 class TestAlignedContainer:
     def test_origin_must_be_observed(self):
         with pytest.raises(DataError, match="origin"):
-            AlignedReturns(tau=1.0, n=1, returns=np.zeros(1), observed=np.array([False, True]))
+            AlignedReturns(tau=1.0, returns=np.zeros(1), observed=np.array([False, True]))
 
     def test_shape_validation(self):
         with pytest.raises(DataError, match="flags"):
-            AlignedReturns(tau=1.0, n=2, returns=np.zeros(2), observed=np.array([True]))
+            AlignedReturns(tau=1.0, returns=np.zeros(2), observed=np.array([True]))
 
     def test_csv_round_shape(self, tmp_path):
         aligned = AlignedReturns(
             tau=1.0,
-            n=3,
             returns=np.array([0.1, 0.0, -0.2]),
             observed=np.array([True, True, False, True]),
         )

@@ -1,8 +1,11 @@
-"""Smoke tests: the experiment scripts under scripts/ run against the package,
-the traced benchmark run's hooks record every layer, and the committed
-benchmark records keep their schema."""
+"""Smoke tests: the experiment scripts under scripts/ and the README's
+Library example run against the package, the traced benchmark run's hooks
+record every layer, and the committed benchmark records keep their schema."""
 
+import contextlib
+import dataclasses
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -125,6 +128,31 @@ def test_demo_pipeline(tmp_path):
     lags = re.findall(r"^  level (\d+): lag ([+-]\d+) steps", proc.stdout, flags=re.MULTILINE)
     assert [int(j) for j, _ in lags] == list(range(1, 7))
     assert [int(lag) for _, lag in lags[:4]] == [e["theta_over_tau"] for e in BENCHMARK_LEVELS[:4]]
+
+
+def readme_library_section():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_block_runs(monkeypatch):
+    code = re.search(r"```python\n(.*?)```", readme_library_section(), re.DOTALL)[1]
+    monkeypatch.chdir(ROOT)  # the block names its configs from the repo root
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().count("\n") == 9  # 8 levels and the summary
+
+
+def test_readme_record_list_names_every_field():
+    from leadlag import simulate
+
+    records = re.findall(r"^- `(?:ll\.)?(\w+)\(([^)]*)\)`", readme_library_section(), re.MULTILINE)
+    assert [name for name, _ in records] == [
+        "CirculantEmbedding", "PathSample", "AlignedReturns", "CrossCovCurve",
+    ]
+    for name, fields in records:
+        record = getattr(simulate, name, None) or getattr(ll, name)
+        assert fields.split(", ") == [f.name for f in dataclasses.fields(record)], name
 
 
 def test_benchmark_configs_share_one_model():

@@ -139,6 +139,17 @@ class TestEmbedding:
             err = np.abs(s12[middle] / scheme.tau - density[middle]).max()
             assert err < 5e-3, f"level {level}: {err:.3e}"
 
+    @pytest.mark.parametrize("name", ["gain", "resid"])
+    def test_filters_are_read_only(self, name):
+        # every draw of a run reads one embedding, so no caller may write it
+        model, scheme = ll.load_model(benchmark_spec(n=512))
+        emb = build_embedding(model, scheme)
+        before = circulant_embed_sample(emb, 5)
+        with pytest.raises(ValueError):
+            getattr(emb, name)[:] *= 0
+        after = circulant_embed_sample(emb, 5)
+        assert after.returns1.tobytes() == before.returns1.tobytes()
+
     def test_saturated_correlation_fails_loudly(self):
         # |corr| = 1 with a kernel cut at size // 2 overshoots the variance
         # at the band edges, which must abort rather than silently distort
@@ -187,6 +198,11 @@ class TestSampling:
         a = circulant_embed_sample(emb, 7)
         b = circulant_embed_sample(build_embedding(model, scheme), 7)
         assert np.array_equal(a.returns1, b.returns1)
+
+    def test_sample_carries_the_embeddings_scheme(self):
+        model, scheme = ll.load_model(benchmark_spec(n=512, pi1=0.3))
+        emb = build_embedding(model, scheme)
+        assert all(circulant_embed_sample(emb, seed).scheme is emb.scheme for seed in (0, 1))
 
     def test_independent_case_uncorrelated(self):
         model, scheme = ll.load_model({"J": 13, "n": 15000, "levels": []})
