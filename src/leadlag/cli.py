@@ -183,7 +183,8 @@ def build_parser() -> _Parser:
             "probabilities in [0, 1), and the circulant embedding that simulate "
             "and mc build for the file's n (1 by default), reported as its size, "
             "smallest eigenvalue over tau and clipped count; exits 3 where the "
-            "embedding's eigenvalue guard fails."
+            "embedding's eigenvalue guard fails or where tau^2 is not a normal "
+            "float (about 1.49e-154 <= tau <= 1.34e154)."
         ),
     )
     p.add_argument("--model", required=True, help="model JSON file")
@@ -374,7 +375,8 @@ def render_report(report: dict) -> str:
     json's indenting encoder runs in pure Python, and nearly all of a
     report is curve points. So json writes the report with each level's
     curve emptied, and the curve text, one template fill per point, then
-    replaces that level's ``"curve": []``.
+    replaces that level's ``"curve": []``. json's C encoder writes the
+    curve's floats too (``_json_floats``), as the indenting one would.
     """
     levels = report["levels"]
     shell = dict(report, levels=[dict(level, curve=[]) for level in levels])
@@ -411,10 +413,7 @@ def _curve_text(curve, pad: str) -> str:
 
 def _json_floats(values) -> list[str]:
     """Floats as json writes them: their reprs, or NaN, Infinity, -Infinity."""
-    values = np.asarray(values, dtype=float)
-    if np.isfinite(values).all():
-        return list(map(float.__repr__, values.tolist()))
-    return [float.__repr__(x) if math.isfinite(x) else json.dumps(x) for x in values.tolist()]
+    return json.dumps(values.tolist())[1:-1].split(", ")
 
 
 def _cmd_mc(args) -> int:

@@ -327,10 +327,7 @@ def _lag_estimate(
     if not np.isfinite(peak):
         raise NumericError(f"lag curve at level {level} holds a non-finite value")
     candidates = lags[magnitude == peak]
-    if len(candidates) == 1:
-        lag = int(candidates[0])
-    else:
-        lag = int(min(candidates, key=lambda l: (abs(int(l)), int(l))))
+    lag = int(min(candidates, key=lambda l: (abs(int(l)), int(l))))
     gap = peak - float(magnitude[lags != lag].max(initial=0.0))  # on one lag, the peak
     return LagEstimate(
         level=level,

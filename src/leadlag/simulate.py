@@ -37,6 +37,8 @@ from .model import ObservationScheme, SpectralModel, increment_cross_cov
 
 # eigenvalues this far below zero (relative to tau) abort; closer ones clip
 EIGENVALUE_FLOOR = 1e-8
+# the taus whose square is a normal float: 2^-511 and the root of the largest
+TAU_RANGE = (2.0**-511, float(np.sqrt(np.finfo(float).max)))
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,13 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
     that a sample can see; there is no truncation parameter.
     """
     n, tau = scheme.n, scheme.tau
+    # resid's product lam_minus * lam_plus is of order tau^2: beyond the
+    # normal range it overflows to inf or loses digits, down to all zeros
+    if not TAU_RANGE[0] <= tau <= TAU_RANGE[1]:
+        raise NumericError(
+            f"grid spacing tau={tau!r} is outside the circulant embedding's range: "
+            f"tau^2 must be a normal float, about {TAU_RANGE[0]:.3g} <= tau <= {TAU_RANGE[1]:.3g}"
+        )
     too_large = f"{int_text('n', n)} is too large to allocate a circulant embedding of"
     if 2 * n > np.iinfo(np.intp).max:  # unindexable; _next_fast_len would take hours
         raise DataError(f"{too_large} 2n points")
@@ -117,10 +126,8 @@ def build_embedding(model: SpectralModel, scheme: ObservationScheme) -> Circulan
             f"-{EIGENVALUE_FLOOR:.0e} * tau; the model's implied spectrum "
             "exceeds the increment variance"
         )
-    negative = lam_minus < 0.0
-    clipped = int(np.count_nonzero(negative))
-    if clipped:
-        lam_minus = np.where(negative, 0.0, lam_minus)
+    clipped = int(np.count_nonzero(lam_minus < 0.0))
+    np.maximum(lam_minus, 0.0, out=lam_minus)
 
     half = size // 2 + 1
     gain = np.conj(s12[:half]) / np.sqrt(tau)

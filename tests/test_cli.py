@@ -230,6 +230,11 @@ DEEP_SPEC = {"J": 2000, "tau": 1.0, "n": 16, "levels": [{"j": 1, "R": 0.5, "thet
 # the default tau, 2^-(J+1), underflows to 0 from J = 1074 on
 ZERO_TAU_SPEC = {key: value for key, value in DEEP_SPEC.items() if key != "tau"}
 ZERO_TAU_MESSAGE = "J=2000 makes the default grid spacing tau = 2^-(J+1) underflow to 0; give tau"
+# tau^2 overflows, or underflows below the normal floats; J = 600's default tau is 2^-601
+HUGE_TAU_SPEC = {"J": 3, "n": 16, "tau": 1e160, "levels": [{"j": 1, "R": 0.5, "theta_over_tau": -1}]}
+TINY_TAU_SPEC = dict(HUGE_TAU_SPEC, tau=1e-200)
+DEEP_TAU_SPEC = {"J": 600, "n": 16, "levels": [{"j": 1, "R": 0.5, "theta_over_tau": 0}]}
+TAU_RANGE_MESSAGE = "is outside the circulant embedding's range: tau^2 must be a normal float"
 
 
 class TestModelCheck:
@@ -416,10 +421,15 @@ class TestModelCheck:
             ("model-check", ZERO_TAU_SPEC, 2, ZERO_TAU_MESSAGE),
             ("simulate", ZERO_TAU_SPEC, 2, ZERO_TAU_MESSAGE),
             ("mc", ZERO_TAU_SPEC, 2, ZERO_TAU_MESSAGE),
+            *(
+                (command, spec, 3, f"grid spacing tau={tau!r} {TAU_RANGE_MESSAGE}")
+                for spec, tau in ((HUGE_TAU_SPEC, 1e160), (TINY_TAU_SPEC, 1e-200), (DEEP_TAU_SPEC, 2.0**-601))
+                for command in ("model-check", "simulate", "mc")
+            ),
         ],
         ids=[
             f"{c}-{m}"
-            for m in ("nan-spectrum", "inf-steps", "zero-tau")
+            for m in ("nan-spectrum", "inf-steps", "zero-tau", "huge-tau", "tiny-tau", "deep-default-tau")
             for c in ("model-check", "simulate", "mc")
         ],
     )

@@ -2,7 +2,8 @@
 
 The outputs are regenerated in a temporary directory through ``cli.main``
 and compared with digests recorded from the package before the simulated
-tick path was routed through ``align_to_grid``. Float text is ``repr``, so
+tick path was routed through ``align_to_grid`` (the clipped draw's, before
+the embedding clamped its eigenvalues in place). Float text is ``repr``, so
 the digests hold for the numpy they were recorded with (``RECORDED_WITH``);
 another numpy may legitimately round a transform differently.
 """
@@ -16,11 +17,12 @@ import numpy as np
 
 from leadlag.cli import main
 
-from conftest import CONFIGS
+from conftest import CONFIGS, clipping_spec
 
 RECORDED_WITH = "numpy 2.4.6, Python 3.11, x86-64"
 
 GOLDEN = {
+    "clipped-path.csv": "e8b50c04f1f5679696909411d4d005fed2aeba768c90d3768335345d2bbc8646",
     "derived.json": "934f41601acc87794d7eb56ff488b48fe6e91ba9935ad278c870add776d91272",
     "fixed.json": "934f41601acc87794d7eb56ff488b48fe6e91ba9935ad278c870add776d91272",
     "gain.csv": "d7620fff73ce19d6478e0348612d3167264a21f3eee1aebcea4805c2f1d0455c",
@@ -75,6 +77,12 @@ def golden_outputs(tmp_path) -> dict:
             label = f"{name}-threads{threads}.csv"
             run(["mc", "--config", str(source), "--reps", "16", "--seed", "3",
                  "--threads", threads, "--out", str(tmp_path / label)], (label,))
+
+    # a draw whose embedding clips eigenvalues just below zero
+    clipping = tmp_path / "clipping.json"
+    clipping.write_text(json.dumps(clipping_spec()))
+    run(["simulate", "--model", str(clipping), "--seed", "5",
+         "--out", str(tmp_path / "clipped-path.csv")], ("clipped-path.csv",))
 
     run(["gain", "--family", "la20", "--level", "3", "--out", str(tmp_path / "gain.csv")],
         ("gain.csv",))

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import leadlag as ll
 from leadlag.errors import DataError, NumericError
 from leadlag.simulate import (
     EIGENVALUE_FLOOR,
+    TAU_RANGE,
     _next_fast_len,
     _seed_streams,
     _synthesize,
@@ -17,6 +19,9 @@ from leadlag.simulate import (
 
 from conftest import benchmark_spec, clipping_spec
 from oracles import cross_spectral_density
+
+# no tau: a scheme of any tau embeds it, with the lag fixed in steps
+ONE_BAND_SPEC = {"J": 6, "levels": [{"j": 1, "R": 0.5, "theta_over_tau": -1}]}
 
 
 def spectral_matrices(emb):
@@ -166,6 +171,34 @@ class TestEmbedding:
         assert emb.clipped > 0
         sample = circulant_embed_sample(emb, 5)
         assert np.isfinite(sample.returns1).all() and np.isfinite(sample.returns2).all()
+
+    @pytest.mark.parametrize("tau", [1e-150, 1e150])
+    def test_filters_scale_with_sqrt_tau_inside_the_range(self, tau):
+        model, _ = ll.load_model(ONE_BAND_SPEC)
+        unit = build_embedding(model, ll.ObservationScheme(tau=1.0, n=64))
+        emb = build_embedding(model, ll.ObservationScheme(tau=tau, n=64))
+        for name in ("gain", "resid"):
+            got = getattr(emb, name) / np.sqrt(tau)
+            assert np.allclose(got, getattr(unit, name), rtol=1e-12, atol=1e-12), name
+        assert emb.min_eigenvalue / tau == pytest.approx(unit.min_eigenvalue, rel=1e-12)
+
+    def test_tau_range_is_where_the_square_is_a_normal_float(self):
+        low, high = TAU_RANGE
+        assert low * low == np.finfo(float).tiny and np.isfinite(high * high)
+        model, _ = ll.load_model(ONE_BAND_SPEC)
+        for tau in TAU_RANGE:
+            build_embedding(model, ll.ObservationScheme(tau=tau, n=16))
+
+    @pytest.mark.parametrize(
+        "tau",
+        [1e-160, 1e160, float(np.nextafter(TAU_RANGE[0], 0.0)), float(np.nextafter(TAU_RANGE[1], np.inf))],
+        ids=["1e-160", "1e160", "below-range", "above-range"],
+    )
+    def test_tau_whose_square_is_not_normal_is_refused(self, tau):
+        model, _ = ll.load_model(ONE_BAND_SPEC)
+        with pytest.raises(NumericError, match=re.escape(f"tau={tau!r} is outside")) as info:
+            build_embedding(model, ll.ObservationScheme(tau=tau, n=16))
+        assert str(info.value).endswith("about 1.49e-154 <= tau <= 1.34e+154")
 
     def test_unprintable_n_named_by_bit_length(self, benchmark_model):
         # more digits than Python converts to text; the message still forms
