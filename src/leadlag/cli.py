@@ -1,12 +1,15 @@
 """Command-line interface: simulate, estimate, gain, mc, model-check.
 
-Exit codes: 0 success, 1 usage error, 2 bad data or configuration,
-3 numerical failure, or an ``mc`` summary marked invalid (more than 5% of
-its replications failed; the summary is still written). Each command
-opens its outputs with ``atomic_output`` before it reads any input, so a bad
-output path, such as an existing directory, FIFO or hard-linked file, is
-exit 2 before the work. An output is a hidden temp file beside its target
-(a symlink's target) until the command succeeds, so failures leave no
+A run that fails prints ``label: message`` of its ``LeadLagError`` on
+stderr and exits with the error class's ``exit_code`` (``errors``): 1 for
+a usage error, 2 for bad data or configuration, 3 for a numerical failure.
+``mc`` also exits 3 when ``summary_status`` finds its summary invalid (more
+than 5% of its replications failed; the summary is still written). Each
+command opens its outputs with ``atomic_outputs`` before it reads any
+input, so a bad output path, such as an existing directory, FIFO or
+hard-linked file, or one that names the file of an input, is exit 2
+before the work. An output is a hidden temp file beside its target (a
+symlink's target) until the command succeeds, so failures leave no
 partial files. ``estimate`` and ``gain`` load only the estimate path;
 ``simulate``, ``model-check`` and ``mc`` import the model, the simulator
 and the Monte Carlo harness when they run.
@@ -78,6 +81,20 @@ def atomic_output(path):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def atomic_outputs(outputs, inputs):
+    """Yield ``{flag: handle}`` for ``outputs``, a map from flag to path
+    whose paths of None are left out, each opened with ``atomic_output``
+    in one stack: a failure anywhere discards every output's temp file.
+    Then an output on the file of an input in ``inputs``, also a map from
+    flag to path, or of an earlier output is refused (``_refuse_shared_files``)."""
+    with contextlib.ExitStack() as stack:
+        opened = [(flag, path) for flag, path in outputs.items() if path is not None]
+        handles = {flag: stack.enter_context(atomic_output(path)) for flag, path in opened}
+        _refuse_shared_files(opened, inputs.items())
+        yield handles
 
 
 def build_parser() -> _Parser:
@@ -250,7 +267,7 @@ def _refuse_shared_files(outputs, inputs=()) -> None:
     """Raise DataError where an output would be renamed onto an input's file,
     replacing it, or onto an earlier output's, keeping only the last. Both
     are lists of (flag, path); an output of None or "-" names no file."""
-    seen = {os.path.realpath(path): flag for flag, path in inputs}
+    seen = {os.path.realpath(path): flag for flag, path in inputs if path is not None}
     for flag, path in outputs:
         if path not in (None, "-"):
             other = seen.setdefault(os.path.realpath(path), flag)
@@ -264,16 +281,9 @@ def _cmd_simulate(args) -> int:
 
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    # one stack: a failure anywhere discards every output's temp file
-    with contextlib.ExitStack() as outputs:
-        fh = outputs.enter_context(atomic_output(args.out))
-        ticks = [
-            (series, outputs.enter_context(atomic_output(path)))
-            for series, path in ((1, args.ticks1), (2, args.ticks2))
-            if path is not None
-        ]
-        paths = [("--out", args.out), ("--ticks1", args.ticks1), ("--ticks2", args.ticks2)]
-        _refuse_shared_files(paths)
+    outputs = {"--out": args.out, "--ticks1": args.ticks1, "--ticks2": args.ticks2}
+    with atomic_outputs(outputs, {"--model": args.model}) as handles:
+        fh = handles.pop("--out")  # the rest are tick files
         model, scheme = load_model(args.model)
         sample = circulant_embed_sample(build_embedding(model, scheme), args.seed)
         fh.write("# leadlag-path schema_version=1\n")
@@ -283,9 +293,10 @@ def _cmd_simulate(args) -> int:
                 f"{k},{float(sample.returns1[k])!r},{float(sample.returns2[k])!r},"
                 f"{int(sample.mask1[k + 1])},{int(sample.mask2[k + 1])}\n"
             )
-        series_data = {1: (sample.returns1, sample.mask1), 2: (sample.returns2, sample.mask2)}
-        for series, tick_fh in ticks:
-            tick_fh.writelines(_tick_lines(series, *series_data[series], scheme.tau))
+        series_data = {"--ticks1": (1, sample.returns1, sample.mask1),
+                       "--ticks2": (2, sample.returns2, sample.mask2)}
+        for flag, tick_fh in handles.items():
+            tick_fh.writelines(_tick_lines(*series_data[flag], scheme.tau))
     return 0
 
 
@@ -306,8 +317,7 @@ def _cmd_estimate(args) -> int:
             check_levels_fit(args.family, args.levels, args.maxlag, args.n)
         except DataError as exc:
             raise UsageError(f"--levels/--maxlag too large for --n: {exc}") from None
-    with atomic_output(args.out) as fh:
-        _refuse_shared_files([("--out", args.out)], [("--in1", args.in1), ("--in2", args.in2)])
+    with atomic_outputs({"--out": args.out}, {"--in1": args.in1, "--in2": args.in2}) as handles:
         ticks1 = read_csv(args.in1, scale=args.scale)
         ticks2 = read_csv(args.in2, scale=args.scale)
         t0 = args.t0
@@ -360,7 +370,7 @@ def _cmd_estimate(args) -> int:
                 for curve, est in results
             ],
         }
-        fh.write(render_report(report))
+        handles["--out"].write(render_report(report))
     return 0
 
 
@@ -417,22 +427,31 @@ def _json_floats(values) -> list[str]:
 
 
 def _cmd_mc(args) -> int:
+    from .model import json_object
     from .montecarlo import load_mc_config, run_mc, write_summary_csv
 
-    with atomic_output(args.out) as fh:
-        config = load_mc_config(
-            args.config, replications=args.reps, master_seed=args.seed, threads=args.threads
-        )
+    with atomic_outputs({"--out": args.out}, {"--config": args.config}) as handles:
+        raw = json_object(args.config, "MC config")
+        model_path = raw.get("model_path")
+        if isinstance(model_path, (str, os.PathLike)):
+            _refuse_shared_files([("--out", args.out)], [("MC config key 'model_path'", model_path)])
+        config = load_mc_config(raw, replications=args.reps, master_seed=args.seed, threads=args.threads)
         summary = run_mc(config)
-        write_summary_csv(summary, fh)
-    if not summary.valid:
-        print(
-            f"warning: {summary.failures} of {summary.replications} replications "
-            "failed; summary marked invalid",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+        write_summary_csv(summary, handles["--out"])
+    return summary_status(summary)
+
+
+def summary_status(summary) -> int:
+    """The exit status of a run whose ``MCSummary`` was written: 0, or 3
+    after a warning on stderr where the summary is marked invalid."""
+    if summary.valid:
+        return 0
+    print(
+        f"warning: {summary.failures} of {summary.replications} replications "
+        "failed; summary marked invalid",
+        file=sys.stderr,
+    )
+    return 3
 
 
 def _cmd_model_check(args) -> int:
@@ -465,18 +484,9 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return args.run(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
     except LeadLagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def app() -> None:

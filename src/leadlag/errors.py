@@ -1,23 +1,36 @@
-"""Shared exception types, mapped to CLI exit codes, and the checks of
-integer inputs that raise them."""
+"""Shared exception types, each with the CLI exit code and message label it
+ends a run with, and the checks of integer inputs that raise them."""
 
 import numpy as np
 
 
 class LeadLagError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. An entry point prints one as
+    ``label: message`` on stderr and exits with its ``exit_code``."""
+
+    exit_code = 2
+    label = "error"
 
 
 class UsageError(LeadLagError):
-    """Bad command-line invocation or inconsistent flags (exit code 1)."""
+    """Bad command-line invocation or inconsistent flags."""
+
+    exit_code = 1
+    label = "usage error"
 
 
 class DataError(LeadLagError):
-    """Invalid input data or configuration (exit code 2)."""
+    """Invalid input data or configuration."""
+
+    exit_code = 2
+    label = "data error"
 
 
 class NumericError(LeadLagError):
-    """Numerical failure, e.g. an invalid spectral embedding (exit code 3)."""
+    """Numerical failure, e.g. an invalid spectral embedding."""
+
+    exit_code = 3
+    label = "numeric error"
 
 
 def int_text(name: str, value: int) -> str:

@@ -35,6 +35,15 @@ CHUNKSIZE = 8  # replications per task sent to a pool worker
 # integer MC config keys, each an MCConfig field of the same name
 INTEGER_SETTINGS = ("j_max", "l_max", "replications", "master_seed")
 MC_CONFIG_KEYS = ("schema_version", "model", "model_path", "families", *INTEGER_SETTINGS)
+# each integer MCConfig field's least value, in the order MCConfig checks them
+LEAST_VALUES = {"replications": 1, "threads": 1, "j_max": 1, "l_max": 0, "master_seed": 0}
+# what a message calls each setting a run gives load_mc_config, in its order
+RUN_SETTINGS = {"threads": "worker count", "replications": "replication count", "master_seed": "master seed"}
+
+
+def _setting_name(key: str) -> str:
+    """How an error message names the integer setting ``key``."""
+    return f"{RUN_SETTINGS[key]} ({key})" if key in RUN_SETTINGS else f"MC config key {key!r}"
 
 
 @dataclass(frozen=True)
@@ -53,16 +62,9 @@ class MCConfig:
     threads: int = field(default_factory=lambda: os.cpu_count() or 1)
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise DataError(f"replication count (replications) must be >= 1, got {self.replications}")
-        if self.threads < 1:
-            raise DataError(f"worker count (threads) must be >= 1, got {self.threads}")
-        if self.j_max < 1:
-            raise DataError(f"MC config key 'j_max' must be >= 1, got {self.j_max}")
-        if self.l_max < 0:
-            raise DataError(f"MC config key 'l_max' must be >= 0, got {self.l_max}")
-        if self.master_seed < 0:
-            raise DataError(f"master seed (master_seed) must be >= 0, got {self.master_seed}")
+        for key, least in LEAST_VALUES.items():
+            if getattr(self, key) < least:
+                raise DataError(f"{_setting_name(key)} must be >= {least}, got {getattr(self, key)}")
         if not self.families:
             raise DataError("MC config key 'families' must name at least one filter family")
         for i, family in enumerate(self.families):
@@ -249,13 +251,10 @@ def load_mc_config(source, *, replications=None, master_seed=None, threads=None)
         # the file's value is checked even where an override replaces it
         if key in raw:
             settings[key] = json_integer(raw[key], f"MC config key {key!r}")
-    for what, key, value in (
-        ("worker count", "threads", threads),
-        ("replication count", "replications", replications),
-        ("master seed", "master_seed", master_seed),
-    ):
-        if value is not None:
-            settings[key] = json_integer(value, f"{what} ({key})")
+    given = {"threads": threads, "replications": replications, "master_seed": master_seed}
+    for key in RUN_SETTINGS:
+        if given[key] is not None:
+            settings[key] = json_integer(given[key], _setting_name(key))
     if "families" in raw:
         families = raw["families"]
         if not isinstance(families, (list, tuple)) or not all(

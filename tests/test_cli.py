@@ -1933,6 +1933,49 @@ class TestEstimateOutputIsNotAnInput:
         assert (work / "in" / "a.csv").read_text() == ticks
 
 
+class TestOutputIsNotAnInput:
+    """``TestEstimateOutputIsNotAnInput`` for simulate and mc: an output
+    renamed onto an input's file, ``mc``'s config and the model file the
+    config names included, is exit 2 naming both flags, before any model
+    is loaded or replication runs, and the input keeps its bytes."""
+
+    work = TestBadOutputPath.work
+
+    @pytest.mark.parametrize(
+        "command, flag, path, first",
+        [
+            ("simulate", "--out", "../in/model.json", "--model"),
+            ("simulate", "--ticks1", "../in/model.json", "--model"),
+            ("simulate", "--ticks2", "link.json", "--model"),
+            ("mc", "--out", "../in/mc.json", "--config"),
+            ("mc-model-path", "--out", "../in/model.json", "MC config key 'model_path'"),
+            ("mc-model-path", "--out", "link.json", "MC config key 'model_path'"),
+        ],
+        ids=["simulate-out", "simulate-ticks1", "simulate-ticks2-symlink", "mc-config",
+             "mc-model-path", "mc-model-path-symlink"],
+    )
+    def test_exits_2_before_the_work(self, work, capsys, monkeypatch, command, flag, path, first):
+        inputs = work / "in"
+        (work / "work" / "link.json").symlink_to(inputs / "model.json")
+        config = {"model_path": str(inputs / "model.json"), "families": ["haar"], "j_max": 1}
+        (inputs / "mc-model-path.json").write_text(json.dumps(config))
+        originals = {p.name: p.read_bytes() for p in inputs.iterdir()}
+        calls = []
+        for owner, name in ((model, "load_model"), (montecarlo, "load_model"), (montecarlo, "run_mc")):
+            monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(a))
+        argv = TestBadOutputPath.argv(work, command.split("-")[0], flag, path)
+        if command == "mc-model-path":
+            argv[argv.index("--config") + 1] = str(inputs / "mc-model-path.json")
+        before = snapshot(work)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == f"data error: output path {path!r} of {flag} is also the file of {first}\n"
+        assert calls == []
+        assert snapshot(work) == before
+        assert {p.name: p.read_bytes() for p in inputs.iterdir()} == originals
+
+
 class TestSimulateOutputsAreDistinct:
     """Two simulate outputs on one file would each be renamed onto it and
     only the last kept: exit 2 before the work, naming both flags."""

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 import leadlag as ll
-from leadlag import cli
+from leadlag import cli, montecarlo
 from leadlag.montecarlo import load_mc_config, run_mc
 
 from conftest import BENCHMARK_LEVELS, CONFIGS
@@ -109,6 +109,99 @@ def test_run_benchmark_table_fails_before_the_work(tmp_path, monkeypatch, capsys
     assert err.startswith("data error: ") and needle in err
     assert runs == []  # no replication ran
     assert sorted(tmp_path.rglob("*")) == before  # and no file was made
+
+
+def run_mc_entry_point(entry, tmp_path, monkeypatch, *args):
+    """Exit code of ``leadlag mc`` (``entry`` "mc") or the Table-2 script
+    run in-process on ``tmp_path/mc.json``, writing into ``tmp_path``. The
+    script is loaded here, so it binds any ``montecarlo`` attribute the
+    caller has patched."""
+    monkeypatch.chdir(tmp_path)
+    if entry == "mc":
+        return cli.main(["mc", "--config", "mc.json", "--out", "mc.csv", *args])
+    script = load_module(os.path.join(SCRIPTS, "run_benchmark_table.py"))
+    monkeypatch.setattr(sys, "argv", ["run_benchmark_table.py", "--config", "mc.json", *args])
+    return script.main()
+
+
+def write_small_mc_config(tmp_path):
+    model = dict(json.loads((CONFIGS / "benchmark_model.json").read_text()), n=1200)
+    config = {"model": model, "families": ["haar"], "j_max": 1, "l_max": 12}
+    (tmp_path / "mc.json").write_text(json.dumps(config))
+
+
+@pytest.mark.parametrize("entry", ["mc", "script"])
+@pytest.mark.parametrize(
+    "error, label, code",
+    [(ll.UsageError, "usage error", 1), (ll.DataError, "data error", 2),
+     (ll.NumericError, "numeric error", 3), (ll.LeadLagError, "error", 2)],
+    ids=["usage", "data", "numeric", "plain"],
+)
+def test_mc_and_the_script_report_a_failure_alike(
+    tmp_path, monkeypatch, capsys, entry, error, label, code
+):
+    def fail(config):
+        raise error("injected failure")
+
+    write_small_mc_config(tmp_path)
+    monkeypatch.setattr(montecarlo, "run_mc", fail)
+    assert run_mc_entry_point(entry, tmp_path, monkeypatch, "--threads", "1") == code
+    assert capsys.readouterr().err == f"{label}: injected failure\n"
+    assert sorted(os.listdir(tmp_path)) == ["mc.json"]  # no output and no temp file
+
+
+def test_run_benchmark_table_warns_of_an_invalid_summary(tmp_path, monkeypatch, capsys):
+    # every other replication fails: each scenario's summary is written,
+    # warned of and marked invalid, as mc does
+    real = montecarlo.run_replication
+    calls = []
+
+    def flaky(*args):
+        calls.append(1)
+        if len(calls) % 2 == 0:
+            raise ll.NumericError("injected")
+        return real(*args)
+
+    write_small_mc_config(tmp_path)
+    monkeypatch.setattr(montecarlo, "run_replication", flaky)
+    code = run_mc_entry_point("script", tmp_path, monkeypatch, "--reps", "4", "--threads", "1")
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == "warning: 2 of 4 replications failed; summary marked invalid\n" * 2
+    assert len(calls) == 8
+    for pi in ("0", "0.5"):
+        lines = (tmp_path / f"benchmark_table_pi{pi}.csv").read_text().splitlines()
+        assert lines[0] == "# leadlag-mc-summary schema_version=1"
+        assert lines[2].startswith("haar,median,")
+        assert f"pi={pi}: 4 reps" in out
+
+
+@pytest.mark.parametrize(
+    "config_name, model_name, flag, first",
+    [("benchmark_table_pi0.csv", "model.json", "--outdir pi=0", "--config"),
+     ("mc.json", "benchmark_table_pi0.5.csv", "--outdir pi=0.5", "MC config key 'model_path'")],
+    ids=["config", "model-path"],
+)
+def test_run_benchmark_table_refuses_a_csv_on_an_input(
+    tmp_path, monkeypatch, capsys, config_name, model_name, flag, first
+):
+    # a CSV renamed onto the config or its model file would replace it
+    (tmp_path / model_name).write_text((CONFIGS / "benchmark_model.json").read_text())
+    config = {"model_path": model_name, "families": ["haar"], "j_max": 1}
+    (tmp_path / config_name).write_text(json.dumps(config))
+    originals = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    runs = []
+    monkeypatch.setattr(montecarlo, "run_mc", runs.append)
+    monkeypatch.chdir(tmp_path)
+    script = load_module(os.path.join(SCRIPTS, "run_benchmark_table.py"))
+    monkeypatch.setattr(sys, "argv", ["run_benchmark_table.py", "--config", config_name])
+    assert script.main() == 2
+    csv = os.path.join(".", config_name if first == "--config" else model_name)
+    assert capsys.readouterr().err == (
+        f"data error: output path {csv!r} of {flag} is also the file of {first}\n"
+    )
+    assert runs == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == originals
 
 
 def test_gen_la_filters_reproduces_the_embedded_la8(tmp_path):
