@@ -263,10 +263,11 @@ def _tick_lines(series: int, returns, mask, tau: float) -> Iterator[str]:
         yield f"{float(k * tau)!r},{price!r}\n"
 
 
-def _refuse_shared_files(outputs, inputs=()) -> None:
+def _refuse_shared_files(outputs, inputs) -> None:
     """Raise DataError where an output would be renamed onto an input's file,
     replacing it, or onto an earlier output's, keeping only the last. Both
-    are lists of (flag, path); an output of None or "-" names no file."""
+    hold (flag, path) pairs; a path of None, or an output of "-", names no
+    file."""
     seen = {os.path.realpath(path): flag for flag, path in inputs if path is not None}
     for flag, path in outputs:
         if path not in (None, "-"):
