@@ -4,7 +4,8 @@
 Walks the same route a study on real tick data would take: tick CSVs in,
 previous-tick alignment onto a regular grid, per-scale cross-covariance
 curves, one estimated lead-lag time per scale. Negative lags mean the
-second series leads.
+second series leads. A step that fails ends the demo with that step's exit
+code, after the step's own one-line message on stderr.
 """
 
 import argparse
@@ -21,8 +22,9 @@ MODEL = os.path.join(HERE, "..", "configs", "benchmark_model.json")
 
 
 def run(cmd):
-    print("+", " ".join(cmd))
-    subprocess.run(cmd, check=True)
+    print("+", " ".join(cmd), flush=True)
+    if code := subprocess.run(cmd).returncode:
+        raise SystemExit(code)
 
 
 def main():

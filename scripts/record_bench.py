@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3, 4, 5)
+RUN = ["perfbench/run.py", "--workload", "all", "--trace", "0"]
 WALL = re.compile(r"^note (\S+) wall time per call: median (\S+) s, (p[\d.]+) (\S+) s$")
 
 
@@ -104,8 +105,7 @@ def record(pr: int, runs: list[dict], seconds: float) -> dict:
     return {
         "pr": pr,
         "commit": env["git_commit"],
-        "command": ["python3", "perfbench/run.py", "--workload", "all", "--trace", "0",
-                    "--seconds", repr(seconds)],
+        "command": ["python3", *RUN, "--seconds", repr(seconds)],
         "env": {key: value for key, value in env.items() if key != "git_commit"},
         "runs": [
             {**{key: run[key] for key in
@@ -127,8 +127,7 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     runs = []
     for seed in SEEDS:
-        argv = [sys.executable, "perfbench/run.py", "--workload", "all", "--trace", "0",
-                "--seconds", repr(seconds), "--seed", str(seed)]
+        argv = [sys.executable, *RUN, "--seconds", repr(seconds), "--seed", str(seed)]
         proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
         if proc.returncode != 0:
             print(f"run.py failed at seed {seed} (exit {proc.returncode}):\n{proc.stderr}",

@@ -3,7 +3,7 @@
 A run that fails prints ``label: message`` of its ``LeadLagError`` on
 stderr and exits with the error class's ``exit_code`` (``errors``): 1 for
 a usage error, 2 for bad data or configuration, 3 for a numerical failure.
-``mc`` also exits 3 when ``summary_status`` finds its summary invalid (more
+``mc`` also exits 3, after a warning, when its summary is invalid (more
 than 5% of its replications failed; the summary is still written). Each
 command opens its outputs with ``atomic_outputs`` before it reads any
 input, so a bad output path, such as an existing directory, FIFO or
@@ -266,11 +266,10 @@ def _tick_lines(series: int, returns, mask, tau: float) -> Iterator[str]:
 def _refuse_shared_files(outputs, inputs) -> None:
     """Raise DataError where an output would be renamed onto an input's file,
     replacing it, or onto an earlier output's, keeping only the last. Both
-    hold (flag, path) pairs; a path of None, or an output of "-", names no
-    file."""
-    seen = {os.path.realpath(path): flag for flag, path in inputs if path is not None}
+    hold (flag, path) pairs; an output of "-" names no file."""
+    seen = {os.path.realpath(path): flag for flag, path in inputs}
     for flag, path in outputs:
-        if path not in (None, "-"):
+        if path != "-":
             other = seen.setdefault(os.path.realpath(path), flag)
             if other != flag:
                 raise DataError(f"output path {path!r} of {flag} is also the file of {other}")
@@ -439,12 +438,6 @@ def _cmd_mc(args) -> int:
         config = load_mc_config(raw, replications=args.reps, master_seed=args.seed, threads=args.threads)
         summary = run_mc(config)
         write_summary_csv(summary, handles["--out"])
-    return summary_status(summary)
-
-
-def summary_status(summary) -> int:
-    """The exit status of a run whose ``MCSummary`` was written: 0, or 3
-    after a warning on stderr where the summary is marked invalid."""
     if summary.valid:
         return 0
     print(

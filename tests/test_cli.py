@@ -1020,6 +1020,33 @@ class TestEndToEnd:
         assert "data error: MC config names both 'model' and 'model_path'" in err
         assert os.listdir(tmp_path) == ["mc.json"]
 
+    def test_mc_model_path_config_runs_as_its_inline_model(self, tmp_path):
+        # benchmark_model.json and benchmark_mc.json's inline model are one design
+        inline = json.loads((CONFIGS / "benchmark_mc.json").read_text())["model"]
+        outputs = []
+        for name, source in (("path", {"model_path": str(CONFIGS / "benchmark_model.json")}),
+                             ("inline", {"model": inline})):
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(dict(source, families=["haar"], j_max=1)))
+            out = tmp_path / f"{name}.csv"
+            assert main(["mc", "--config", str(config_path), "--reps", "2", "--seed", "3",
+                         "--threads", "1", "--out", str(out)]) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1] == "family,statistic,j1"
+
+    def test_mc_missing_model_path_is_data_error(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(montecarlo, "run_mc", runs.append)
+        config_path = tmp_path / "mc.json"
+        config_path.write_text(json.dumps({"model_path": str(tmp_path / "absent.json")}))
+        out = tmp_path / "o.csv"
+        assert main(["mc", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read model file") and "absent.json" in err
+        assert runs == []
+        assert os.listdir(tmp_path) == ["mc.json"]
+
     def test_leadlag_threads_in_environment_is_ignored(self, tmp_path, monkeypatch):
         # the worker count comes from --threads alone
         config = {

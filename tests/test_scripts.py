@@ -34,45 +34,6 @@ def run_script(name, *args, cwd):
     )
 
 
-def test_run_benchmark_table(tmp_path):
-    proc = run_script(
-        "run_benchmark_table.py", "--reps", "4", "--threads", "1", "--outdir", "tmp", cwd=tmp_path
-    )
-    assert proc.returncode == 0, proc.stderr
-    written = sorted(os.listdir(tmp_path / "tmp"))
-    assert written == ["benchmark_table_pi0.5.csv", "benchmark_table_pi0.csv"]
-    for name in written:
-        lines = (tmp_path / "tmp" / name).read_text().splitlines()
-        assert lines[:2] == [
-            "# leadlag-mc-summary schema_version=1",
-            "family,statistic,j1,j2,j3,j4,j5,j6,j7,j8",
-        ]
-    # one medians line per summary row, families first and then the baseline
-    names = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  ")]
-    assert names == ["haar", "la8", "la20", "hry"] * 2
-
-
-def test_run_benchmark_table_takes_a_model_path_config(tmp_path):
-    config = {"model_path": str(CONFIGS / "benchmark_model.json"), "families": ["haar"], "j_max": 1}
-    (tmp_path / "mc.json").write_text(json.dumps(config))
-    proc = run_script(
-        "run_benchmark_table.py", "--config", "mc.json", "--reps", "2", "--threads", "1",
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    # the model file's pi is 0, so that scenario is the config as mc runs it
-    argv = ["mc", "--config", str(tmp_path / "mc.json"), "--reps", "2", "--threads", "1"]
-    assert cli.main(argv + ["--out", str(tmp_path / "mc.csv")]) == 0
-    assert (tmp_path / "benchmark_table_pi0.csv").read_text() == (tmp_path / "mc.csv").read_text()
-    lines = (tmp_path / "benchmark_table_pi0.5.csv").read_text().splitlines()
-    assert lines[1] == "family,statistic,j1"
-    assert [line.split(",")[:2] for line in lines[2:]] == [
-        ["haar", "median"], ["haar", "mad"], ["hry", "median"], ["hry", "mad"]
-    ]
-    names = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  ")]
-    assert names == ["haar", "hry"] * 2
-
-
 def load_module(path):
     spec = importlib.util.spec_from_file_location(pathlib.Path(path).stem, path)
     module = importlib.util.module_from_spec(spec)
@@ -81,127 +42,27 @@ def load_module(path):
 
 
 @pytest.mark.parametrize(
-    "case, needle",
-    [
-        ("outdir-entry-is-a-directory", "output path 'od/benchmark_table_pi0.csv' is not a regular file"),
-        ("outdir-is-a-file", "output directory 'afile': File exists"),
-        ("missing-model-path", "cannot read model file"),
-    ],
-)
-def test_run_benchmark_table_fails_before_the_work(tmp_path, monkeypatch, capsys, case, needle):
-    script = load_module(os.path.join(SCRIPTS, "run_benchmark_table.py"))
-    runs = []
-    monkeypatch.setattr(script, "run_mc", runs.append)
-    monkeypatch.chdir(tmp_path)
-    argv = ["--reps", "2", "--threads", "1", "--outdir", "od"]
-    if case == "outdir-entry-is-a-directory":
-        os.makedirs("od/benchmark_table_pi0.csv")
-    elif case == "outdir-is-a-file":
-        pathlib.Path("afile").write_text("kept\n")
-        argv[-1] = "afile"
-    else:
-        pathlib.Path("mc.json").write_text(json.dumps({"model_path": "absent.json"}))
-        argv += ["--config", "mc.json"]
-    before = sorted(tmp_path.rglob("*"))
-    monkeypatch.setattr(sys, "argv", ["run_benchmark_table.py", *argv])
-    assert script.main() == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and needle in err
-    assert runs == []  # no replication ran
-    assert sorted(tmp_path.rglob("*")) == before  # and no file was made
-
-
-def run_mc_entry_point(entry, tmp_path, monkeypatch, *args):
-    """Exit code of ``leadlag mc`` (``entry`` "mc") or the Table-2 script
-    run in-process on ``tmp_path/mc.json``, writing into ``tmp_path``. The
-    script is loaded here, so it binds any ``montecarlo`` attribute the
-    caller has patched."""
-    monkeypatch.chdir(tmp_path)
-    if entry == "mc":
-        return cli.main(["mc", "--config", "mc.json", "--out", "mc.csv", *args])
-    script = load_module(os.path.join(SCRIPTS, "run_benchmark_table.py"))
-    monkeypatch.setattr(sys, "argv", ["run_benchmark_table.py", "--config", "mc.json", *args])
-    return script.main()
-
-
-def write_small_mc_config(tmp_path):
-    model = dict(json.loads((CONFIGS / "benchmark_model.json").read_text()), n=1200)
-    config = {"model": model, "families": ["haar"], "j_max": 1, "l_max": 12}
-    (tmp_path / "mc.json").write_text(json.dumps(config))
-
-
-@pytest.mark.parametrize("entry", ["mc", "script"])
-@pytest.mark.parametrize(
     "error, label, code",
     [(ll.UsageError, "usage error", 1), (ll.DataError, "data error", 2),
      (ll.NumericError, "numeric error", 3), (ll.LeadLagError, "error", 2)],
-    ids=["usage", "data", "numeric", "plain"],
+    ids=["usage-mc", "data-mc", "numeric-mc", "plain-mc"],
 )
 def test_mc_and_the_script_report_a_failure_alike(
-    tmp_path, monkeypatch, capsys, entry, error, label, code
+    tmp_path, monkeypatch, capsys, error, label, code
 ):
+    """``leadlag mc`` prints each error class's label, exits with its code
+    and leaves no output and no temp file."""
     def fail(config):
         raise error("injected failure")
 
-    write_small_mc_config(tmp_path)
+    model = dict(json.loads((CONFIGS / "benchmark_model.json").read_text()), n=1200)
+    config = {"model": model, "families": ["haar"], "j_max": 1, "l_max": 12}
+    (tmp_path / "mc.json").write_text(json.dumps(config))
     monkeypatch.setattr(montecarlo, "run_mc", fail)
-    assert run_mc_entry_point(entry, tmp_path, monkeypatch, "--threads", "1") == code
-    assert capsys.readouterr().err == f"{label}: injected failure\n"
-    assert sorted(os.listdir(tmp_path)) == ["mc.json"]  # no output and no temp file
-
-
-def test_run_benchmark_table_warns_of_an_invalid_summary(tmp_path, monkeypatch, capsys):
-    # every other replication fails: each scenario's summary is written,
-    # warned of and marked invalid, as mc does
-    real = montecarlo.run_replication
-    calls = []
-
-    def flaky(*args):
-        calls.append(1)
-        if len(calls) % 2 == 0:
-            raise ll.NumericError("injected")
-        return real(*args)
-
-    write_small_mc_config(tmp_path)
-    monkeypatch.setattr(montecarlo, "run_replication", flaky)
-    code = run_mc_entry_point("script", tmp_path, monkeypatch, "--reps", "4", "--threads", "1")
-    out, err = capsys.readouterr()
-    assert code == 3
-    assert err == "warning: 2 of 4 replications failed; summary marked invalid\n" * 2
-    assert len(calls) == 8
-    for pi in ("0", "0.5"):
-        lines = (tmp_path / f"benchmark_table_pi{pi}.csv").read_text().splitlines()
-        assert lines[0] == "# leadlag-mc-summary schema_version=1"
-        assert lines[2].startswith("haar,median,")
-        assert f"pi={pi}: 4 reps" in out
-
-
-@pytest.mark.parametrize(
-    "config_name, model_name, flag, first",
-    [("benchmark_table_pi0.csv", "model.json", "--outdir pi=0", "--config"),
-     ("mc.json", "benchmark_table_pi0.5.csv", "--outdir pi=0.5", "MC config key 'model_path'")],
-    ids=["config", "model-path"],
-)
-def test_run_benchmark_table_refuses_a_csv_on_an_input(
-    tmp_path, monkeypatch, capsys, config_name, model_name, flag, first
-):
-    # a CSV renamed onto the config or its model file would replace it
-    (tmp_path / model_name).write_text((CONFIGS / "benchmark_model.json").read_text())
-    config = {"model_path": model_name, "families": ["haar"], "j_max": 1}
-    (tmp_path / config_name).write_text(json.dumps(config))
-    originals = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    runs = []
-    monkeypatch.setattr(montecarlo, "run_mc", runs.append)
     monkeypatch.chdir(tmp_path)
-    script = load_module(os.path.join(SCRIPTS, "run_benchmark_table.py"))
-    monkeypatch.setattr(sys, "argv", ["run_benchmark_table.py", "--config", config_name])
-    assert script.main() == 2
-    csv = os.path.join(".", config_name if first == "--config" else model_name)
-    assert capsys.readouterr().err == (
-        f"data error: output path {csv!r} of {flag} is also the file of {first}\n"
-    )
-    assert runs == []
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == originals
+    assert cli.main(["mc", "--config", "mc.json", "--out", "mc.csv", "--threads", "1"]) == code
+    assert capsys.readouterr().err == f"{label}: injected failure\n"
+    assert sorted(os.listdir(tmp_path)) == ["mc.json"]
 
 
 def test_gen_la_filters_reproduces_the_embedded_la8(tmp_path):
@@ -221,6 +82,12 @@ def test_demo_pipeline(tmp_path):
     lags = re.findall(r"^  level (\d+): lag ([+-]\d+) steps", proc.stdout, flags=re.MULTILINE)
     assert [int(j) for j, _ in lags] == list(range(1, 7))
     assert [int(lag) for _, lag in lags[:4]] == [e["theta_over_tau"] for e in BENCHMARK_LEVELS[:4]]
+
+
+def test_demo_pipeline_ends_with_a_failing_steps_exit_code(tmp_path):
+    proc = run_script("demo_pipeline.py", "--levels", "0", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "usage error: --levels must be >= 1, got 0\n"
 
 
 def readme_library_section():
@@ -249,13 +116,29 @@ def test_readme_record_list_names_every_field():
 
 
 def test_benchmark_configs_share_one_model():
-    # perfbench checks both workloads against one set of model lags
-    root = pathlib.Path(SCRIPTS).parent / "configs"
-    inline = json.loads((root / "benchmark_mc.json").read_text())["model"]
-    model = json.loads((root / "benchmark_model.json").read_text())
+    # perfbench checks both workloads against one set of model lags, and the
+    # Table-2 configs differ only in the missing probabilities
+    mc = json.loads((CONFIGS / "benchmark_mc.json").read_text())
+    model = json.loads((CONFIGS / "benchmark_model.json").read_text())
     model.pop("schema_version")
-    inline.pop("schema_version", None)
-    assert inline == model
+    assert mc["model"] == model
+    missing = json.loads((CONFIGS / "benchmark_mc_pi05.json").read_text())
+    assert (missing["model"].pop("pi1"), missing["model"].pop("pi2")) == (0.5, 0.5)
+    for key in ("pi1", "pi2"):
+        mc["model"].pop(key)
+    assert missing == mc
+
+
+def test_readme_commands_name_loadable_configs():
+    # the README's recipes, Table 2's included, name only configs that load
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = "".join(re.findall(r"```bash\n(.*?)```", text, re.DOTALL))
+    named = re.findall(r"(\S+) (configs/\S+)", commands)
+    table2 = {"configs/benchmark_mc.json", "configs/benchmark_mc_pi05.json"}
+    assert table2 <= {path for _, path in named}
+    for flag, path in named:
+        load = load_mc_config if flag == "--config" else ll.load_model
+        load(str(ROOT / path))
 
 
 def test_traced_run_hooks_record_every_layer(tmp_path):
