@@ -266,13 +266,12 @@ def _tick_lines(series: int, returns, mask, tau: float) -> Iterator[str]:
 def _refuse_shared_files(outputs, inputs) -> None:
     """Raise DataError where an output would be renamed onto an input's file,
     replacing it, or onto an earlier output's, keeping only the last. Both
-    hold (flag, path) pairs; an output of "-" names no file."""
+    hold (flag, path) pairs. Outputs of "-" share stdout, which is no input's file."""
     seen = {os.path.realpath(path): flag for flag, path in inputs}
     for flag, path in outputs:
-        if path != "-":
-            other = seen.setdefault(os.path.realpath(path), flag)
-            if other != flag:
-                raise DataError(f"output path {path!r} of {flag} is also the file of {other}")
+        other = seen.setdefault(path if path == "-" else os.path.realpath(path), flag)
+        if other != flag:
+            raise DataError(f"output path {path!r} of {flag} is also the file of {other}")
 
 
 def _cmd_simulate(args) -> int:

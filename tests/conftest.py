@@ -22,6 +22,12 @@ def benchmark_spec(n=BENCHMARK_MODEL["n"], pi1=0.0, pi2=0.0):
     return {"J": BENCHMARK_MODEL["J"], "n": n, "pi1": pi1, "pi2": pi2, "levels": BENCHMARK_LEVELS}
 
 
+def aligned(values, tau=1.0):
+    """An AlignedReturns of ``values`` with every grid point observed."""
+    values = np.asarray(values, dtype=float)
+    return ll.AlignedReturns(tau=tau, returns=values, observed=np.ones(len(values) + 1, dtype=bool))
+
+
 def clipping_spec():
     """A one-band model whose smallest circulant eigenvalue lies just below
     zero, at -EIGENVALUE_FLOOR / 2 * tau, so the embedding clips it rather

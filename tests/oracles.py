@@ -1,13 +1,21 @@
-"""Numeric oracles of the tests: the estimator's limit theory.
+"""Numeric oracles of the tests, of two kinds.
 
-The closed-form kernels of the wavelet cross-covariance estimator's
-large-sample limit (discretization kernel, interpolation kernel, volatility
-weight) and the limit constant itself, evaluated by adaptive quadrature,
-plus the model's piecewise cross-spectral density, which the simulator's
-circulant cross spectrum approaches inside each band, and the band-limited
-wavelet kernel, the reference for the simulator's cross-covariance table.
-The estimation pipeline does not use them, and they need scipy, which the
-package does not import.
+The estimator's limit theory, which needs scipy: the closed-form kernels of
+the wavelet cross-covariance estimator's large-sample limit (discretization
+kernel, interpolation kernel, volatility weight) and the limit constant
+itself, evaluated by adaptive quadrature, plus the model's piecewise
+cross-spectral density, which the simulator's circulant cross spectrum
+approaches inside each band, and the band-limited wavelet kernel, the
+reference for the simulator's cross-covariance table.
+
+Brute-force sums on short series, plain loops over numpy values: the
+previous-tick returns by their interpolation weight expansion, one lag of
+a level curve by its index contract, and the plain lagged sum. Each is
+written once here, against the definitions, and shares no code with the
+package.
+
+The estimation pipeline uses none of them, and the package does not
+import scipy.
 """
 
 from __future__ import annotations
@@ -164,3 +172,56 @@ def limit_constant(
             f"band integral has non-cancelling imaginary part {total.imag:.3e}"
         )
     return 2.0**level * sigma_value * corr * total.real
+
+
+def chi_weighted_returns(increments, missing):
+    """Previous-tick returns by the interpolation weight expansion.
+
+    The pseudo return over (k, k+1] is sum_alpha chi_k(alpha) * increment
+    (k - alpha), where chi_k(0) = 1 - delta_(k+1) and chi_k(alpha) keeps the
+    product of delta over the alpha preceding grid points. ``missing`` holds
+    delta for grid points 0..n.
+    """
+    n = len(increments)
+    delta = [1 if m else 0 for m in missing]
+    out = [0.0] * n
+    for k in range(n):
+        total = 0.0
+        for alpha in range(0, k + 1):
+            chi = 1 - delta[k + 1]
+            for l in range(1, alpha + 1):
+                chi *= delta[k + 1 - l]
+                if chi == 0:
+                    break
+            if chi:
+                total += increments[k - alpha]
+        out[k] = total
+    return np.array(out)
+
+
+def eq17_cross_cov(w1, w2, lag, tau, n, filter_length):
+    """One lag of a level curve by double loop over its index contract.
+
+    Coefficients live at k = L_j - 1 .. n - 1, positive lags shift the
+    second series, negative lags shift the first, each normalized by its
+    own pair count.
+    """
+    Lj = filter_length
+    first = Lj - 1
+    if lag >= 0:
+        count = n - lag - Lj + 1
+        total = 0.0
+        for k in range(first, n - lag):
+            total += w1[k - first] * w2[k + lag - first]
+    else:
+        count = n + lag - Lj + 1
+        total = 0.0
+        for k in range(first, n + lag):
+            total += w1[k - lag - first] * w2[k - first]
+    return total / (tau * count)
+
+
+def lagged_sum(a, b, lag):
+    """sum_k a[k] * b[k + lag] over the positions where both exist, term by term."""
+    lo, hi = max(0, -lag), min(len(a), len(b) - lag)
+    return sum(float(x) * float(y) for x, y in zip(a[lo:hi], b[lo + lag : hi + lag]))

@@ -32,8 +32,14 @@ from leadlag.filters import (
 from leadlag.montecarlo import MCConfig, run_mc
 from scipy import integrate
 
-from conftest import benchmark_spec
-from oracles import discretization_kernel, limit_constant
+from conftest import aligned, benchmark_spec
+from oracles import (
+    chi_weighted_returns,
+    discretization_kernel,
+    eq17_cross_cov,
+    lagged_sum,
+    limit_constant,
+)
 
 THREADS = min(8, os.cpu_count() or 1)
 
@@ -254,33 +260,10 @@ class TestChiOracleEquivalence:
             )
             got, _ = ll.returns_from_sample(sample)
 
-            delta = miss.astype(int)
-            oracle = np.zeros(n)
-            for k in range(n):
-                if delta[k + 1]:
-                    continue
-                total = 0.0
-                for alpha in range(k + 1):
-                    keep = 1
-                    for l in range(1, alpha + 1):
-                        keep *= delta[k + 1 - l]
-                        if not keep:
-                            break
-                    if keep:
-                        total += inc[k - alpha]
-                oracle[k] = total
+            oracle = chi_weighted_returns(inc, miss)
             worst = max(worst, float(np.max(np.abs(got.returns - oracle))))
             assert worst < 1e-12, f"case {case}: deviation {worst:.2e}"
         report("chi-oracle", f"1000 cases, worst deviation {worst:.2e}")
-
-
-def lagged_sum(a, b, lag):
-    """sum_k a[k] * b[k + lag] over the overlapping positions, by double loop."""
-    return sum(a[k] * b[k + lag] for k in range(len(a)) if 0 <= k + lag < len(b))
-
-
-def aligned_returns(returns, tau):
-    return ll.AlignedReturns(tau=tau, returns=returns, observed=np.ones(len(returns) + 1, dtype=bool))
 
 
 class TestBruteForceEstimatorEquivalence:
@@ -302,20 +285,7 @@ class TestBruteForceEstimatorEquivalence:
             curve = cross_cov_curve(w1, w2, LagGrid.symmetric(abs(lag)), tau)
             got = curve.rho[abs(lag) + lag]
 
-            first = filt.length - 1
-            if lag >= 0:
-                count = n - lag - filt.length + 1
-                total = sum(
-                    w1.values[k - first] * w2.values[k + lag - first]
-                    for k in range(first, n - lag)
-                )
-            else:
-                count = n + lag - filt.length + 1
-                total = sum(
-                    w1.values[k - lag - first] * w2.values[k - first]
-                    for k in range(first, n + lag)
-                )
-            want = total / (tau * count)
+            want = eq17_cross_cov(w1.values, w2.values, lag, tau, n, filt.length)
             dev = abs(got - want)
             worst = max(worst, dev)
             assert dev < 1e-12, f"case {cases}: deviation {dev:.2e}"
@@ -332,7 +302,7 @@ class TestBruteForceEstimatorEquivalence:
 
             # the single-scale baseline's peak on the raw returns
             grid = LagGrid.symmetric(abs(lag))
-            est = hry_lag(aligned_returns(x1, tau), aligned_returns(x2, tau), grid)
+            est = hry_lag(aligned(x1, tau), aligned(x2, tau), grid)
             want = max(abs(lagged_sum(x1, x2, l)) for l in grid.lags)
             dev = abs(est.peak_value - want)
             worst = max(worst, dev)

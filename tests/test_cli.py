@@ -25,10 +25,22 @@ from leadlag.filters import FAMILIES, level_gain
 from conftest import CONFIGS, benchmark_spec, clipping_spec, pipe_path, tick_csv_text
 
 
-def write_model(tmp_path, spec, name="model.json"):
+def write_json(tmp_path, obj, name="model.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(obj))
     return str(path)
+
+
+def expect_exit(capsys, argv, code, needle=""):
+    """Run ``main(argv)``, which must return ``code`` with ``needle`` in its
+    stderr, and return what it printed (``.out``, ``.err``). In-process, an
+    exception that is not a LeadLagError escapes main() and fails the test,
+    so no traceback check is needed."""
+    returned = main(argv)
+    printed = capsys.readouterr()
+    assert returned == code, printed.err
+    assert needle in printed.err
+    return printed
 
 
 # the child prints how long main() took, so a bound can exclude start-up
@@ -42,6 +54,17 @@ sys.exit(code)
 """
 
 
+def no_embedding(*args):
+    raise AssertionError("the experiment started")
+
+
+def run_child(args, **kwargs):
+    """``python args`` in a fresh interpreter that imports the package from
+    this checkout, its output captured as text."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, **kwargs)
+
+
 def run_capped(argv, cwd):
     """Run the CLI in a child process capped at 1 GiB of address space, so a
     command that grows memory without bound ends in MemoryError rather than
@@ -50,11 +73,7 @@ def run_capped(argv, cwd):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", TIMED_MAIN, *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60, preexec_fn=cap,
-    )
+    proc = run_child(["-c", TIMED_MAIN, *argv], cwd=cwd, timeout=60, preexec_fn=cap)
     took = re.search(r"main took (\S+) s\n$", proc.stderr)
     return proc.returncode, proc.stderr, float(took.group(1)) if took else math.inf
 
@@ -70,20 +89,31 @@ SMALL_SPEC = {
         {"j": 3, "R": 0.7, "theta_over_tau": -2},
     ],
 }
+# an MC design that runs in a fraction of a second per replication
+SMALL_MC = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
+
+
+def write_ticks(tmp_path, count=60, names=("a.csv", "b.csv")):
+    """Tick files of ``count`` rows, at t = 0, 1, ... with price 100 + t."""
+    rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(count)]
+    for name in names:
+        (tmp_path / name).write_text("\n".join(rows) + "\n")
+
+
+def estimate_argv(tmp_path, *flags):
+    """estimate on the tick files a.csv and b.csv under ``tmp_path``."""
+    return ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"), *flags]
 
 
 class TestParsing:
     def test_no_command_shows_help(self, capsys):
-        assert main([]) == 1
-        assert "usage" in capsys.readouterr().out.lower()
+        assert "usage" in expect_exit(capsys, [], 1).out.lower()
 
     def test_unknown_flag(self, capsys):
-        assert main(["gain", "--family", "haar", "--frobnicate"]) == 1
-        assert "frobnicate" in capsys.readouterr().err
+        expect_exit(capsys, ["gain", "--family", "haar", "--frobnicate"], 1, "frobnicate")
 
     def test_missing_required_flag_names_it(self, capsys):
-        assert main(["simulate", "--seed", "1", "--out", "x.csv"]) == 1
-        assert "--model" in capsys.readouterr().err
+        expect_exit(capsys, ["simulate", "--seed", "1", "--out", "x.csv"], 1, "--model")
 
     def test_other_package_error_exits_2(self, tmp_path, capsys, monkeypatch):
         # a LeadLagError of no subclass is reported as a plain error
@@ -91,9 +121,30 @@ class TestParsing:
             raise ll.LeadLagError(f"no table for {family}")
 
         monkeypatch.setattr(cli, "base_filter", refuse)
-        assert main(["gain", "--family", "haar", "--out", str(tmp_path / "g.csv")]) == 2
-        assert capsys.readouterr().err == "error: no table for haar\n"
+        printed = expect_exit(capsys, ["gain", "--family", "haar", "--out", str(tmp_path / "g.csv")], 2)
+        assert printed.err == "error: no table for haar\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "error, label, code",
+        [(ll.UsageError, "usage error", 1), (ll.DataError, "data error", 2),
+         (ll.NumericError, "numeric error", 3), (ll.LeadLagError, "error", 2)],
+        ids=["usage", "data", "numeric", "plain"],
+    )
+    def test_mc_reports_each_error_class_by_its_label_and_code(
+        self, tmp_path, monkeypatch, capsys, error, label, code
+    ):
+        """``leadlag mc`` prints each error class's label, exits with its code
+        and leaves no output and no temp file."""
+        def fail(config):
+            raise error("injected failure")
+
+        write_json(tmp_path, SMALL_MC, "mc.json")
+        monkeypatch.setattr(montecarlo, "run_mc", fail)
+        monkeypatch.chdir(tmp_path)
+        argv = ["mc", "--config", "mc.json", "--out", "mc.csv", "--threads", "1"]
+        assert expect_exit(capsys, argv, code).err == f"{label}: injected failure\n"
+        assert sorted(os.listdir(tmp_path)) == ["mc.json"]
 
     def test_gain_valid_minimal(self, tmp_path):
         out = tmp_path / "gain.csv"
@@ -101,33 +152,26 @@ class TestParsing:
         assert out.exists()
 
     def test_infeasible_levels_fail_before_reading_data(self, capsys):
-        code = main(
-            [
-                "estimate",
-                "--in1", "does-not-exist-1.csv",
-                "--in2", "does-not-exist-2.csv",
-                "--family", "la20",
-                "--levels", "30",
-                "--maxlag", "10",
-                "--n", "1000",
-                "--out", "report.json",
-            ]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "max feasible level" in err
+        argv = [
+            "estimate",
+            "--in1", "does-not-exist-1.csv",
+            "--in2", "does-not-exist-2.csv",
+            "--family", "la20",
+            "--levels", "30",
+            "--maxlag", "10",
+            "--n", "1000",
+            "--out", "report.json",
+        ]
+        expect_exit(capsys, argv, 1, "max feasible level")
 
     def test_unreadable_file_is_data_error(self, capsys):
-        code = main(
-            [
-                "estimate",
-                "--in1", "does-not-exist-1.csv",
-                "--in2", "does-not-exist-2.csv",
-                "--out", "report.json",
-            ]
-        )
-        assert code == 2
-        assert "cannot open" in capsys.readouterr().err
+        argv = [
+            "estimate",
+            "--in1", "does-not-exist-1.csv",
+            "--in2", "does-not-exist-2.csv",
+            "--out", "report.json",
+        ]
+        expect_exit(capsys, argv, 2, "cannot open")
 
 
 class TestGain:
@@ -158,22 +202,20 @@ class TestGain:
     )
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags, needle):
         out = tmp_path / "gain.csv"
-        assert main(["gain", "--family", "haar", *flags, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"usage error: {needle}" in err
-        assert "Traceback" not in err
+        argv = ["gain", "--family", "haar", *flags, "--out", str(out)]
+        expect_exit(capsys, argv, 1, f"usage error: {needle}")
         assert not out.exists()
 
     def test_without_out_writes_the_csv_to_stdout(self, tmp_path, capsys):
         out = tmp_path / "gain.csv"
         assert main(["gain", "--family", "la8", "--level", "2", "--points", "5", "--out", str(out)]) == 0
-        assert main(["gain", "--family", "la8", "--level", "2", "--points", "5"]) == 0
-        assert capsys.readouterr().out == out.read_text()
+        argv = ["gain", "--family", "la8", "--level", "2", "--points", "5"]
+        assert expect_exit(capsys, argv, 0).out == out.read_text()
 
 
 class TestSimulate:
     def test_path_csv_round_trip(self, tmp_path):
-        model_path = write_model(tmp_path, SMALL_SPEC)
+        model_path = write_json(tmp_path, SMALL_SPEC)
         out = tmp_path / "path.csv"
         assert main(["simulate", "--model", model_path, "--seed", "42", "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
@@ -186,7 +228,7 @@ class TestSimulate:
         assert float(first[2]) == sample.returns2[0]
 
     def test_determinism_across_runs(self, tmp_path):
-        model_path = write_model(tmp_path, SMALL_SPEC)
+        model_path = write_json(tmp_path, SMALL_SPEC)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["simulate", "--model", model_path, "--seed", "7", "--out", str(out1)])
         main(["simulate", "--model", model_path, "--seed", "7", "--out", str(out2)])
@@ -194,10 +236,9 @@ class TestSimulate:
 
     def test_saturated_model_exits_numeric(self, tmp_path, capsys):
         bad = dict(SMALL_SPEC, levels=[{"j": 1, "R": 1.0, "theta_over_tau": 0}])
-        model_path = write_model(tmp_path, bad)
-        code = main(["simulate", "--model", model_path, "--seed", "1", "--out", str(tmp_path / "x.csv")])
-        assert code == 3
-        assert "embedding" in capsys.readouterr().err
+        model_path = write_json(tmp_path, bad)
+        argv = ["simulate", "--model", model_path, "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        expect_exit(capsys, argv, 3, "embedding")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
@@ -213,12 +254,9 @@ class TestSimulate:
     def test_tick_price_outside_float_range_exits_numeric(self, tmp_path, capsys, seed, flag, needle):
         # a random walk of variance 1e4 per step leaves exp's range within a few dozen steps
         spec = {"J": 3, "tau": 10000.0, "n": 1000, "levels": [{"j": 1, "R": 0.5}]}
-        argv = ["simulate", "--model", write_model(tmp_path, spec), "--seed", str(seed)]
-        code = main(argv + ["--out", str(tmp_path / "o.csv"), flag, str(tmp_path / "t.csv")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert f"numeric error: {needle} is outside the normal float range" in err
-        assert "Traceback" not in err
+        argv = ["simulate", "--model", write_json(tmp_path, spec), "--seed", str(seed)]
+        argv += ["--out", str(tmp_path / "o.csv"), flag, str(tmp_path / "t.csv")]
+        expect_exit(capsys, argv, 3, f"numeric error: {needle} is outside the normal float range")
         assert os.listdir(tmp_path) == ["model.json"]
 
 
@@ -239,30 +277,26 @@ TAU_RANGE_MESSAGE = "is outside the circulant embedding's range: tau^2 must be a
 
 class TestModelCheck:
     def test_valid_model(self, tmp_path, capsys):
-        model_path = write_model(tmp_path, SMALL_SPEC)
-        assert main(["model-check", "--model", model_path]) == 0
-        out = capsys.readouterr().out
+        model_path = write_json(tmp_path, SMALL_SPEC)
+        out = expect_exit(capsys, ["model-check", "--model", model_path], 0).out
         assert "model ok" in out
         assert "admissible" in out
 
     def test_inadmissible_correlation(self, tmp_path, capsys):
         bad = dict(SMALL_SPEC, levels=[{"j": 1, "R": 1.2}])
-        model_path = write_model(tmp_path, bad)
-        assert main(["model-check", "--model", model_path]) == 2
-        assert "admissibility" in capsys.readouterr().err
+        model_path = write_json(tmp_path, bad)
+        expect_exit(capsys, ["model-check", "--model", model_path], 2, "admissibility")
 
     def test_lag_outside_grid(self, tmp_path, capsys):
-        model_path = write_model(tmp_path, SMALL_SPEC)
-        assert main(["model-check", "--model", model_path, "--l-max", "1"]) == 2
-        assert "outside the search grid" in capsys.readouterr().err
+        model_path = write_json(tmp_path, SMALL_SPEC)
+        argv = ["model-check", "--model", model_path, "--l-max", "1"]
+        expect_exit(capsys, argv, 2, "outside the search grid")
 
     @pytest.mark.parametrize("spec", [SMALL_SPEC, {"J": 13, "n": 1200}], ids=["lagged", "no-bands"])
     def test_negative_l_max_is_usage_error(self, tmp_path, capsys, spec):
-        model_path = write_model(tmp_path, spec)
-        assert main(["model-check", "--model", model_path, "--l-max", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert "--l-max must be >= 0, got -1" in captured.err
-        assert "model ok" not in captured.out
+        model_path = write_json(tmp_path, spec)
+        argv = ["model-check", "--model", model_path, "--l-max", "-1"]
+        assert "model ok" not in expect_exit(capsys, argv, 1, "--l-max must be >= 0, got -1").out
 
     @pytest.mark.parametrize(
         "spec, extra",
@@ -279,15 +313,12 @@ class TestModelCheck:
         self, tmp_path, capsys, spec, extra
     ):
         # |R| <= 1 holds, but the cut circulant row overshoots the variance
-        model_path = write_model(tmp_path, spec)
-        assert main(["model-check", "--model", model_path, *extra]) == 3
-        captured = capsys.readouterr()
-        assert "invalid circulant embedding" in captured.err
-        assert "Traceback" not in captured.err
+        model_path = write_json(tmp_path, spec)
+        argv = ["model-check", "--model", model_path, *extra]
+        captured = expect_exit(capsys, argv, 3, "invalid circulant embedding")
         assert "model ok" not in captured.out
         simulate = ["simulate", "--model", model_path, "--out", str(tmp_path / "x.csv")]
-        assert main(simulate) == 3
-        assert capsys.readouterr().err == captured.err
+        assert expect_exit(capsys, simulate, 3).err == captured.err
 
     @pytest.mark.parametrize(
         "spec, needle",
@@ -300,30 +331,24 @@ class TestModelCheck:
         ids=["J-0", "R-of-400-digits"],
     )
     def test_out_of_range_model_value_is_data_error(self, tmp_path, capsys, spec, needle):
-        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 2
-        captured = capsys.readouterr()
-        assert f"data error: {needle}" in captured.err
-        assert "Traceback" not in captured.err
-        assert "model ok" not in captured.out
+        argv = ["model-check", "--model", write_json(tmp_path, spec)]
+        assert "model ok" not in expect_exit(capsys, argv, 2, f"data error: {needle}").out
 
     def test_band_level_beyond_the_float_range_runs(self, tmp_path, capsys):
         # the band's scale 2^-j is 0.0 there; it used to end in OverflowError
         spec = {"J": 10**400, "tau": 0.001, "n": 256, "levels": [{"j": 10**400, "R": 0.3}]}
-        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 0
-        captured = capsys.readouterr()
-        assert "model ok" in captured.out
-        assert "Traceback" not in captured.err
+        argv = ["model-check", "--model", write_json(tmp_path, spec)]
+        assert "model ok" in expect_exit(capsys, argv, 0).out
 
     def test_max_corr_is_read_from_the_bands(self, tmp_path, capsys):
         # a coarse band that sampled frequencies would miss
         spec = {"J": 13, "n": 15000, "levels": [{"j": 13, "R": 0.9}]}
-        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 0
-        assert "band correlations: max |R| = 0.900000 (admissible <= 1)" in capsys.readouterr().out
+        out = expect_exit(capsys, ["model-check", "--model", write_json(tmp_path, spec)], 0).out
+        assert "band correlations: max |R| = 0.900000 (admissible <= 1)" in out
 
     def test_benchmark_model_reports_its_embedding(self, capsys):
         model_path = str(CONFIGS / "benchmark_model.json")
-        assert main(["model-check", "--model", model_path, "--l-max", "60"]) == 0
-        out = capsys.readouterr().out
+        out = expect_exit(capsys, ["model-check", "--model", model_path, "--l-max", "60"], 0).out
         assert "band correlations: max |R| = 0.700000 (admissible <= 1)" in out
         assert "circulant embedding: 30000 points" in out
         assert "0 clipped" in out
@@ -332,18 +357,15 @@ class TestModelCheck:
         spec = clipping_spec()
         clipped = ll.build_embedding(*ll.load_model(spec)).clipped
         assert clipped > 0
-        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 0
-        assert f" tau, {clipped} clipped" in capsys.readouterr().out
+        out = expect_exit(capsys, ["model-check", "--model", write_json(tmp_path, spec)], 0).out
+        assert f" tau, {clipped} clipped" in out
 
     def test_clip_is_reported_once_and_readably(self, tmp_path):
         # a subprocess: pytest's log capture hides a logged record in-process
         spec = clipping_spec()
         emb = ll.build_embedding(*ll.load_model(spec))
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "leadlag.cli", "model-check", "--model", write_model(tmp_path, spec)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        argv = ["model-check", "--model", write_json(tmp_path, spec)]
+        proc = run_child(["-m", "leadlag.cli", *argv], timeout=60)
         assert proc.returncode == 0
         assert proc.stderr == ""
         line = proc.stdout.splitlines()[-1]
@@ -354,11 +376,9 @@ class TestModelCheck:
         ), line
 
     def test_n_too_large_to_embed_is_data_error(self, tmp_path, capsys):
-        model_path = write_model(tmp_path, dict(SMALL_SPEC, n=2**40))
-        assert main(["model-check", "--model", model_path]) == 2
-        captured = capsys.readouterr()
-        assert f"n={2**40} is too large to allocate a circulant embedding" in captured.err
-        assert "model ok" not in captured.out
+        model_path = write_json(tmp_path, dict(SMALL_SPEC, n=2**40))
+        needle = f"n={2**40} is too large to allocate a circulant embedding"
+        assert "model ok" not in expect_exit(capsys, ["model-check", "--model", model_path], 2, needle).out
 
     @pytest.mark.parametrize(
         "spec",
@@ -366,8 +386,8 @@ class TestModelCheck:
         ids=["small", "coarse-band", "no-bands"],
     )
     def test_report_has_no_sampled_density_lines(self, tmp_path, capsys, spec):
-        assert main(["model-check", "--model", write_model(tmp_path, spec)]) == 0
-        lines = capsys.readouterr().out.lower().splitlines()
+        argv = ["model-check", "--model", write_json(tmp_path, spec)]
+        lines = expect_exit(capsys, argv, 0).out.lower().splitlines()
         assert len(lines) == 5
         assert not [line for line in lines if "sampled" in line or "hermitian" in line]
 
@@ -397,15 +417,12 @@ class TestModelCheck:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-        model_path = write_model(tmp_path, spec)
+        model_path = write_json(tmp_path, spec)
         argv = [command, "--model", model_path]
         if command == "simulate":
             argv += ["--out", str(tmp_path / "path.csv"), "--ticks1", str(tmp_path / "t1.csv")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
         where = f" in levels[{path[1]}]" if len(path) == 3 else ""
-        assert f"model key {path[-1]!r}{where} must be" in err
-        assert "Traceback" not in err
+        expect_exit(capsys, argv, 2, f"model key {path[-1]!r}{where} must be")
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
 
     @pytest.mark.parametrize(
@@ -435,18 +452,14 @@ class TestModelCheck:
     )
     def test_non_finite_model_is_refused(self, tmp_path, capsys, command, spec, code, needle):
         if command == "mc":
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps({"model": spec, "families": ["haar"], "j_max": 1, "l_max": 2}))
-            argv = ["mc", "--config", str(path), "--out", str(tmp_path / "o.csv")]
+            config = {"model": spec, "families": ["haar"], "j_max": 1, "l_max": 2}
+            path = write_json(tmp_path, config, "config.json")
+            argv = ["mc", "--config", path, "--out", str(tmp_path / "o.csv")]
         else:
-            argv = [command, "--model", write_model(tmp_path, spec)]
+            argv = [command, "--model", write_json(tmp_path, spec)]
             if command == "simulate":
                 argv += ["--out", str(tmp_path / "o.csv"), "--ticks1", str(tmp_path / "t1.csv")]
-        assert main(argv) == code
-        captured = capsys.readouterr()
-        assert needle in captured.err
-        assert "Traceback" not in captured.err
-        assert "model ok" not in captured.out
+        assert "model ok" not in expect_exit(capsys, argv, code, needle).out
         assert os.listdir(tmp_path) == [os.path.basename(argv[2])]  # the input file only
 
     @pytest.mark.parametrize("command", ["model-check", "simulate", "mc"])
@@ -458,18 +471,16 @@ class TestModelCheck:
             work.mkdir()
             spec = dict(DEEP_SPEC, J=J)
             if command == "mc":
-                path = work / "config.json"
-                path.write_text(json.dumps({"model": spec, "families": ["haar"], "j_max": 1, "l_max": 2}))
-                argv = ["mc", "--config", str(path), "--reps", "3", "--threads", "1"]
+                config = {"model": spec, "families": ["haar"], "j_max": 1, "l_max": 2}
+                path = write_json(work, config, "config.json")
+                argv = ["mc", "--config", path, "--reps", "3", "--threads", "1"]
             else:
-                argv = [command, "--model", write_model(work, spec)]
+                argv = [command, "--model", write_json(work, spec)]
             if command != "model-check":
                 argv += ["--out", str(work / "o.csv")]
             if command == "simulate":
                 argv += ["--seed", "4", "--ticks1", str(work / "t1.csv")]
-            assert main(argv) == 0
-            captured = capsys.readouterr()
-            assert "Traceback" not in captured.err
+            captured = expect_exit(capsys, argv, 0)
             files = [(work / name).read_bytes() for name in ("o.csv", "t1.csv") if (work / name).exists()]
             outputs.append((captured.out.replace(f"J={J},", "J,"), files))
         assert outputs[0] == outputs[1]
@@ -486,18 +497,15 @@ class TestModelCheck:
         for step in path:
             target = target[step]
         target[key] = -2
-        model_path = write_model(tmp_path, spec)
+        model_path = write_json(tmp_path, spec)
         argv = [command, "--model", model_path]
         if command == "simulate":
             argv += ["--out", str(tmp_path / "path.csv"), "--ticks1", str(tmp_path / "t1.csv")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
         if path:
             needle = f"unknown model key {key!r} in levels[{path[1]}]; known: j, R, theta_over_tau"
         else:
             needle = f"unknown model key {key!r}; known: schema_version, J, n, tau, pi1, pi2, levels"
-        assert needle in err
-        assert "Traceback" not in err
+        expect_exit(capsys, argv, 2, needle)
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
 
     @pytest.mark.parametrize(
@@ -516,21 +524,15 @@ class TestModelCheck:
         argv = argv + [str(path)]
         if argv[0] == "mc":
             argv += ["--out", str(tmp_path / "o.csv")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert needle in err
-        assert "Traceback" not in err
+        expect_exit(capsys, argv, 2, needle)
         assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
 
 class TestNegativeSettings:
     def test_simulate_negative_seed_is_usage_error(self, tmp_path, capsys):
-        model_path = write_model(tmp_path, SMALL_SPEC)
+        model_path = write_json(tmp_path, SMALL_SPEC)
         argv = ["simulate", "--model", model_path, "--seed", "-1", "--out", str(tmp_path / "x.csv")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert "--seed must be >= 0, got -1" in err
-        assert "Traceback" not in err
+        expect_exit(capsys, argv, 1, "--seed must be >= 0, got -1")
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
 
     @pytest.mark.parametrize(
@@ -548,18 +550,10 @@ class TestNegativeSettings:
     def test_mc_negative_setting_names_its_key(
         self, tmp_path, capsys, monkeypatch, setting, flags, needle
     ):
-        def no_embedding(*args):
-            raise AssertionError("the experiment started")
-
         monkeypatch.setattr(montecarlo, "build_embedding", no_embedding)
-        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
-        config.update(setting)
-        (tmp_path / "mc.json").write_text(json.dumps(config))
-        argv = ["mc", "--config", str(tmp_path / "mc.json"), "--reps", "2", "--threads", "1"]
-        assert main(argv + flags + ["--out", str(tmp_path / "o.csv")]) == 2
-        err = capsys.readouterr().err
-        assert needle in err
-        assert "Traceback" not in err
+        config_path = write_json(tmp_path, dict(SMALL_MC, **setting), "mc.json")
+        argv = ["mc", "--config", config_path, "--reps", "2", "--threads", "1"]
+        expect_exit(capsys, argv + flags + ["--out", str(tmp_path / "o.csv")], 2, needle)
         assert sorted(os.listdir(tmp_path)) == ["mc.json"]
 
 
@@ -588,16 +582,14 @@ class TestNegativeSettings:
     def test_estimate_n_below_one_is_usage_error(self, tmp_path, capsys, n):
         out = tmp_path / "r.json"
         argv = ["estimate", "--in1", "a.csv", "--in2", "b.csv", "--n", n, "--out", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == f"usage error: --n must be >= 1, got {n}\n"
+        assert expect_exit(capsys, argv, 1).err == f"usage error: --n must be >= 1, got {n}\n"
         assert not out.exists()
 
 
 class TestEndToEnd:
     def test_simulate_then_estimate_recovers_lags(self, tmp_path):
         spec = dict(SMALL_SPEC, n=15000)
-        model_path = write_model(tmp_path, spec)
+        model_path = write_json(tmp_path, spec)
         t1, t2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         path_csv = tmp_path / "path.csv"
         assert main(
@@ -639,7 +631,7 @@ class TestEndToEnd:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_estimate_reads_pipes_as_the_files(self, tmp_path):
-        model_path = write_model(tmp_path, dict(SMALL_SPEC, n=512))
+        model_path = write_json(tmp_path, dict(SMALL_SPEC, n=512))
         ticks = [tmp_path / "t1.csv", tmp_path / "t2.csv"]
         assert main(
             ["simulate", "--model", model_path, "--seed", "4", "--out", str(tmp_path / "path.csv"),
@@ -684,7 +676,7 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("grid", [["--t0", "0.0", "--n", "2000"], []], ids=["fixed", "derived"])
     def test_estimate_log_price_input_matches_raw_prices(self, tmp_path, grid):
-        model_path = write_model(tmp_path, SMALL_SPEC)
+        model_path = write_json(tmp_path, SMALL_SPEC)
         raw = [tmp_path / "t1.csv", tmp_path / "t2.csv"]
         assert main(
             ["simulate", "--model", model_path, "--seed", "5", "--out", str(tmp_path / "path.csv"),
@@ -706,17 +698,8 @@ class TestEndToEnd:
     def test_estimate_without_overlap_is_data_error(self, tmp_path, capsys):
         (tmp_path / "a.csv").write_text("timestamp,price\n0.0,100.0\n1.0,101.0\n")
         (tmp_path / "b.csv").write_text("timestamp,price\n50.0,100.0\n50.5,101.0\n")
-        code = main(
-            [
-                "estimate",
-                "--in1", str(tmp_path / "a.csv"),
-                "--in2", str(tmp_path / "b.csv"),
-                "--tau", "1.0",
-                "--out", str(tmp_path / "r.json"),
-            ]
-        )
-        assert code == 2
-        assert "overlap" in capsys.readouterr().err
+        argv = estimate_argv(tmp_path, "--tau", "1.0", "--out", str(tmp_path / "r.json"))
+        expect_exit(capsys, argv, 2, "overlap")
 
     @pytest.mark.parametrize(
         "t0, flag, path, last",
@@ -725,42 +708,29 @@ class TestEndToEnd:
     )
     def test_estimate_grid_after_the_data_is_data_error(self, tmp_path, capsys, t0, flag, path, last):
         # every grid return of such a series would be 0: a report of all-degenerate levels
-        for name, stop in (("a.csv", 101), ("b.csv", 11)):
-            rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(stop)]
-            (tmp_path / name).write_text("\n".join(rows) + "\n")
+        write_ticks(tmp_path, 101, ["a.csv"])
+        write_ticks(tmp_path, 11, ["b.csv"])
         out = tmp_path / "r.json"
-        code = main(
-            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"),
-             "--family", "haar", "--levels", "2", "--maxlag", "3",
-             "--t0", t0, "--tau", "1.0", "--n", "50", "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"{flag} {str(tmp_path / path)!r} has no tick inside the grid" in err
+        argv = estimate_argv(tmp_path, "--family", "haar", "--levels", "2", "--maxlag", "3",
+                             "--t0", t0, "--tau", "1.0", "--n", "50", "--out", str(out))
+        err = expect_exit(capsys, argv, 2, f"{flag} {str(tmp_path / path)!r} has no tick inside the grid").err
         assert f"({float(t0)}, {float(t0) + 50.0}]" in err and f"last tick is at {last}" in err
-        assert "Traceback" not in err
         assert not out.exists()
 
     def test_estimate_derived_grid_too_short_fails_before_alignment(
         self, tmp_path, capsys, monkeypatch
     ):
-        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
-        for name in ("a.csv", "b.csv"):
-            (tmp_path / name).write_text("\n".join(rows) + "\n")
+        write_ticks(tmp_path)
 
         def align_to_grid(*args):
             raise AssertionError("ticks aligned before the levels were checked")
 
         monkeypatch.setattr(cli, "align_to_grid", align_to_grid)
         out = tmp_path / "r.json"
-        code = main(
-            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"),
-             "--family", "la20", "--levels", "8", "--maxlag", "2", "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
+        argv = estimate_argv(tmp_path, "--family", "la20", "--levels", "8", "--maxlag", "2",
+                             "--out", str(out))
+        err = expect_exit(capsys, argv, 2, "max feasible level").err
         assert "la20 level 8 with grid half-width 2" in err and "n=59" in err
-        assert "max feasible level" in err
         assert not out.exists()
 
     def test_estimate_colliding_grid_is_data_error(self, tmp_path, capsys):
@@ -768,62 +738,42 @@ class TestEndToEnd:
         for name in ("a.csv", "b.csv"):
             (tmp_path / name).write_text("\n".join(rows) + "\n")
         out = tmp_path / "r.json"
-        code = main(
-            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"),
-             "--family", "haar", "--levels", "1", "--maxlag", "2",
-             "--t0", "1.7e9", "--tau", "1e-7", "--n", "5000", "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "grid points collide" in err and "tau=1e-07" in err
-        assert "Traceback" not in err
+        argv = estimate_argv(tmp_path, "--family", "haar", "--levels", "1", "--maxlag", "2",
+                             "--t0", "1.7e9", "--tau", "1e-7", "--n", "5000", "--out", str(out))
+        assert "tau=1e-07" in expect_exit(capsys, argv, 2, "grid points collide").err
         assert not out.exists()
 
     def test_estimate_overflowing_grid_is_data_error(self, tmp_path, capsys):
         # the points past step 17 overflow to +inf, where they would collide
         (tmp_path / "a.csv").write_text("timestamp,price\n0,1\n1,2\n")
         out = tmp_path / "r.json"
-        code = main(
-            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "a.csv"),
-             "--family", "haar", "--levels", "1", "--maxlag", "0",
-             "--t0", "0", "--tau", "1e307", "--n", "30", "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "grid overflows" in err and "collide" not in err
+        argv = ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "a.csv"),
+                "--family", "haar", "--levels", "1", "--maxlag", "0",
+                "--t0", "0", "--tau", "1e307", "--n", "30", "--out", str(out)]
+        err = expect_exit(capsys, argv, 2, "grid overflows").err
+        assert "collide" not in err
         assert "t0=0.0" in err and "tau=1e+307" in err and "n=30" in err
-        assert "Traceback" not in err
         assert not out.exists()
 
     def test_estimate_derived_grid_of_too_many_steps_is_data_error(self, tmp_path, capsys):
         # 59 s over the subnormal tau=5e-324 is inf grid steps
-        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
-        (tmp_path / "a.csv").write_text("\n".join(rows) + "\n")
+        write_ticks(tmp_path, names=["a.csv"])
         out = tmp_path / "r.json"
-        code = main(
-            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "a.csv"),
-             "--family", "haar", "--levels", "1", "--maxlag", "2", "--tau", "5e-324",
-             "--out", str(out)]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "data error: series overlap of 59.0 s holds too many grid steps of 5e-324 s" in err
-        assert "Traceback" not in err
+        argv = ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "a.csv"),
+                "--family", "haar", "--levels", "1", "--maxlag", "2", "--tau", "5e-324",
+                "--out", str(out)]
+        needle = "data error: series overlap of 59.0 s holds too many grid steps of 5e-324 s"
+        expect_exit(capsys, argv, 2, needle)
         assert not out.exists()
 
-    def test_estimate_given_n_checks_the_levels_once(self, tmp_path, monkeypatch):
-        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
-        for name in ("a.csv", "b.csv"):
-            (tmp_path / name).write_text("\n".join(rows) + "\n")
+    def test_estimate_given_n_checks_the_levels_once(self, tmp_path, capsys, monkeypatch):
+        write_ticks(tmp_path)
         calls = []
         check = cli.check_levels_fit
         monkeypatch.setattr(cli, "check_levels_fit", lambda *a: calls.append(a) or check(*a))
-        code = main(
-            ["estimate", "--in1", str(tmp_path / "a.csv"), "--in2", str(tmp_path / "b.csv"),
-             "--family", "haar", "--levels", "2", "--maxlag", "3", "--n", "50",
-             "--out", str(tmp_path / "r.json")]
-        )
-        assert code == 0
+        argv = estimate_argv(tmp_path, "--family", "haar", "--levels", "2", "--maxlag", "3", "--n", "50",
+                             "--out", str(tmp_path / "r.json"))
+        expect_exit(capsys, argv, 0)
         assert calls == [("haar", 2, 3, 50)]
 
     @pytest.mark.parametrize(
@@ -837,34 +787,16 @@ class TestEndToEnd:
         (tmp_path / "a.csv").write_text(good)
         (tmp_path / "b.csv").write_text("\n".join(rows) + "\n")
         out = tmp_path / "r.json"
-        code = main(
-            [
-                "estimate",
-                "--in1", str(tmp_path / "a.csv"),
-                "--in2", str(tmp_path / "b.csv"),
-                "--family", "haar",
-                "--levels", "1",
-                "--maxlag", "2",
-                "--out", str(out),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert needle in err
-        assert "Traceback" not in err
+        argv = estimate_argv(tmp_path, "--family", "haar", "--levels", "1", "--maxlag", "2",
+                             "--out", str(out))
+        expect_exit(capsys, argv, 2, needle)
         assert not out.exists()
 
     def test_mc_unknown_family_is_data_error(self, tmp_path, capsys):
-        config = {"model": benchmark_spec(n=1200), "families": ["la9"], "j_max": 1, "l_max": 12}
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
+        config_path = write_json(tmp_path, dict(SMALL_MC, families=["la9"]), "mc.json")
         out = tmp_path / "o.csv"
-        code = main(["mc", "--config", str(config_path), "--reps", "1", "--threads", "1", "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "'la9'" in err
-        assert "haar, la8, la20" in err
-        assert "Traceback" not in err
+        argv = ["mc", "--config", config_path, "--reps", "1", "--threads", "1", "--out", str(out)]
+        assert "haar, la8, la20" in expect_exit(capsys, argv, 2, "'la9'").err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -882,41 +814,23 @@ class TestEndToEnd:
         ],
     )
     def test_estimate_bad_grid_flags(self, tmp_path, capsys, flags, code):
-        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
-        for name in ("a.csv", "b.csv"):
-            (tmp_path / name).write_text("\n".join(rows) + "\n")
+        write_ticks(tmp_path)
         out = tmp_path / "r.json"
-        argv = [
-            "estimate",
-            "--in1", str(tmp_path / "a.csv"),
-            "--in2", str(tmp_path / "b.csv"),
-            "--family", "haar",
-            "--levels", "1",
-            "--maxlag", "2",
-            "--out", str(out),
-        ]
-        assert main(argv + flags.split()) == code
-        err = capsys.readouterr().err
+        argv = estimate_argv(tmp_path, "--family", "haar", "--levels", "1", "--maxlag", "2",
+                             "--out", str(out))
+        err = expect_exit(capsys, argv + flags.split(), code).err
         assert flags.split()[0] in err or "too large" in err
-        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["sim_max_lag", "replication", "threads", "include_hry"])
     def test_mc_unknown_config_key_is_data_error(self, tmp_path, capsys, monkeypatch, key):
-        def no_embedding(*args):
-            raise AssertionError("the experiment started")
-
         monkeypatch.setattr(montecarlo, "build_embedding", no_embedding)
         config = {"schema_version": 1, "model": benchmark_spec(n=1200), "j_max": 1, key: 2}
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
         out = tmp_path / "o.csv"
-        code = main(["mc", "--config", str(config_path), "--reps", "1", "--threads", "1", "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"unknown MC config key {key!r}" in err
+        argv = ["mc", "--config", write_json(tmp_path, config, "mc.json"), "--reps", "1", "--threads", "1",
+                "--out", str(out)]
+        err = expect_exit(capsys, argv, 2, f"unknown MC config key {key!r}").err
         assert "schema_version, model, model_path" in err
-        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -935,16 +849,10 @@ class TestEndToEnd:
     def test_mc_wrongly_typed_config_value_is_data_error(
         self, tmp_path, capsys, key, value, needle
     ):
-        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
-        config[key] = value
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
+        config_path = write_json(tmp_path, dict(SMALL_MC, **{key: value}), "mc.json")
         out = tmp_path / "o.csv"
-        code = main(["mc", "--config", str(config_path), "--reps", "1", "--threads", "1", "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"MC config key {key!r} {needle}" in err
-        assert "Traceback" not in err
+        argv = ["mc", "--config", config_path, "--reps", "1", "--threads", "1", "--out", str(out)]
+        expect_exit(capsys, argv, 2, f"MC config key {key!r} {needle}")
         assert not out.exists()
 
     def test_mc_invalid_summary_exits_numeric(self, tmp_path, capsys, monkeypatch):
@@ -958,15 +866,10 @@ class TestEndToEnd:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "run_replication", flaky)
-        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
+        config_path = write_json(tmp_path, SMALL_MC, "mc.json")
         out = tmp_path / "o.csv"
-        code = main(["mc", "--config", str(config_path), "--reps", "4", "--threads", "1", "--out", str(out)])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "warning: 1 of 4 replications failed; summary marked invalid" in err
-        assert "Traceback" not in err
+        argv = ["mc", "--config", config_path, "--reps", "4", "--threads", "1", "--out", str(out)]
+        expect_exit(capsys, argv, 3, "warning: 1 of 4 replications failed; summary marked invalid")
         lines = out.read_text().splitlines()
         assert lines[0] == "# leadlag-mc-summary schema_version=1"
         assert lines[2].startswith("haar,median,")
@@ -977,33 +880,23 @@ class TestEndToEnd:
             raise ll.DataError("injected failure")
 
         monkeypatch.setattr(montecarlo, "run_replication", failing)
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps({"model": benchmark_spec(n=1200), "j_max": 1, "l_max": 12}))
+        config = {"model": benchmark_spec(n=1200), "j_max": 1, "l_max": 12}
+        config_path = write_json(tmp_path, config, "mc.json")
         out = tmp_path / "o.csv"
-        code = main(
-            ["mc", "--config", str(config_path), "--reps", "16", "--seed", "5",
-             "--threads", threads, "--out", str(out)]
-        )
-        assert code == 2
+        argv = ["mc", "--config", config_path, "--reps", "16", "--seed", "5",
+                "--threads", threads, "--out", str(out)]
         seed = montecarlo.replication_seeds(5, 16)[0]
-        assert capsys.readouterr().err == (
+        assert expect_exit(capsys, argv, 2).err == (
             f"data error: every replication failed; the first, replication 0 (seed {seed}), "
             "raised DataError: injected failure\n"
         )
         assert os.listdir(tmp_path) == ["mc.json"]
 
     def test_mc_smoke_two_replications(self, tmp_path):
-        config = {
-            "model": benchmark_spec(n=1200),
-            "families": ["haar"],
-            "j_max": 2,
-            "l_max": 12,
-        }
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
+        config_path = write_json(tmp_path, dict(SMALL_MC, j_max=2), "mc.json")
         out = tmp_path / "table.csv"
         assert main(
-            ["mc", "--config", str(config_path), "--reps", "2", "--seed", "7", "--out", str(out)]
+            ["mc", "--config", config_path, "--reps", "2", "--seed", "7", "--out", str(out)]
         ) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[1] == "family,statistic,j1,j2"
@@ -1012,12 +905,9 @@ class TestEndToEnd:
 
     def test_mc_config_naming_model_and_model_path_is_data_error(self, tmp_path, capsys):
         config = {"model": benchmark_spec(n=1200), "model_path": str(CONFIGS / "benchmark_model.json")}
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
-        out = tmp_path / "o.csv"
-        assert main(["mc", "--config", str(config_path), "--reps", "1", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "data error: MC config names both 'model' and 'model_path'" in err
+        argv = ["mc", "--config", write_json(tmp_path, config, "mc.json"), "--reps", "1",
+                "--out", str(tmp_path / "o.csv")]
+        expect_exit(capsys, argv, 2, "data error: MC config names both 'model' and 'model_path'")
         assert os.listdir(tmp_path) == ["mc.json"]
 
     def test_mc_model_path_config_runs_as_its_inline_model(self, tmp_path):
@@ -1026,10 +916,9 @@ class TestEndToEnd:
         outputs = []
         for name, source in (("path", {"model_path": str(CONFIGS / "benchmark_model.json")}),
                              ("inline", {"model": inline})):
-            config_path = tmp_path / f"{name}.json"
-            config_path.write_text(json.dumps(dict(source, families=["haar"], j_max=1)))
+            config_path = write_json(tmp_path, dict(source, families=["haar"], j_max=1), f"{name}.json")
             out = tmp_path / f"{name}.csv"
-            assert main(["mc", "--config", str(config_path), "--reps", "2", "--seed", "3",
+            assert main(["mc", "--config", config_path, "--reps", "2", "--seed", "3",
                          "--threads", "1", "--out", str(out)]) == 0
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
@@ -1038,26 +927,15 @@ class TestEndToEnd:
     def test_mc_missing_model_path_is_data_error(self, tmp_path, capsys, monkeypatch):
         runs = []
         monkeypatch.setattr(montecarlo, "run_mc", runs.append)
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps({"model_path": str(tmp_path / "absent.json")}))
-        out = tmp_path / "o.csv"
-        assert main(["mc", "--config", str(config_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
+        config_path = write_json(tmp_path, {"model_path": str(tmp_path / "absent.json")}, "mc.json")
+        err = expect_exit(capsys, ["mc", "--config", config_path, "--out", str(tmp_path / "o.csv")], 2).err
         assert err.startswith("data error: cannot read model file") and "absent.json" in err
         assert runs == []
         assert os.listdir(tmp_path) == ["mc.json"]
 
     def test_leadlag_threads_in_environment_is_ignored(self, tmp_path, monkeypatch):
         # the worker count comes from --threads alone
-        config = {
-            "model": benchmark_spec(n=1200),
-            "families": ["haar"],
-            "j_max": 1,
-            "l_max": 12,
-        }
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
-        argv = ["mc", "--config", str(config_path), "--reps", "2", "--out"]
+        argv = ["mc", "--config", write_json(tmp_path, SMALL_MC, "mc.json"), "--reps", "2", "--out"]
         assert main(argv + [str(tmp_path / "plain.csv")]) == 0
         monkeypatch.setenv("LEADLAG_THREADS", "many")
         assert main(argv + [str(tmp_path / "env.csv")]) == 0
@@ -1070,19 +948,15 @@ class TestSchemaVersion:
     def test_unsupported_version_is_data_error(self, tmp_path, capsys, command, version):
         if command == "mc":
             config = {"schema_version": version, "model": SMALL_SPEC, "families": ["haar"], "j_max": 1}
-            (tmp_path / "in.json").write_text(json.dumps(config))
-            argv = ["mc", "--config", str(tmp_path / "in.json"), "--threads", "1"]
+            argv = ["mc", "--config", write_json(tmp_path, config, "in.json"), "--threads", "1"]
             needle = "MC config key 'schema_version'"
         else:
-            write_model(tmp_path, dict(SMALL_SPEC, schema_version=version), name="in.json")
-            argv = [command, "--model", str(tmp_path / "in.json")]
+            spec = dict(SMALL_SPEC, schema_version=version)
+            argv = [command, "--model", write_json(tmp_path, spec, "in.json")]
             needle = "model key 'schema_version'"
         if command != "model-check":
             argv += ["--out", str(tmp_path / "out.csv")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert needle in err
-        assert "Traceback" not in err
+        expect_exit(capsys, argv, 2, needle)
         assert sorted(os.listdir(tmp_path)) == ["in.json"]
 
 
@@ -1092,15 +966,10 @@ class TestMcEmbedding:
         # |R| = 0.95 is beyond the embedding's ceiling of about 0.92
         model = {"J": 13, "n": 2000, "levels": [{"j": 3, "R": 0.95, "theta_over_tau": -2}]}
         config = {"model": model, "families": ["haar"], "j_max": 3, "l_max": 12, "replications": 4}
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
         out = tmp_path / "o.csv"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "leadlag.cli", "mc", "--config", str(config_path),
-             "--threads", threads, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        argv = ["mc", "--config", write_json(tmp_path, config, "mc.json"), "--threads", threads,
+                "--out", str(out)]
+        proc = run_child(["-m", "leadlag.cli", *argv], timeout=120)
         assert proc.returncode == 3
         assert "numeric error: invalid circulant embedding" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -1112,23 +981,17 @@ class TestTooLargeToAllocate:
 
     @pytest.mark.parametrize("n", [2**40, 2**62])
     def test_simulate(self, tmp_path, capsys, n):
-        model_path = write_model(tmp_path, dict(SMALL_SPEC, n=n))
+        model_path = write_json(tmp_path, dict(SMALL_SPEC, n=n))
         argv = ["simulate", "--model", model_path, "--out", str(tmp_path / "path.csv")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"n={n} is too large to allocate" in err
-        assert "Traceback" not in err
+        expect_exit(capsys, argv, 2, f"n={n} is too large to allocate")
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_mc(self, tmp_path, capsys, threads):
         config = {"model": dict(SMALL_SPEC, n=2**40), "families": ["haar"], "j_max": 1, "l_max": 12}
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
-        argv = ["mc", "--config", str(config_path), "--reps", "2", "--threads", threads]
-        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
-        err = capsys.readouterr().err
-        assert f"n={2**40} is too large to allocate" in err
+        argv = ["mc", "--config", write_json(tmp_path, config, "mc.json"), "--reps", "2",
+                "--threads", threads, "--out", str(tmp_path / "o.csv")]
+        expect_exit(capsys, argv, 2, f"n={2**40} is too large to allocate")
         assert sorted(os.listdir(tmp_path)) == ["mc.json"]
 
     @pytest.mark.parametrize(
@@ -1139,16 +1002,10 @@ class TestTooLargeToAllocate:
         # the largest integers a JSON file can hold; 2n points cannot be indexed
         if command == "mc":
             config = {"model": dict(SMALL_SPEC, n=n), "families": ["haar"], "j_max": 1, "l_max": 12}
-            (tmp_path / "in.json").write_text(json.dumps(config))
-            argv = ["mc", "--config", str(tmp_path / "in.json"), "--threads", "1"]
+            argv = ["mc", "--config", write_json(tmp_path, config, "in.json"), "--threads", "1"]
         else:
-            write_model(tmp_path, dict(SMALL_SPEC, n=n), name="in.json")
-            argv = ["simulate", "--model", str(tmp_path / "in.json")]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "leadlag.cli", *argv, "--out", str(tmp_path / "out.csv")],
-            env=env, capture_output=True, text=True, timeout=30,
-        )
+            argv = ["simulate", "--model", write_json(tmp_path, dict(SMALL_SPEC, n=n), "in.json")]
+        proc = run_child(["-m", "leadlag.cli", *argv, "--out", str(tmp_path / "out.csv")], timeout=30)
         assert proc.returncode == 2
         assert "is too large to allocate a circulant embedding" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -1159,13 +1016,9 @@ class TestTooLargeToAllocate:
         # numpy refuses this many seeds up front; a count it would allocate is not run
         reps = str(2**62)
         config = {"model": SMALL_SPEC, "families": ["haar"], "j_max": 1, "l_max": 12}
-        (tmp_path / "in.json").write_text(json.dumps(config))
-        argv = ["mc", "--config", str(tmp_path / "in.json"), "--reps", reps, "--threads", threads]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "leadlag.cli", *argv, "--out", str(tmp_path / "out.csv")],
-            env=env, capture_output=True, text=True, timeout=30,
-        )
+        argv = ["mc", "--config", write_json(tmp_path, config, "in.json"), "--reps", reps,
+                "--threads", threads]
+        proc = run_child(["-m", "leadlag.cli", *argv, "--out", str(tmp_path / "out.csv")], timeout=30)
         assert proc.returncode == 2
         assert f"replications={reps} is too many" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -1173,26 +1026,21 @@ class TestTooLargeToAllocate:
 
     def test_gain_points(self, tmp_path, capsys):
         out = tmp_path / "gain.csv"
-        assert main(["gain", "--family", "haar", "--points", "100000000000", "--out", str(out)]) == 2
-        assert "--points 100000000000 is too large to allocate" in capsys.readouterr().err
+        argv = ["gain", "--family", "haar", "--points", "100000000000", "--out", str(out)]
+        expect_exit(capsys, argv, 2, "--points 100000000000 is too large to allocate")
         assert not out.exists()
 
     def test_estimate_maxlag(self, tmp_path, capsys):
-        rows = ["timestamp,price"] + [f"{t}.0,{100.0 + t}" for t in range(60)]
-        for name in ("a.csv", "b.csv"):
-            (tmp_path / name).write_text("\n".join(rows) + "\n")
+        write_ticks(tmp_path)
         out = tmp_path / "r.json"
-        argv = [
-            "estimate",
-            "--in1", str(tmp_path / "a.csv"),
-            "--in2", str(tmp_path / "b.csv"),
+        argv = estimate_argv(
+            tmp_path,
             "--family", "haar",
             "--levels", "1",
             "--maxlag", "100000000000",
             "--out", str(out),
-        ]
-        assert main(argv) == 2
-        assert "grid half-width 100000000000" in capsys.readouterr().err
+        )
+        expect_exit(capsys, argv, 2, "grid half-width 100000000000")
         assert not out.exists()
 
 
@@ -1211,10 +1059,8 @@ class TestMcDesign:
 
         monkeypatch.setattr(montecarlo, "run_mc", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
-        argv = ["mc", "--config", str(config_path), "--reps", "1", "--out", str(tmp_path / "o.csv")]
+        argv = ["mc", "--config", write_json(tmp_path, SMALL_MC, "mc.json"), "--reps", "1",
+                "--out", str(tmp_path / "o.csv")]
         if flag is not None:
             argv += ["--threads", flag]
         assert main(argv) == 0
@@ -1229,16 +1075,10 @@ class TestMcDesign:
         ],
     )
     def test_mc_empty_design_is_data_error(self, tmp_path, capsys, key, value, needle):
-        config = {"model": benchmark_spec(n=1200), "families": ["haar"], "j_max": 1, "l_max": 12}
-        config[key] = value
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps(config))
+        config_path = write_json(tmp_path, dict(SMALL_MC, **{key: value}), "mc.json")
         out = tmp_path / "o.csv"
-        code = main(["mc", "--config", str(config_path), "--reps", "2", "--threads", "1", "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert needle in err
-        assert "Traceback" not in err
+        argv = ["mc", "--config", config_path, "--reps", "2", "--threads", "1", "--out", str(out)]
+        expect_exit(capsys, argv, 2, needle)
         assert not out.exists()
 
 
@@ -1283,7 +1123,7 @@ def estimate_reports(draw):
 class TestReportWriter:
     def test_estimate_report_round_trips_and_equals_old_rendering(self, tmp_path):
         spec = dict(SMALL_SPEC, pi1=0.3, pi2=0.3)
-        model_path = write_model(tmp_path, spec)
+        model_path = write_json(tmp_path, spec)
         t1, t2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         path_csv = tmp_path / "path.csv"
         assert main(
@@ -1411,7 +1251,7 @@ class TestEstimateProperty:
         max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     def test_exit_code_and_no_partial_output(self, tmp_path, text1, text2, flags):
-        # in-process, a traceback would be an exception escaping main()
+        # in-process, an exception escaping main() fails the test
         work = tempfile.mkdtemp(dir=tmp_path)
         for name, text in (("a.csv", text1), ("b.csv", text2)):
             with open(os.path.join(work, name), "wb") as fh:
@@ -1419,11 +1259,9 @@ class TestEstimateProperty:
         out = os.path.join(work, "report.json")
         argv = ["estimate", "--in1", os.path.join(work, "a.csv"), "--in2",
                 os.path.join(work, "b.csv"), "--family", "haar", "--out", out] + flags
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err.getvalue()
         expected = ["a.csv", "b.csv"] + (["report.json"] if code == 0 else [])
         assert sorted(os.listdir(work)) == expected
         if code == 0:
@@ -1448,26 +1286,14 @@ def opens_for_writing(call) -> bool:
 
 
 class TestImport:
-    def test_cli_import_leaves_the_process_pool_unloaded(self):
+    def test_cli_import_leaves_the_pool_logging_and_scipy_unloaded(self):
         # run_mc imports the pool only when it starts one
         probe = (
-            "import sys, leadlag.cli; "
-            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+            "import sys, leadlag.cli\n"
+            "unloaded = ('concurrent.futures.process', 'multiprocessing', 'logging', 'scipy')\n"
+            "print([m for m in sys.modules if m in unloaded or m.startswith('scipy.')])\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
-
-    @pytest.mark.parametrize("module", ["leadlag", "leadlag.cli"])
-    def test_import_loads_no_scipy_module(self, module):
-        probe = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "[]"
+        assert self.fresh_output(probe) == "[]"
 
     def test_package_imports_no_scipy(self):
         # numpy is the only runtime dependency; the scipy oracles live in tests/
@@ -1500,6 +1326,25 @@ class TestImport:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")
             and node.name not in used
+        ]
+        assert unused == []
+
+    def test_every_shared_test_function_is_used_by_a_test_module(self):
+        # the same for the tests' shared code: each public function of
+        # oracles.py and conftest.py is named by a test module, a fixture
+        # as a test's parameter
+        tests = pathlib.Path(__file__).parent
+        used = {
+            node.id if isinstance(node, ast.Name) else node.arg
+            for path in sorted(tests.glob("test_*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.arg))
+        }
+        unused = [
+            f"{name}.{node.name}"
+            for name in ("oracles", "conftest")
+            for node in ast.parse((tests / f"{name}.py").read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in used
         ]
         assert unused == []
 
@@ -1600,14 +1445,6 @@ class TestImport:
         ]
         assert found == []
 
-    def test_cli_import_leaves_logging_unloaded(self):
-        probe = "import sys, leadlag.cli; print('logging' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
-
     def test_only_atomic_output_writes_files(self):
         # one output path: only cli.atomic_output creates, renames or removes
         # a file or opens one for writing; every other open() reads
@@ -1650,11 +1487,7 @@ class TestImport:
     @staticmethod
     def fresh_output(probe, *args):
         """stdout of ``probe`` run in a fresh interpreter with ``args``."""
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ll.__file__)))
-        out = subprocess.run(
-            [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
-        )
-        return out.stdout.strip()
+        return run_child(["-c", probe, *args], check=True).stdout.strip()
 
     def test_estimate_and_gain_leave_model_simulate_and_mc_unloaded(self, tmp_path):
         # the estimate path imports none of the three, nor do its commands
@@ -1712,10 +1545,10 @@ class TestImport:
 
     def test_package_import_loads_no_module_and_lists_every_name(self):
         # every public name imports its module on first access, and dir()
-        # lists all of them before any is loaded
+        # lists all of them before any is loaded; no numpy, so no scipy either
         probe = (
             "import sys, leadlag\n"
-            "print([m for m in sys.modules if m.startswith('leadlag.') or m == 'numpy'])\n"
+            "print([m for m in sys.modules if m.startswith(('leadlag.', 'scipy')) or m == 'numpy'])\n"
             "print([name for name in leadlag.__all__ if name not in dir(leadlag)])\n"
         )
         assert self.fresh_output(probe).splitlines() == ["[]", "[]"]
@@ -1743,14 +1576,9 @@ class TestHelpDocumentsUnits:
 
 class TestAtomicOutput:
     def test_bad_output_directory_fails_before_computation(self, tmp_path, capsys):
-        config_path = tmp_path / "mc.json"
-        config_path.write_text(json.dumps({"model": benchmark_spec(n=1200)}))
-        code = main(
-            ["mc", "--config", str(config_path), "--reps", "1",
-             "--out", str(tmp_path / "missing" / "out.csv")]
-        )
-        assert code == 2
-        assert "output directory" in capsys.readouterr().err
+        config_path = write_json(tmp_path, {"model": benchmark_spec(n=1200)}, "mc.json")
+        argv = ["mc", "--config", config_path, "--reps", "1", "--out", str(tmp_path / "missing" / "out.csv")]
+        expect_exit(capsys, argv, 2, "output directory")
 
     def test_no_partial_file_on_failure(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -1779,7 +1607,17 @@ class TestAtomicOutput:
 
 
 def snapshot(root):
-    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+    """Each path under ``root`` with its file type, inode and content: the
+    bytes of a regular file, the target of a symlink. A FIFO is not read."""
+    state = {}
+    for path in sorted(root.rglob("*")):
+        info = path.lstat()
+        if stat.S_ISREG(info.st_mode):
+            content = path.read_bytes()
+        else:
+            content = os.readlink(path) if stat.S_ISLNK(info.st_mode) else None
+        state[str(path.relative_to(root))] = (stat.S_IFMT(info.st_mode), info.st_ino, content)
+    return state
 
 
 # each command's output flags, with the call that starts its work
@@ -1799,58 +1637,76 @@ def call_owner(first_call):
     return {"run_mc": montecarlo, "load_model": model}.get(first_call, cli)
 
 
+# any of these calls starts a command's work; mc loads its model through montecarlo
+WORK_STARTS = {(call_owner(name), name) for _, _, name in OUTPUT_FLAGS} | {(montecarlo, "load_model")}
+
+
+@pytest.fixture
+def work(tmp_path, monkeypatch):
+    """Inputs of every command in in/, and an empty directory existing/ in
+    work/, the working directory."""
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "model.json").write_text(json.dumps(dict(SMALL_SPEC, n=64)))
+    (inputs / "mc.json").write_text(json.dumps({"model": benchmark_spec(n=1200), "j_max": 1}))
+    ticks = "timestamp,price\n" + "".join(f"{t}.0,{100 + t % 3}.0\n" for t in range(64))
+    (inputs / "a.csv").write_text(ticks)
+    (inputs / "b.csv").write_text(ticks)
+    work = tmp_path / "work"
+    (work / "existing").mkdir(parents=True)
+    monkeypatch.chdir(work)  # the bad paths are relative to it; "" resolves into tmp_path
+    return tmp_path
+
+
+def command_argv(root, command, flag, path):
+    """``command`` on the inputs of the ``work`` tree at ``root``, with
+    ``path`` for its output flag ``flag``."""
+    inputs, work = root / "in", root / "work"
+    argv = {
+        "gain": ["gain", "--family", "haar", "--level", "2"],
+        "estimate": ["estimate", "--in1", str(inputs / "a.csv"), "--in2", str(inputs / "b.csv"),
+                     "--levels", "1", "--maxlag", "2"],
+        "mc": ["mc", "--config", str(inputs / "mc.json"), "--reps", "1", "--threads", "1"],
+        "simulate": ["simulate", "--model", str(inputs / "model.json"),
+                     "--out", str(work / "path.csv"), "--ticks1", str(work / "t1.csv"),
+                     "--ticks2", str(work / "t2.csv")],
+    }[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = path
+    else:
+        argv += [flag, path]
+    return argv
+
+
+def expect_refusal(capsys, monkeypatch, root, argv, message):
+    """``main(argv)`` must exit 2 with ``message`` in stderr before any call
+    in WORK_STARTS, and leave every path under ``root`` as it was. Returns
+    its stderr."""
+    calls = []
+    for owner, name in WORK_STARTS:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
+    before = snapshot(root)
+    err = expect_exit(capsys, argv, 2, message).err
+    assert calls == []
+    assert snapshot(root) == before
+    return err
+
+
 class TestBadOutputPath:
     """Every output is opened before the work: a path that cannot be an
     output file is exit 2, naming it, with no input read and no file left
     (for simulate, none of its path and tick files)."""
 
-    @pytest.fixture
-    def work(self, tmp_path, monkeypatch):
-        inputs = tmp_path / "in"
-        inputs.mkdir()
-        (inputs / "model.json").write_text(json.dumps(dict(SMALL_SPEC, n=64)))
-        (inputs / "mc.json").write_text(json.dumps({"model": benchmark_spec(n=1200), "j_max": 1}))
-        ticks = "timestamp,price\n" + "".join(f"{t}.0,{100 + t % 3}.0\n" for t in range(64))
-        (inputs / "a.csv").write_text(ticks)
-        (inputs / "b.csv").write_text(ticks)
-        work = tmp_path / "work"
-        (work / "existing").mkdir(parents=True)
-        monkeypatch.chdir(work)  # the bad paths are relative to it; "" resolves into tmp_path
-        return tmp_path
-
-    @staticmethod
-    def argv(root, command, flag, bad):
-        inputs, work = root / "in", root / "work"
-        argv = {
-            "gain": ["gain", "--family", "haar", "--level", "2"],
-            "estimate": ["estimate", "--in1", str(inputs / "a.csv"), "--in2", str(inputs / "b.csv"),
-                         "--levels", "1", "--maxlag", "2"],
-            "mc": ["mc", "--config", str(inputs / "mc.json"), "--reps", "1", "--threads", "1"],
-            "simulate": ["simulate", "--model", str(inputs / "model.json"),
-                         "--out", str(work / "path.csv"), "--ticks1", str(work / "t1.csv"),
-                         "--ticks2", str(work / "t2.csv")],
-        }[command]
-        if flag in argv:
-            argv[argv.index(flag) + 1] = bad
-        else:
-            argv += [flag, bad]
-        return argv
-
-    @pytest.mark.parametrize("bad", ["existing", "new" + os.sep, ""], ids=["directory", "separator", "empty"])
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [("existing", "is not a regular file"), ("new" + os.sep, "names no file"), ("", "names no file")],
+        ids=["directory", "separator", "empty"],
+    )
     @pytest.mark.parametrize("command, flag, first_call", OUTPUT_FLAGS, ids=lambda v: v)
-    def test_exits_2_before_the_work(self, work, capsys, monkeypatch, command, flag, first_call, bad):
-        calls = []
-        owner = call_owner(first_call)
-        real = getattr(owner, first_call)
-        monkeypatch.setattr(owner, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        before = snapshot(work)
-        code = main(self.argv(work, command, flag, bad))
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert f"data error: output path {bad!r}" in err
-        assert "Traceback" not in err
-        assert calls == []
-        assert snapshot(work) == before
+    def test_exits_2_before_the_work(self, work, capsys, monkeypatch, command, flag, first_call, bad, reason):
+        argv = command_argv(work, command, flag, bad)
+        expect_refusal(capsys, monkeypatch, work, argv, f"data error: output path {bad!r} {reason}")
 
 
 @pytest.fixture
@@ -1871,11 +1727,9 @@ class TestOutputLandsAsOpenWould:
     that is not a regular file, or has other hard links, is refused before
     the work."""
 
-    work = TestBadOutputPath.work
-
     @staticmethod
     def run(root, command, flag, path):
-        assert main(TestBadOutputPath.argv(root, command, flag, path)) == 0
+        assert main(command_argv(root, command, flag, path)) == 0
 
     def test_new_output_takes_the_umask(self, work, command, flag, first_call):
         self.run(work, command, flag, "new.csv")
@@ -1901,76 +1755,32 @@ class TestOutputLandsAsOpenWould:
 
     def test_fifo_is_exit_2_before_the_work(self, work, capsys, monkeypatch, command, flag, first_call):
         os.mkfifo(work / "work" / "fifo")
-        calls = []
-        owner = call_owner(first_call)
-        real = getattr(owner, first_call)
-        monkeypatch.setattr(owner, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        before = snapshot(work)
-        code = main(TestBadOutputPath.argv(work, command, flag, "fifo"))
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert "data error: output path 'fifo' is not a regular file" in err
-        assert calls == []
-        assert snapshot(work) == before
-        assert stat.S_ISFIFO(os.stat(work / "work" / "fifo").st_mode)
+        argv = command_argv(work, command, flag, "fifo")
+        needle = "data error: output path 'fifo' is not a regular file"
+        expect_refusal(capsys, monkeypatch, work, argv, needle)
 
     def test_hard_link_is_exit_2_before_the_work(self, work, capsys, monkeypatch, command, flag, first_call):
         # replacing one name would leave the other on the old content
-        out, hard = work / "work" / "out.csv", work / "work" / "hard.csv"
+        out = work / "work" / "out.csv"
         out.write_text("old\n")
-        os.link(out, hard)
-        calls = []
-        owner = call_owner(first_call)
-        real = getattr(owner, first_call)
-        monkeypatch.setattr(owner, first_call, lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        before = snapshot(work)
-        code = main(TestBadOutputPath.argv(work, command, flag, "out.csv"))
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert "data error: output path 'out.csv' has other hard links" in err
-        assert calls == []
-        assert snapshot(work) == before
-        assert out.read_text() == hard.read_text() == "old\n"
-        assert os.path.samefile(out, hard)
-
-
-class TestEstimateOutputIsNotAnInput:
-    """A report renamed onto an input's file would replace that tick file:
-    exit 2 before any input is read, naming both flags."""
-
-    work = TestBadOutputPath.work
-
-    @pytest.mark.parametrize(
-        "path, first",
-        [("../in/a.csv", "--in1"), ("../in/b.csv", "--in2"), ("link.csv", "--in1")],
-        ids=["in1", "in2", "symlink"],
-    )
-    def test_exits_2_before_the_work(self, work, capsys, monkeypatch, path, first):
-        (work / "work" / "link.csv").symlink_to(work / "in" / "a.csv")
-        ticks = (work / "in" / "a.csv").read_text()
-        calls = []
-        monkeypatch.setattr(cli, "read_csv", lambda *a, **kw: calls.append(a))
-        before = snapshot(work)
-        code = main(TestBadOutputPath.argv(work, "estimate", "--out", path))
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert f"data error: output path {path!r} of --out is also the file of {first}" in err
-        assert calls == []
-        assert snapshot(work) == before
-        assert (work / "in" / "a.csv").read_text() == ticks
+        os.link(out, work / "work" / "hard.csv")
+        argv = command_argv(work, command, flag, "out.csv")
+        needle = "data error: output path 'out.csv' has other hard links"
+        expect_refusal(capsys, monkeypatch, work, argv, needle)
 
 
 class TestOutputIsNotAnInput:
-    """``TestEstimateOutputIsNotAnInput`` for simulate and mc: an output
-    renamed onto an input's file, ``mc``'s config and the model file the
-    config names included, is exit 2 naming both flags, before any model
-    is loaded or replication runs, and the input keeps its bytes."""
-
-    work = TestBadOutputPath.work
+    """An output renamed onto an input's file would replace it: estimate's
+    tick files, simulate's model, mc's config and the model file the config
+    names. Exit 2 naming both flags, before any input is read, any model is
+    loaded or any replication runs, and every input keeps its bytes."""
 
     @pytest.mark.parametrize(
         "command, flag, path, first",
         [
+            ("estimate", "--out", "../in/a.csv", "--in1"),
+            ("estimate", "--out", "../in/b.csv", "--in2"),
+            ("estimate", "--out", "link.csv", "--in1"),
             ("simulate", "--out", "../in/model.json", "--model"),
             ("simulate", "--ticks1", "../in/model.json", "--model"),
             ("simulate", "--ticks2", "link.json", "--model"),
@@ -1978,51 +1788,37 @@ class TestOutputIsNotAnInput:
             ("mc-model-path", "--out", "../in/model.json", "MC config key 'model_path'"),
             ("mc-model-path", "--out", "link.json", "MC config key 'model_path'"),
         ],
-        ids=["simulate-out", "simulate-ticks1", "simulate-ticks2-symlink", "mc-config",
-             "mc-model-path", "mc-model-path-symlink"],
+        ids=["estimate-in1", "estimate-in2", "estimate-symlink", "simulate-out", "simulate-ticks1",
+             "simulate-ticks2-symlink", "mc-config", "mc-model-path", "mc-model-path-symlink"],
     )
     def test_exits_2_before_the_work(self, work, capsys, monkeypatch, command, flag, path, first):
         inputs = work / "in"
+        (work / "work" / "link.csv").symlink_to(inputs / "a.csv")
         (work / "work" / "link.json").symlink_to(inputs / "model.json")
         config = {"model_path": str(inputs / "model.json"), "families": ["haar"], "j_max": 1}
         (inputs / "mc-model-path.json").write_text(json.dumps(config))
-        originals = {p.name: p.read_bytes() for p in inputs.iterdir()}
-        calls = []
-        for owner, name in ((model, "load_model"), (montecarlo, "load_model"), (montecarlo, "run_mc")):
-            monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(a))
-        argv = TestBadOutputPath.argv(work, command.split("-")[0], flag, path)
+        argv = command_argv(work, command.split("-")[0], flag, path)
         if command == "mc-model-path":
             argv[argv.index("--config") + 1] = str(inputs / "mc-model-path.json")
-        before = snapshot(work)
-        code = main(argv)
-        err = capsys.readouterr().err
-        assert code == 2, err
+        err = expect_refusal(capsys, monkeypatch, work, argv, "")
         assert err == f"data error: output path {path!r} of {flag} is also the file of {first}\n"
-        assert calls == []
-        assert snapshot(work) == before
-        assert {p.name: p.read_bytes() for p in inputs.iterdir()} == originals
 
 
 class TestSimulateOutputsAreDistinct:
     """Two simulate outputs on one file would each be renamed onto it and
-    only the last kept: exit 2 before the work, naming both flags."""
-
-    work = TestBadOutputPath.work
+    only the last kept, and two on stdout would share one stream: exit 2
+    before the work, naming both flags."""
 
     @pytest.mark.parametrize(
         "flag, path, first",
         [("--ticks1", "path.csv", "--out"), ("--ticks2", "t1.csv", "--ticks1"),
-         ("--ticks2", "link.csv", "--out")],
-        ids=["out-ticks1", "ticks1-ticks2", "symlink"],
+         ("--ticks2", "link.csv", "--out"), ("--ticks1", "-", "--out")],
+        ids=["out-ticks1", "ticks1-ticks2", "symlink", "stdout"],
     )
     def test_exits_2_before_the_work(self, work, capsys, monkeypatch, flag, path, first):
         (work / "work" / "link.csv").symlink_to("path.csv")
-        calls = []
-        monkeypatch.setattr(model, "load_model", lambda *a, **kw: calls.append(a))
-        before = snapshot(work)
-        code = main(TestBadOutputPath.argv(work, "simulate", flag, path))
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert f"data error: output path {path!r} of {flag} is also the file of {first}" in err
-        assert calls == []
-        assert snapshot(work) == before
+        argv = command_argv(work, "simulate", flag, path)
+        if path == "-":
+            argv[argv.index(first) + 1] = "-"
+        err = expect_refusal(capsys, monkeypatch, work, argv, "")
+        assert err == f"data error: output path {path!r} of {flag} is also the file of {first}\n"

@@ -19,10 +19,10 @@ from leadlag.estimator import (
     modwt,
 )
 from leadlag.filters import FAMILIES, base_filter, cascade
-from leadlag.ingest import AlignedReturns
 from leadlag.simulate import _next_fast_len
 
-from conftest import convolved_cascade_taps
+from conftest import aligned, convolved_cascade_taps
+from oracles import eq17_cross_cov, lagged_sum
 
 
 def estimate_all_levels(ret1, ret2, families, j_max, grid):
@@ -40,38 +40,11 @@ def cross_cov(w1, w2, lag, tau):
     return float(curve.rho[abs(lag) + lag])
 
 
-def eq17_cross_cov(w1, w2, lag, tau, n, filter_length):
-    """Double-loop transcription of the lagged coefficient covariance.
-
-    Written against the index contract directly: coefficients live at
-    k = L_j - 1 .. n - 1, positive lags shift the second series, negative
-    lags shift the first, each normalized by its own pair count.
-    """
-    Lj = filter_length
-    first = Lj - 1
-    if lag >= 0:
-        count = n - lag - Lj + 1
-        total = 0.0
-        for k in range(first, n - lag):
-            total += w1[k - first] * w2[k + lag - first]
-    else:
-        count = n + lag - Lj + 1
-        total = 0.0
-        for k in range(first, n + lag):
-            total += w1[k - lag - first] * w2[k - first]
-    return total / (tau * count)
-
-
 def single_call_step(x, taps, step):
     """One pyramid step as one einsum over every output: the valid
     convolution with the taps spaced ``step`` apart, unblocked."""
     windows = np.lib.stride_tricks.sliding_window_view(x, (len(taps) - 1) * step + 1)[:, ::step]
     return np.einsum("kp,p->k", windows, taps[::-1], order="F")
-
-
-def aligned(values, tau=1.0):
-    values = np.asarray(values, dtype=float)
-    return AlignedReturns(tau=tau, returns=values, observed=np.ones(len(values) + 1, bool))
 
 
 class TestModwt:
@@ -605,16 +578,6 @@ class TestFiniteFilterExpectation:
         assert measured == pytest.approx(predicted, rel=0.03)
 
 
-def direct_lagged_sums(x1, x2, lags):
-    """sum_k x1[k] * x2[k + l] over the overlapping positions, lag by lag."""
-    m = len(x1)
-    out = []
-    for lag in lags:
-        lo, hi = max(0, -lag), min(m, m - lag)
-        out.append(sum(float(a) * float(b) for a, b in zip(x1[lo:hi], x2[lo + lag : hi + lag])))
-    return np.array(out)
-
-
 def section_length(half_width):
     """Values per section of the kernel's multi-section path at this grid
     half-width: the transform length less the 2H values the lags reach."""
@@ -657,7 +620,7 @@ class TestLaggedSums:
         x1, x2 = np.random.default_rng(seed).standard_normal((2, m))
         half = max(map(abs, lags))
         got = _lagged_sums(x1, x2, half)[np.asarray(lags) + half]
-        want = direct_lagged_sums(x1, x2, lags)
+        want = np.array([lagged_sum(x1, x2, lag) for lag in lags])
         bound = 1e-12 * np.linalg.norm(x1) * np.linalg.norm(x2)
         assert np.max(np.abs(got - want)) <= bound
 

@@ -21,31 +21,7 @@ from leadlag.ingest import (
 from leadlag.simulate import PathSample
 
 from conftest import benchmark_spec, pipe_path, tick_csv_text
-
-
-def chi_weighted_returns(increments, missing):
-    """Direct evaluation of the interpolation weight expansion.
-
-    The pseudo return over (k, k+1] is sum_alpha chi_k(alpha) * increment
-    (k - alpha), where chi_k(0) = 1 - delta_(k+1) and chi_k(alpha) keeps the
-    product of delta over the alpha preceding grid points. Deliberately
-    independent of the package implementation.
-    """
-    n = len(increments)
-    delta = [1 if m else 0 for m in missing]
-    out = [0.0] * n
-    for k in range(n):
-        total = 0.0
-        for alpha in range(0, k + 1):
-            chi = 1 - delta[k + 1]
-            for l in range(1, alpha + 1):
-                chi *= delta[k + 1 - l]
-                if chi == 0:
-                    break
-            if chi:
-                total += increments[k - alpha]
-        out[k] = total
-    return np.array(out)
+from oracles import chi_weighted_returns
 
 
 def write_aligned_csv(aligned: AlignedReturns, fh) -> None:

@@ -1,6 +1,8 @@
-"""Smoke tests: the experiment scripts under scripts/ and the README's
-Library example run against the package, the traced benchmark run's hooks
-record every layer, and the committed benchmark records keep their schema."""
+"""Smoke tests of what sits around the package: the scripts under scripts/
+run against it, the README's Library example and commands run as written,
+the committed benchmark configs share one model, the traced benchmark run's
+hooks record every layer, and the committed benchmark records keep their
+schema."""
 
 import contextlib
 import dataclasses
@@ -17,7 +19,7 @@ import sys
 import pytest
 
 import leadlag as ll
-from leadlag import cli, montecarlo
+from leadlag import cli
 from leadlag.montecarlo import load_mc_config, run_mc
 
 from conftest import BENCHMARK_LEVELS, CONFIGS
@@ -39,30 +41,6 @@ def load_module(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-@pytest.mark.parametrize(
-    "error, label, code",
-    [(ll.UsageError, "usage error", 1), (ll.DataError, "data error", 2),
-     (ll.NumericError, "numeric error", 3), (ll.LeadLagError, "error", 2)],
-    ids=["usage-mc", "data-mc", "numeric-mc", "plain-mc"],
-)
-def test_mc_and_the_script_report_a_failure_alike(
-    tmp_path, monkeypatch, capsys, error, label, code
-):
-    """``leadlag mc`` prints each error class's label, exits with its code
-    and leaves no output and no temp file."""
-    def fail(config):
-        raise error("injected failure")
-
-    model = dict(json.loads((CONFIGS / "benchmark_model.json").read_text()), n=1200)
-    config = {"model": model, "families": ["haar"], "j_max": 1, "l_max": 12}
-    (tmp_path / "mc.json").write_text(json.dumps(config))
-    monkeypatch.setattr(montecarlo, "run_mc", fail)
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["mc", "--config", "mc.json", "--out", "mc.csv", "--threads", "1"]) == code
-    assert capsys.readouterr().err == f"{label}: injected failure\n"
-    assert sorted(os.listdir(tmp_path)) == ["mc.json"]
 
 
 def test_gen_la_filters_reproduces_the_embedded_la8(tmp_path):
