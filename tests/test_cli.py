@@ -1286,13 +1286,20 @@ def opens_for_writing(call) -> bool:
 
 
 class TestImport:
-    def test_cli_import_leaves_the_pool_logging_and_scipy_unloaded(self):
+    def test_cli_import_leaves_the_process_pool_unloaded(self):
         # run_mc imports the pool only when it starts one
         probe = (
             "import sys, leadlag.cli\n"
-            "unloaded = ('concurrent.futures.process', 'multiprocessing', 'logging', 'scipy')\n"
-            "print([m for m in sys.modules if m in unloaded or m.startswith('scipy.')])\n"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
         )
+        assert self.fresh_output(probe) == "[]"
+
+    def test_cli_import_leaves_logging_unloaded(self):
+        assert self.fresh_output("import sys, leadlag.cli; print('logging' in sys.modules)") == "False"
+
+    @pytest.mark.parametrize("module", ["leadlag", "leadlag.cli"])
+    def test_import_loads_no_scipy_module(self, module):
+        probe = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
         assert self.fresh_output(probe) == "[]"
 
     def test_package_imports_no_scipy(self):
@@ -1545,10 +1552,10 @@ class TestImport:
 
     def test_package_import_loads_no_module_and_lists_every_name(self):
         # every public name imports its module on first access, and dir()
-        # lists all of them before any is loaded; no numpy, so no scipy either
+        # lists all of them before any is loaded
         probe = (
             "import sys, leadlag\n"
-            "print([m for m in sys.modules if m.startswith(('leadlag.', 'scipy')) or m == 'numpy'])\n"
+            "print([m for m in sys.modules if m.startswith('leadlag.') or m == 'numpy'])\n"
             "print([name for name in leadlag.__all__ if name not in dir(leadlag)])\n"
         )
         assert self.fresh_output(probe).splitlines() == ["[]", "[]"]
